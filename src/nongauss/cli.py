@@ -56,6 +56,7 @@ from .maps import (
     pns,
 )
 from .monotone import (
+    _is_conditional_unitary,
     alpha_zero_spread,
     d_g_bound,
     delta_tilde,
@@ -179,11 +180,7 @@ def cmd_map_ng(args):
             "excluded": res.excluded,
         }
         return config, results
-    tag, payload = desc.body.body
-    conditional_unitary = desc.body.n_in == desc.body.n_out and (
-        tag == "unitary" or (tag == "kraus" and len(payload) == 1)
-    )
-    if conditional_unitary:
+    if _is_conditional_unitary(desc.body):
         res = delta_tilde(desc, seed=args.seed)
         tol = 1e-7 if res.diagnostics["backend"] == "analytic" else 1e-2
         results = {

@@ -6,6 +6,7 @@ quadratures are ordered (q1, p1, ..., qn, pn) with a = (q + ip)/2 per mode.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import linalg
@@ -19,11 +20,17 @@ MU_CLAMP_TOL = 1e-9
 _Y = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
+@lru_cache(maxsize=None)
 def symplectic_form(n):
-    """Symplectic form Omega for n modes: block diagonal [[0, 1], [-1, 0]]."""
+    """Symplectic form Omega for n modes: block diagonal [[0, 1], [-1, 0]].
+
+    The array is cached per n and read-only; copy it before writing.
+    """
     if n < 1:
         raise ValueError(f"need at least one mode, got n={n}")
-    return np.kron(np.eye(n), _Y)
+    omega = np.kron(np.eye(n), _Y)
+    omega.setflags(write=False)
+    return omega
 
 
 def _frozen(a):

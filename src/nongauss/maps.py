@@ -27,22 +27,14 @@ DEFAULT_KERR_GAMMA = 0.5
 
 @dataclass(frozen=True)
 class MapDescriptor:
-    """A named conditional map with analytic metadata.
-
-    classification is a prior tag used for sweep routing: 'finite' when the
-    restricted monotone is known to plateau, 'diverging' when it grows
-    without bound, 'unknown' otherwise.
-    """
+    """A named conditional map with analytic metadata."""
 
     name: str
     body: ConditionalMap
     cutoff: int
     metadata: dict = field(default_factory=dict)
-    classification: str = "unknown"
 
     def __post_init__(self):
-        if self.classification not in ("unknown", "finite", "diverging"):
-            raise ValueError(f"bad classification tag {self.classification!r}")
         probs = self.metadata.get("probabilities")
         if probs is not None:
             tag, payload = self.body.body
@@ -55,7 +47,7 @@ def pns(cutoff=DEFAULT_CUTOFF):
     if cutoff < 3:
         raise ValueError("cutoff must be at least 3")
     body = ConditionalMap(1, 1, ("kraus", (ladder(cutoff),)), renormalize=True)
-    return MapDescriptor("pns", body, cutoff, {"normalization": "pns"}, "finite")
+    return MapDescriptor("pns", body, cutoff, {"normalization": "pns"})
 
 
 def pna(cutoff=DEFAULT_CUTOFF):
@@ -64,7 +56,7 @@ def pna(cutoff=DEFAULT_CUTOFF):
         raise ValueError("cutoff must be at least 3")
     adag = ladder(cutoff).conj().T
     body = ConditionalMap(1, 1, ("kraus", (adag,)), renormalize=True)
-    return MapDescriptor("pna", body, cutoff, {"normalization": "pna"}, "finite")
+    return MapDescriptor("pna", body, cutoff, {"normalization": "pna"})
 
 
 def _arm_photon_number(alpha, r, n_s):
@@ -97,14 +89,14 @@ def bps(cutoff=DEFAULT_CUTOFF):
         1, 1, ("mixture", ((0.5, eye), (0.5, parity))), renormalize=False
     )
     meta = {"probabilities": (0.5, 0.5)}
-    return MapDescriptor("bps", body, cutoff, meta, "diverging")
+    return MapDescriptor("bps", body, cutoff, meta)
 
 
 def kerr(gamma=DEFAULT_KERR_GAMMA, cutoff=DEFAULT_CUTOFF):
     """Self-Kerr unitary exp(-iγ(a†a)²)."""
     u = build_unitary("kerr", float(gamma), cutoff)
     body = ConditionalMap(1, 1, ("unitary", u), renormalize=False)
-    return MapDescriptor("kerr", body, cutoff, {"gamma": float(gamma)}, "diverging")
+    return MapDescriptor("kerr", body, cutoff, {"gamma": float(gamma)})
 
 
 def identity_map(cutoff=DEFAULT_CUTOFF):
@@ -112,7 +104,7 @@ def identity_map(cutoff=DEFAULT_CUTOFF):
     body = ConditionalMap(
         1, 1, ("unitary", np.eye(cutoff, dtype=complex)), renormalize=False
     )
-    return MapDescriptor("id", body, cutoff, {}, "finite")
+    return MapDescriptor("id", body, cutoff, {})
 
 
 def coherent_projector(alpha, cutoff=DEFAULT_CUTOFF):
@@ -124,7 +116,7 @@ def coherent_projector(alpha, cutoff=DEFAULT_CUTOFF):
     bra = build_state("coherent", alpha, cutoff).data.conj()
     k = np.kron(np.eye(cutoff), bra.reshape(1, -1))
     body = ConditionalMap(2, 1, ("kraus", (k,)), renormalize=True)
-    return MapDescriptor("talpha", body, cutoff, {"alpha": complex(alpha)}, "unknown")
+    return MapDescriptor("talpha", body, cutoff, {"alpha": complex(alpha)})
 
 
 def gaussian_dilatable(sym, env, cutoff=DEFAULT_CUTOFF):
@@ -155,7 +147,7 @@ def gaussian_dilatable(sym, env, cutoff=DEFAULT_CUTOFF):
     kraus = tuple(np.ascontiguousarray(k_flat[:, j, :]) for j in range(dim_e))
     body = ConditionalMap(n_sys, n_sys, ("kraus", kraus), renormalize=False)
     meta = {"symplectic": sym, "environment": env}
-    return MapDescriptor("gd", body, cutoff, meta, "finite")
+    return MapDescriptor("gd", body, cutoff, meta)
 
 
 def loss(tau, cutoff=DEFAULT_CUTOFF):

@@ -3,8 +3,10 @@
 delta_tilde maximizes the joint-output non-Gaussianity over the four
 parameter entangled input family D_α R_θ S_r |ζ⟩; d_g_bound evaluates the
 unentangled lower bound on Gaussian inputs.  Photon subtraction and
-addition get an exact analytic backend through Gaussian moment factoring
-on the TMSV; everything else runs on the truncated Fock backend.
+addition get an exact closed-form Gaussian-moment (Isserlis) backend: the
+output moments are ordered ladder words whose expectations on the Gaussian
+input follow from its means and pair contractions alone.  Everything else
+runs on the truncated Fock backend.
 
 Objective evaluations at distinct parameter points are independent; the
 search aggregates them in a fixed order, so results are deterministic for
@@ -180,122 +182,89 @@ _EDGE_TOL = 1e-6
 _PENALTY = -1e9
 
 
-def _parse_symbol(token):
-    if isinstance(token, tuple):
-        mode, dag = token
-        if mode in (0, 1) and dag in (0, 1):
-            return (int(mode), int(dag))
-        raise ValueError(f"bad ladder symbol {token!r}")
-    text = str(token).strip()
-    head, tail = text[:1].upper(), text[1:]
-    if head not in ("A", "B") or tail not in ("", "†", "+", "dag"):
-        raise ValueError(f"bad ladder symbol {token!r}")
-    return (0 if head == "A" else 1, 0 if tail == "" else 1)
+def _ladder_moments(p):
+    """Ladder means and ordered fluctuations of the input family.
 
-
-def _wick(word, n_s):
-    # ordered-pair contractions on the zero-mean TMSV; recursion over all
-    # pairings of the first symbol
-    if len(word) % 2:
-        return 0.0 + 0.0j
-    if not word:
-        return 1.0 + 0.0j
-    c_p = np.sqrt(n_s * (n_s + 1.0))
-
-    def pair(left, right):
-        (m1, d1), (m2, d2) = left, right
-        if m1 == m2:
-            if d1 == d2:
-                return 0.0
-            return n_s + 1.0 if d1 == 0 else n_s
-        return c_p if d1 == d2 else 0.0
-
-    total = 0.0 + 0.0j
-    first = word[0]
-    for j in range(1, len(word)):
-        w = pair(first, word[j])
-        if w != 0.0:
-            total += w * _wick(word[1:j] + word[j + 1 :], n_s)
-    return total
-
-
-def tmsv_wick_expectation(word, n_s):
-    """Ordered expectation of a ladder word on the TMSV by Wick pairing.
-
-    Symbols are 'A', 'A†', 'B', 'B†' (ASCII 'A+', 'B+' also accepted) or
-    (mode, dagger) pairs; operator order inside each contraction is kept,
-    so ⟨a a†⟩ = n_s + 1 while ⟨a† a⟩ = n_s.  Odd words vanish.
+    Over ξ = (a, a†, b, b†), with b the consumed mode: μ = (0, 0, α, ᾱ)
+    and G_ij = ⟨δξ_i δξ_j⟩ = L G_ζ Lᵀ, where G_ζ holds the TMSV's ordered
+    pair contractions (⟨a a†⟩ = n_s + 1, ⟨a† a⟩ = n_s, ⟨a b⟩ = ⟨a† b†⟩ =
+    √(n_s(n_s+1))) and L is the Bogoliubov map of D_α R_θ S_r, under which
+    b ↦ c1 b + c2 b† + α.
     """
-    if n_s < 0.0:
-        raise ValueError("n_s must be nonnegative")
-    parsed = tuple(_parse_symbol(t) for t in word)
-    if len(parsed) > 6:
-        raise ValueError("words longer than six symbols are not supported")
-    return complex(_wick(parsed, float(n_s)))
+    n_s = float(p.n_s)
+    c_p = np.sqrt(n_s * (n_s + 1.0))
+    g_tmsv = np.array(
+        [
+            [0.0, n_s + 1.0, c_p, 0.0],
+            [n_s, 0.0, 0.0, c_p],
+            [c_p, 0.0, 0.0, n_s + 1.0],
+            [0.0, c_p, n_s, 0.0],
+        ]
+    )
+    phase = np.exp(-1j * p.theta)
+    c1, c2 = phase * np.cosh(p.r), -phase * np.sinh(p.r)
+    bogoliubov = np.eye(4, dtype=complex)
+    bogoliubov[2:, 2:] = [[c1, c2], [np.conj(c2), np.conj(c1)]]
+    alpha = complex(p.alpha)
+    mu = np.array([0.0, 0.0, alpha, np.conj(alpha)])
+    return mu, bogoliubov @ g_tmsv @ bogoliubov.T
 
 
-_A, _ADAG = (0, 0), (0, 1)
-_B, _BDAG = (1, 0), (1, 1)
+def _ordered_moments(mu, g, words):
+    """Ordered four-symbol moments of a Gaussian state, one per word.
+
+    mu and g are ladder means and ordered fluctuations as _ladder_moments
+    returns them; words is an integer array of shape (k, 4) indexing them,
+    where index len(mu) is the unit (mean 1, no fluctuation) that pads a
+    shorter word.  By the Isserlis (Wick) theorem, with raw second moments
+    S = g + μμᵀ, ⟨ξ₁ξ₂ξ₃ξ₄⟩ = S₁₂S₃₄ + S₁₃S₂₄ + S₁₄S₂₃ − 2μ₁μ₂μ₃μ₄.
+    """
+    n = len(mu)
+    mu = np.append(mu, 1.0)
+    s = np.zeros((n + 1, n + 1), dtype=complex)
+    s[:n, :n] = g
+    s += np.outer(mu, mu)
+    w1, w2, w3, w4 = np.asarray(words).T
+    return (
+        s[w1, w2] * s[w3, w4]
+        + s[w1, w3] * s[w2, w4]
+        + s[w1, w4] * s[w2, w3]
+        - 2.0 * mu[w1] * mu[w2] * mu[w3] * mu[w4]
+    )
 
 
-def _poly_mul(p1, p2):
-    out = {}
-    for w1, c1 in p1.items():
-        for w2, c2 in p2.items():
-            key = w1 + w2
-            out[key] = out.get(key, 0.0) + c1 * c2
-    return out
+# symbols of _ladder_moments, then the unit
+_A, _ADAG, _B, _BDAG, _ONE = range(5)
+# X of the nine output moments ⟨X⟩: ⟨a⟩, ⟨b⟩, ⟨ab⟩, ⟨a²⟩, ⟨b²⟩, ⟨a†a⟩,
+# ⟨a†b⟩, ⟨b†a⟩, ⟨b†b⟩
+_X_WORDS = (
+    (_A, _ONE), (_B, _ONE), (_A, _B), (_A, _A), (_B, _B),
+    (_ADAG, _A), (_ADAG, _B), (_BDAG, _A), (_BDAG, _B),
+)
+# the words K† X K, with K = b for subtraction and b† for addition
+_WORDS = {
+    "pns": np.array([(_BDAG, *x, _B) for x in _X_WORDS]),
+    "pna": np.array([(_B, *x, _BDAG) for x in _X_WORDS]),
+}
 
 
 def analytic_output_covariance(p, which):
     """Exact joint mean and covariance of the PNS/PNA output state.
 
-    Every needed moment ⟨ξ|X|ξ⟩ = N² ⟨ζ|M† (G†XG) M|ζ⟩ is expanded into
-    ladder words (G = D_α R_θ S_r on the consumed mode, M = G†aG for
-    subtraction and its adjoint for addition) and evaluated by Wick
-    pairing; the covariance then follows from the moment table.
+    Each of the nine output moments ⟨X⟩ = ⟨K†XK⟩/⟨K†K⟩ (K = b for
+    subtraction, b† for addition) is an ordered word over the input's
+    ladder operators, evaluated in closed form from _ladder_moments by
+    _ordered_moments; the covariance then follows from the moment table.
     """
     if which not in ("pns", "pna"):
         raise UnsupportedMapError(f"no analytic backend for {which!r}")
-    alpha = complex(p.alpha)
-    phase = np.exp(-1j * p.theta)
-    c1, c2 = phase * np.cosh(p.r), -phase * np.sinh(p.r)
-    l_g = {(_B,): c1, (_BDAG,): c2, (): alpha}
-    l_g_dag = {(_BDAG,): np.conj(c1), (_B,): np.conj(c2), (): np.conj(alpha)}
     if which == "pns":
-        norm = normalization_pns(abs(alpha), p.r, p.n_s)
-        m_left, m_right = l_g_dag, l_g
+        norm = normalization_pns(abs(p.alpha), p.r, p.n_s)
     else:
-        norm = normalization_pna(abs(alpha), p.r, p.n_s)
-        m_left, m_right = l_g, l_g_dag
-    n_sq = norm * norm
-
-    def conjugated(x_word):
-        poly = {(): 1.0 + 0.0j}
-        for s in x_word:
-            if s == _B:
-                poly = _poly_mul(poly, l_g)
-            elif s == _BDAG:
-                poly = _poly_mul(poly, l_g_dag)
-            else:
-                poly = _poly_mul(poly, {(s,): 1.0 + 0.0j})
-        return poly
-
-    def expect(*x_word):
-        sandwich = _poly_mul(m_left, _poly_mul(conjugated(x_word), m_right))
-        total = sum(c * _wick(w, p.n_s) for w, c in sandwich.items())
-        return n_sq * total
-
-    first = np.array([expect(_A), expect(_B)])
-    ab = expect(_A, _B)
-    aa = np.array([[expect(_A, _A), ab], [ab, expect(_B, _B)]])
-    adag_a = np.array(
-        [
-            [expect(_ADAG, _A), expect(_ADAG, _B)],
-            [expect(_BDAG, _A), expect(_BDAG, _B)],
-        ]
-    )
-    return covariance_from_moments(MomentRecord(2, first, aa, adag_a))
+        norm = normalization_pna(abs(p.alpha), p.r, p.n_s)
+    m = (norm * norm) * _ordered_moments(*_ladder_moments(p), _WORDS[which])
+    aa = np.array([[m[3], m[2]], [m[2], m[4]]])
+    return covariance_from_moments(MomentRecord(2, m[:2], aa, m[5:].reshape(2, 2)))
 
 
 def _is_conditional_unitary(cmap):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import expm
 
 from nongauss.errors import InvalidStateError
@@ -42,6 +42,16 @@ def test_symplectic_form_blocks():
     )
     assert_allclose(omega, expected)
     assert_allclose(omega @ omega, -np.eye(4))
+
+
+def test_symplectic_form_is_cached_read_only():
+    for n in (1, 2, 3):
+        omega = symplectic_form(n)
+        assert symplectic_form(n) is omega
+        assert not omega.flags.writeable
+        assert_array_equal(omega, symplectic_form.__wrapped__(n))
+        with pytest.raises(ValueError):
+            omega[0, 1] = 2.0
 
 
 def test_vacuum_and_thermal_states():

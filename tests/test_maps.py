@@ -293,9 +293,7 @@ def test_metadata_consistency_enforced():
     d = 10
     body = bps(d).body
     with pytest.raises(ValueError):
-        MapDescriptor("bad", body, d, {"probabilities": (0.3, 0.7)}, "diverging")
-    with pytest.raises(ValueError):
-        MapDescriptor("bad", body, d, {}, "sideways")
+        MapDescriptor("bad", body, d, {"probabilities": (0.3, 0.7)})
 
 
 def test_parse_state_spec_kinds():
@@ -316,8 +314,8 @@ def test_parse_state_spec_kinds():
 def test_parse_map_spec_kinds():
     d = 25
     assert parse_map_spec("pns", d).name == "pns"
-    assert parse_map_spec("pna", d).classification == "finite"
-    assert parse_map_spec("bps", d).classification == "diverging"
+    assert parse_map_spec("pna", d).name == "pna"
+    assert parse_map_spec("bps", d).name == "bps"
     assert parse_map_spec("kerr", d).metadata["gamma"] == 0.5
     assert parse_map_spec("kerr:0.25", d).metadata["gamma"] == 0.25
     assert parse_map_spec("talpha:1.0", d).metadata["alpha"] == 1.0 + 0.0j

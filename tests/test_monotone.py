@@ -19,6 +19,7 @@ from nongauss.gaussian import (
     GaussianState,
     gaussian_entropy,
     gaussian_unitary,
+    symplectic_form,
     thermal_entropy,
     thermal_state,
     tmsv_state,
@@ -39,6 +40,8 @@ from nongauss.monotone import (
     DivergenceProfile,
     InputParams,
     MonotoneResult,
+    _ladder_moments,
+    _ordered_moments,
     alpha_zero_spread,
     analytic_output_covariance,
     d_g_bound,
@@ -50,7 +53,6 @@ from nongauss.monotone import (
     gd_upper_bound,
     input_family,
     mixed_unitary_bounds,
-    tmsv_wick_expectation,
 )
 
 
@@ -95,53 +97,65 @@ def test_input_family_at_origin_is_tmsv():
         input_family(p, backend="wigner")
 
 
-def test_wick_two_symbol_oracles():
-    n_s = 1.0
+# indices into _ladder_moments: ξ = (a, a†, b, b†), then the unit
+A, ADAG, B, BDAG, ONE = range(5)
+
+
+def test_ordered_moments_two_symbol_tmsv_values():
+    mu, g = _ladder_moments(InputParams(0.0, 0.0, 0.0, 1.0))
+    assert_allclose(mu, np.zeros(4), atol=1e-12)
+    words = [(A, B), (ADAG, BDAG), (B, BDAG), (BDAG, B), (A, A), (A, BDAG)]
+    got = _ordered_moments(mu, g, [w + (ONE, ONE) for w in words])
     c_p = np.sqrt(2.0)
-    assert_allclose(tmsv_wick_expectation(("A", "B"), n_s), c_p, atol=1e-12)
-    assert_allclose(tmsv_wick_expectation(("A†", "B†"), n_s), c_p, atol=1e-12)
-    assert_allclose(tmsv_wick_expectation(("B", "B†"), n_s), 2.0, atol=1e-12)
-    assert_allclose(tmsv_wick_expectation(("B†", "B"), n_s), 1.0, atol=1e-12)
-    assert tmsv_wick_expectation(("A", "A"), n_s) == 0.0
-    assert tmsv_wick_expectation(("A", "B†"), n_s) == 0.0
+    assert_allclose(got, [c_p, c_p, 2.0, 1.0, 0.0, 0.0], atol=1e-12)
 
 
-def test_wick_number_correlator():
+def test_ordered_moments_number_correlator():
     # ⟨n_A n_B⟩ on the TMSV: Σ n² λ^{2n} (1-λ²) with λ² = 1/2 sums to 3
-    assert_allclose(
-        tmsv_wick_expectation(("A†", "A", "B†", "B"), 1.0), 3.0, atol=1e-12
-    )
+    mu, g = _ladder_moments(InputParams(0.0, 0.0, 0.0, 1.0))
+    assert_allclose(_ordered_moments(mu, g, [(ADAG, A, BDAG, B)]), [3.0], atol=1e-12)
 
 
-def test_wick_matches_fock_numerics():
-    n_s, d = 0.7, 45
-    ket = build_state("tmsv", n_s, cutoff=d, trace_tol=1e-4).data.reshape(-1)
+def test_ladder_moments_match_the_phase_space_state():
+    # ξ = T x with a = (q + ip)/2 per mode; the ordered fluctuations are
+    # ⟨δξ_i δξ_j⟩ = T (V + iΩ) Tᵀ for covariance V (ħ = 2)
+    t = np.kron(np.eye(2), [[0.5, 0.5j], [0.5, -0.5j]])
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        p = InputParams(
+            3.0 * rng.uniform() * np.exp(2j * np.pi * rng.uniform()),
+            rng.uniform(-np.pi, np.pi),
+            rng.uniform(-1.5, 1.5),
+            rng.uniform(0.0, 4.0),
+        )
+        state = input_family(p, "gaussian")
+        mu, g = _ladder_moments(p)
+        want = t @ (state.cov + 1j * symplectic_form(2)) @ t.T
+        scale = np.abs(want).max()
+        assert_allclose(mu, t @ state.mean, rtol=0, atol=1e-12)
+        assert_allclose(g, want, rtol=0, atol=1e-12 * scale)
+
+
+def test_ordered_moments_match_fock_numerics():
+    p = InputParams(0.3 - 0.2j, 0.8, -0.2, 0.7)
+    d = 45
+    psi = input_family(p, "fock", cutoff=d).data
     a = ladder(d)
     ops = {
-        "A": np.kron(a, np.eye(d)),
-        "A†": np.kron(a.conj().T, np.eye(d)),
-        "B": np.kron(np.eye(d), a),
-        "B†": np.kron(np.eye(d), a.conj().T),
+        A: lambda v: a @ v,
+        ADAG: lambda v: a.conj().T @ v,
+        B: lambda v: v @ a.T,
+        BDAG: lambda v: v @ a.conj(),
+        ONE: lambda v: v,
     }
+    mu, g = _ladder_moments(p)
     rng = np.random.default_rng(11)
-    names = list(ops)
-    for _ in range(6):
-        word = tuple(rng.choice(names) for _ in range(rng.choice((2, 4, 6))))
-        mat = np.eye(d * d)
-        for s in word:
-            mat = mat @ ops[s]
-        direct = ket.conj() @ (mat @ ket)
-        assert_allclose(tmsv_wick_expectation(word, n_s), direct, atol=1e-8)
-
-
-def test_wick_rejects_bad_words():
-    assert tmsv_wick_expectation(("A", "B", "B"), 1.0) == 0.0
-    with pytest.raises(ValueError):
-        tmsv_wick_expectation(("A",) * 8, 1.0)
-    with pytest.raises(ValueError):
-        tmsv_wick_expectation(("C",), 1.0)
-    with pytest.raises(ValueError):
-        tmsv_wick_expectation(("A",), -0.5)
+    words = rng.integers(0, 5, size=(12, 4))
+    for word, got in zip(words, _ordered_moments(mu, g, words)):
+        out = psi
+        for s in word[::-1]:
+            out = ops[s](out)
+        assert_allclose(got, np.vdot(psi, out), atol=1e-8)
 
 
 def test_analytic_addition_on_vacuum():
@@ -171,12 +185,13 @@ def test_analytic_objective_flat_at_zero_displacement():
 
 
 def test_analytic_matches_fock_at_adequate_cutoff():
+    # four draws with r ≥ 0, then two with negative r
     rng = np.random.default_rng(3)
-    for _ in range(4):
+    for r_lo, r_hi in [(0.0, 0.35)] * 4 + [(-0.35, 0.0)] * 2:
         p = InputParams(
             complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)),
             rng.uniform(0.0, 2.0 * np.pi),
-            rng.uniform(0.0, 0.35),
+            rng.uniform(r_lo, r_hi),
             rng.uniform(0.2, 1.0),
         )
         for which, desc in (("pns", pns(60)), ("pna", pna(60))):
