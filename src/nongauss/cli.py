@@ -133,8 +133,8 @@ def _config(args, **extra):
     return cfg
 
 
-def _argmax_fields(p, tolerance):
-    return {
+def _argmax_fields(p, tolerance, analytic):
+    fields = {
         "alpha_re": float(np.real(p.alpha)),
         "alpha_im": float(np.imag(p.alpha)),
         "theta": float(p.theta),
@@ -142,6 +142,11 @@ def _argmax_fields(p, tolerance):
         "n_s": float(p.n_s),
         "tolerance": float(tolerance),
     }
+    if analytic:
+        # the analytic δ̃ of pns/pna is flat on the α = 0 manifold its
+        # maximum lies on, so there θ, r and n_s are rounding artefacts
+        fields.update(theta=None, r=None, n_s=None)
+    return fields
 
 
 def cmd_state_ng(args):
@@ -182,14 +187,17 @@ def cmd_map_ng(args):
         return config, results
     if _is_conditional_unitary(desc.body):
         res = delta_tilde(desc, seed=args.seed)
-        tol = 1e-7 if res.diagnostics["backend"] == "analytic" else 1e-2
+        analytic = res.diagnostics["backend"] == "analytic"
         results = {
             "method": "delta_tilde",
             "value": _measured(
-                res.value, tolerance=tol, deficit=res.diagnostics["max_deficit"]
+                res.value,
+                tolerance=1e-7 if analytic else 1e-2,
+                deficit=res.diagnostics["max_deficit"],
             ),
-            "argmax": _argmax_fields(res.argmax, res.diagnostics["xatol"]),
+            "argmax": _argmax_fields(res.argmax, res.diagnostics["xatol"], analytic),
             "evaluations": res.evaluations,
+            "excluded": res.diagnostics["excluded"],
             "backend": res.diagnostics["backend"],
         }
         if "alpha_zero_spread" in res.diagnostics:
@@ -205,6 +213,7 @@ def cmd_map_ng(args):
             ),
             "argmax_input": list(res.argmax),
             "evaluations": res.evaluations,
+            "excluded": res.diagnostics["excluded"],
             "backend": res.diagnostics["backend"],
         }
     return config, results

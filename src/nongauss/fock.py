@@ -59,7 +59,8 @@ class FockArray:
 
     trace_deficit records 1 − ⟨ψ|ψ⟩ (ket) or 1 − Tr ρ (density); it must not
     exceed trace_tol. States are kept unnormalized-by-truncation so the
-    deficit stays observable.
+    deficit stays observable.  A density may carry branches Φ, an r × Dⁿ
+    array of kets with ρ = Φᵀ Φ̄ (a channel's branch kets on a pure input).
     """
 
     n_modes: int
@@ -67,6 +68,7 @@ class FockArray:
     kind: str
     data: np.ndarray
     trace_tol: float = APPLY_DEFICIT_TOL
+    branches: np.ndarray = field(default=None, compare=False, repr=False)
     trace_deficit: float = field(init=False)
 
     def __post_init__(self):
@@ -99,6 +101,10 @@ class FockArray:
                 f"trace deficit {deficit:.3e} exceeds bound {self.trace_tol:.1e}",
                 deficit=deficit,
             )
+        if self.branches is not None:
+            if self.kind != "density" or self.branches.shape[1:] != (dim,):
+                raise ValueError(f"branches must be kets of a {dim}-dim density")
+            self.branches.setflags(write=False)
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "trace_deficit", deficit)
@@ -159,6 +165,35 @@ def _coherent_amplitudes(alpha, cutoff):
     return c
 
 
+def _thermal_weights(n_mean, cutoff):
+    """Number distribution (N/(N+1))ⁿ/(N+1), n < cutoff, of a thermal state."""
+    if n_mean == 0.0:
+        p = np.zeros(cutoff)
+        p[0] = 1.0
+        return p
+    return (n_mean / (n_mean + 1.0)) ** np.arange(cutoff) / (n_mean + 1.0)
+
+
+def _truncation_refusal(what, deficit, cutoff, trace_tol, deficit_at):
+    """TruncationError for a construction that loses `deficit` at `cutoff`.
+
+    The suggested cutoff is the first doubling d of cutoff with
+    deficit_at(d) ≤ trace_tol, or None past 65536.
+    """
+    suggestion = None
+    d = cutoff
+    while d <= 65536:
+        d *= 2
+        if deficit_at(d) <= trace_tol:
+            suggestion = d
+            break
+    return TruncationError(
+        f"{what} loses {deficit:.3e} of its weight at cutoff {cutoff}",
+        deficit=deficit,
+        suggested_cutoff=suggestion,
+    )
+
+
 def _state_vector(kind, params, cutoff):
     """Raw data and exact trace deficit for each supported state family."""
     if kind == "vacuum":
@@ -189,11 +224,7 @@ def _state_vector(kind, params, cutoff):
         N = float(params)
         if N < 0:
             raise ValueError(f"mean photon number must be >= 0, got {N}")
-        if N == 0.0:
-            p = np.zeros(cutoff)
-            p[0] = 1.0
-        else:
-            p = (N / (N + 1.0)) ** np.arange(cutoff) / (N + 1.0)
+        p = _thermal_weights(N, cutoff)
         return 1, "density", np.diag(p.astype(complex)), 1.0 - float(p.sum())
     if kind == "tmsv":
         N_S = float(params)
@@ -218,51 +249,19 @@ def build_state(kind, params=None, cutoff=DEFAULT_CUTOFF, trace_tol=BUILD_DEFICI
     """
     n_modes, arr_kind, data, deficit = _state_vector(kind, params, cutoff)
     if deficit > trace_tol:
-        suggestion = None
-        d = cutoff
-        while d <= 65536:
-            d *= 2
-            if _state_vector(kind, params, d)[3] <= trace_tol:
-                suggestion = d
-                break
-        raise TruncationError(
-            f"{kind} state loses {deficit:.3e} of its weight at cutoff {cutoff}",
-            deficit=deficit,
-            suggested_cutoff=suggestion,
+        raise _truncation_refusal(
+            f"{kind} state", deficit, cutoff, trace_tol,
+            lambda d: _state_vector(kind, params, d)[3],
         )
     return FockArray(n_modes, cutoff, arr_kind, data, trace_tol=trace_tol)
-
-
-def _bs_sector_expm(theta, cutoff):
-    """exp(ϑ(ab† − a†b)) assembled per total-photon sector.
-
-    The truncated generator preserves n₁+n₂, so this equals the dense
-    exponential of the boxed generator at a fraction of the cost.
-    """
-    d = cutoff
-    u = np.zeros((d * d, d * d), dtype=complex)
-    for total in range(2 * d - 1):
-        lo = max(0, total - d + 1)
-        hi = min(total, d - 1)
-        ks = np.arange(lo, hi + 1)
-        idx = ks * d + (total - ks)
-        m = len(ks)
-        g = np.zeros((m, m))
-        for i in range(m - 1):
-            k = ks[i + 1]
-            # ⟨k−1, total−k+1| a b† |k, total−k⟩ = √k √(total−k+1)
-            val = np.sqrt(k * (total - k + 1.0))
-            g[i, i + 1] = val
-            g[i + 1, i] = -val
-        u[np.ix_(idx, idx)] = expm(theta * g)
-    return u
 
 
 def build_unitary(kind, params, cutoff=DEFAULT_CUTOFF):
     """Truncated Gaussian (or Kerr) unitary as a dense matrix.
 
     Single-mode kinds: 'displacement' (α), 'rotation' (θ), 'squeeze' (r),
-    'kerr' (γ). Two-mode: 'two_mode_squeeze' (r), 'beamsplitter' (τ).
+    'kerr' (γ). Two-mode: 'two_mode_squeeze' (r), 'beamsplitter' (τ); the
+    beamsplitter is assembled per total-photon sector at any cutoff.
     """
     a = ladder(cutoff)
     n = np.arange(cutoff)
@@ -276,14 +275,9 @@ def build_unitary(kind, params, cutoff=DEFAULT_CUTOFF):
     if kind == "squeeze":
         r = float(params)
         return expm(0.5 * r * (a @ a - a.conj().T @ a.conj().T))
-    if kind in ("two_mode_squeeze", "beamsplitter") and cutoff**2 > _MAX_DENSE_DIM:
-        if kind == "beamsplitter":
-            tau = float(params)
-            if not 0.0 <= tau <= 1.0:
-                raise ValueError(f"transmissivity must be in [0, 1], got {tau}")
-            return _bs_sector_expm(np.arccos(np.sqrt(tau)), cutoff)
-        raise ValueError(f"two-mode dense exponential too large at cutoff {cutoff}")
     if kind == "two_mode_squeeze":
+        if cutoff**2 > _MAX_DENSE_DIM:
+            raise ValueError(f"two-mode dense exponential too large at cutoff {cutoff}")
         r = float(params)
         up = np.kron(a.conj().T, a.conj().T)
         return expm(r * (up - up.conj().T))
@@ -291,9 +285,9 @@ def build_unitary(kind, params, cutoff=DEFAULT_CUTOFF):
         tau = float(params)
         if not 0.0 <= tau <= 1.0:
             raise ValueError(f"transmissivity must be in [0, 1], got {tau}")
+        # exp(ϑ(a b† − a† b)) = exp(−i Σ Θ_jk a_j† a_k)
         theta = np.arccos(np.sqrt(tau))
-        g = np.kron(a, a.conj().T)
-        return expm(theta * (g - g.conj().T))
+        return _expm_passive(np.array([[0.0, -1j * theta], [1j * theta, 0.0]]), cutoff)
     raise ValueError(f"unknown unitary kind: {kind!r}")
 
 
@@ -352,6 +346,10 @@ def apply_map(state, cmap, targets=None, min_prob=1e-14, trace_tol=APPLY_DEFICIT
 
     Post-selected maps (renormalize=True) return a unit-trace output and the
     branch probability; channels return their raw output and report its trace.
+    A ket through a Kraus family or a mixture (Kraus operators √p_j U_j) is
+    never turned into a density: its output is Φᵀ Φ̄ over the branch kets
+    Φ = [K_j ψ], which the output carries as `branches`.  A single
+    post-selected Kraus operator keeps a ket a ket.
 
     :raises ZeroProbabilityError: post-selected branch weight ≤ min_prob.
     :raises TruncationError: a channel loses more than trace_tol of its trace.
@@ -379,43 +377,49 @@ def apply_map(state, cmap, targets=None, min_prob=1e-14, trace_tol=APPLY_DEFICIT
         out = apply_unitary(state, payload, targets)
         return out, 1.0
 
-    if tag == "mixture":
-        rho = state.to_density()
-        acc = np.zeros_like(rho.data)
+    if tag == "mixture" and state.kind == "density":
+        acc = np.zeros_like(state.data)
         for p, u in payload:
-            acc = acc + p * apply_unitary(rho, u, targets).data
+            acc = acc + p * apply_unitary(state, u, targets).data
         return (
-            FockArray(rho.n_modes, d, "density", acc, trace_tol=out_tol),
+            FockArray(state.n_modes, d, "density", acc, trace_tol=out_tol),
             float(np.trace(acc).real),
         )
 
-    kraus = payload
-    if state.kind == "ket" and len(kraus) == 1 and cmap.renormalize:
-        out = _kraus_once(state, kraus[0], targets, d, n_out)
-        prob = float(np.vdot(out, out).real)
-        if prob <= min_prob:
-            raise ZeroProbabilityError(f"post-selected branch has weight {prob:.3e}")
-        out = out / np.sqrt(prob)
-        return FockArray(n_out, d, "ket", out, trace_tol=out_tol), prob
-
-    rho = state.to_density()
-    dim_out = d**n_out
-    acc = np.zeros((dim_out, dim_out), dtype=complex)
-    for k_mat in kraus:
-        term = _kraus_once(rho, k_mat, targets, d, n_out)
-        acc = acc + term.reshape(dim_out, dim_out)
-    prob = float(np.trace(acc).real)
+    kraus = payload if tag == "kraus" else tuple(np.sqrt(p) * u for p, u in payload)
+    if state.kind == "ket":
+        phi = np.stack(
+            [_kraus_once(state, k_mat, targets, d, n_out).reshape(-1) for k_mat in kraus]
+        )
+        prob = float(np.vdot(phi, phi).real)
+    else:
+        dim_out = d**n_out
+        acc = np.zeros((dim_out, dim_out), dtype=complex)
+        for k_mat in kraus:
+            term = _kraus_once(state, k_mat, targets, d, n_out)
+            acc = acc + term.reshape(dim_out, dim_out)
+        prob = float(np.trace(acc).real)
     if cmap.renormalize:
         if prob <= min_prob:
             raise ZeroProbabilityError(f"post-selected branch has weight {prob:.3e}")
-        acc = acc / prob
     elif 1.0 - prob > out_tol:
         raise TruncationError(
             f"channel output lost {1.0 - prob:.3e} of its trace",
             deficit=1.0 - prob,
             suggested_cutoff=2 * d,
         )
-    return FockArray(n_out, d, "density", acc, trace_tol=out_tol), prob
+    if state.kind == "density":
+        if cmap.renormalize:
+            acc = acc / prob
+        return FockArray(n_out, d, "density", acc, trace_tol=out_tol), prob
+    if cmap.renormalize:
+        phi = phi / np.sqrt(prob)
+        if len(kraus) == 1:
+            return FockArray(n_out, d, "ket", phi[0], trace_tol=out_tol), prob
+    rho = FockArray(
+        n_out, d, "density", phi.T @ phi.conj(), trace_tol=out_tol, branches=phi
+    )
+    return rho, prob
 
 
 def partial_trace(state, keep):
@@ -441,10 +445,18 @@ def partial_trace(state, keep):
 
 
 def von_neumann_entropy(state, clamp=ENTROPY_CLAMP):
-    """S(ρ) = −Σ λ log₂ λ; exactly 0 for kets."""
+    """S(ρ) = −Σ λ log₂ λ; exactly 0 for kets.
+
+    A density carrying r < Dⁿ branches Φ takes its spectrum from the r × r
+    Gram matrix Φ̄ Φᵀ, whose eigenvalues are the nonzero ones of ρ = Φᵀ Φ̄.
+    """
     if state.kind == "ket":
         return 0.0
-    w = np.linalg.eigvalsh(state.data)
+    phi = state.branches
+    if phi is not None and phi.shape[0] < phi.shape[1]:
+        w = np.linalg.eigvalsh(phi.conj() @ phi.T)
+    else:
+        w = np.linalg.eigvalsh(state.data)
     if w.min() < -1e-9:
         raise InvalidStateError(f"density eigenvalue {w.min():.3e} < 0")
     w = w[w > clamp]
@@ -602,17 +614,6 @@ def gaussify(state):
     return covariance_from_moments(moments(state))
 
 
-def _embedded_ladders(n_modes, cutoff):
-    a = ladder(cutoff)
-    eye = np.eye(cutoff, dtype=complex)
-    out = []
-    for k in range(n_modes):
-        mats = [eye] * n_modes
-        mats[k] = a
-        out.append(reduce(np.kron, mats))
-    return out
-
-
 def _expm_passive(theta, cutoff):
     """exp(−i Σ θ_jk a_j†a_k) for 1 or 2 modes, per total-photon sector."""
     n = theta.shape[0]
@@ -638,11 +639,45 @@ def _expm_passive(theta, cutoff):
     return u
 
 
+def _quadratic_generator(K, n_modes, cutoff):
+    """h = Σ_ij K_ij x_i x_j over the quadratures x = (q₁, p₁, …, qₙ, pₙ).
+
+    Each term is a d×d product on one mode, or one d×d factor on each of two
+    modes, placed with np.kron; no dim×dim product is formed.
+    """
+    a = ladder(cutoff)
+    quad = (a + a.conj().T, 1j * (a.conj().T - a))
+    eye = np.eye(cutoff)
+
+    def placed(factors):
+        return reduce(np.kron, [factors.get(m, eye) for m in range(n_modes)])
+
+    dim = cutoff**n_modes
+    h = np.zeros((dim, dim), dtype=complex)
+    for k in range(n_modes):
+        own = K[2 * k : 2 * k + 2, 2 * k : 2 * k + 2]
+        h += placed({k: sum(own[s, t] * quad[s] @ quad[t] for s in (0, 1) for t in (0, 1))})
+        for m in range(k + 1, n_modes):
+            # x_i x_j = x_j x_i across modes, so each unordered pair counts twice
+            cross = 2.0 * K[2 * k : 2 * k + 2, 2 * m : 2 * m + 2]
+            for s in (0, 1):
+                h += placed({k: quad[s], m: cross[s, 0] * quad[0] + cross[s, 1] * quad[1]})
+    return h
+
+
+def _parity_blocks(n_modes, cutoff):
+    """Basis indices of even and of odd total photon number n₁+…+nₙ."""
+    total = np.indices((cutoff,) * n_modes).sum(axis=0).reshape(-1)
+    return [np.flatnonzero(total % 2 == parity) for parity in (0, 1)]
+
+
 def symplectic_to_unitary(op, cutoff=DEFAULT_CUTOFF):
     """Fock unitary implementing a SymplecticOp, via its polar decomposition.
 
     S = O·P splits into a passive rotation block (photon-number preserving)
     and an active quadratic squeezer; the displacement is appended last.
+    The truncated active generator changes n₁+…+nₙ by 0 or ±2 only, so it
+    is exponentiated separately on the even and the odd photon-parity block.
     """
     n = op.n_modes
     dim = cutoff**n
@@ -651,39 +686,42 @@ def symplectic_to_unitary(op, cutoff=DEFAULT_CUTOFF):
     omega = symplectic_form(n)
     orth, pos = polar(op.S)
 
-    u_active = None
-    if np.max(np.abs(pos - np.eye(2 * n))) > 1e-12:
-        K = -omega @ logm(pos)
-        K = 0.5 * (K + K.T).real
-        ladders = _embedded_ladders(n, cutoff)
-        xs = []
-        for a_k in ladders:
-            xs.append(a_k + a_k.conj().T)
-            xs.append(1j * (a_k.conj().T - a_k))
-        h = np.zeros((dim, dim), dtype=complex)
-        for i in range(2 * n):
-            y = sum(K[i, j] * xs[j] for j in range(2 * n))
-            h = h + xs[i] @ y
-        u_active = expm(-0.25j * h)
-
     u_pass = orth[0::2, 0::2] + 1j * orth[1::2, 0::2]
     theta = 1j * logm(u_pass)
     theta = 0.5 * (theta + theta.conj().T)
     u = _expm_passive(theta, cutoff)
-    if u_active is not None:
-        u = u @ u_active
+
+    if np.max(np.abs(pos - np.eye(2 * n))) > 1e-12:
+        K = -omega @ logm(pos)
+        K = 0.5 * (K + K.T).real
+        h = _quadratic_generator(K, n, cutoff)
+        # the passive part preserves photon number, so U_pass·exp(−ih/4)
+        # is block-diagonal in parity too
+        for block in _parity_blocks(n, cutoff):
+            ix = np.ix_(block, block)
+            u[ix] = u[ix] @ expm(-0.25j * h[ix])
 
     if np.max(np.abs(op.delta_x)) > 0:
-        disp = [
-            build_unitary(
+        u = u.reshape((cutoff,) * (2 * n))
+        for k in range(n):
+            disp = build_unitary(
                 "displacement",
                 0.5 * (op.delta_x[2 * k] + 1j * op.delta_x[2 * k + 1]),
                 cutoff,
             )
-            for k in range(n)
-        ]
-        u = reduce(np.kron, disp) @ u
+            u = _contract_matrix(u, disp, (k,), cutoff)
+        u = u.reshape(dim, dim)
     return u
+
+
+def _williamson_frame(gstate, cutoff):
+    """Thermal occupations of a Gaussian state, their product number
+    distribution at the cutoff, and its Williamson symplectic with the
+    state's mean: the state is U(S) diag(weights) U(S)†."""
+    mu, s_mat = williamson(gstate.cov)
+    occ = np.maximum((mu - 1.0) / 2.0, 0.0)
+    weights = reduce(np.kron, [_thermal_weights(N, cutoff) for N in occ])
+    return occ, weights, SymplecticOp(gstate.n_modes, s_mat, gstate.mean)
 
 
 def gaussian_to_fock(gstate, cutoff=DEFAULT_CUTOFF, trace_tol=APPLY_DEFICIT_TOL):
@@ -692,39 +730,17 @@ def gaussian_to_fock(gstate, cutoff=DEFAULT_CUTOFF, trace_tol=APPLY_DEFICIT_TOL)
     Thermal product with the state's symplectic spectrum, rotated by the Fock
     unitary of the Williamson symplectic, then displaced to the state's mean.
     """
-    n = gstate.n_modes
-    mu, s_mat = williamson(gstate.cov)
-    occ = np.maximum((mu - 1.0) / 2.0, 0.0)
-    weights = []
-    for N in occ:
-        if N == 0.0:
-            w = np.zeros(cutoff)
-            w[0] = 1.0
-        else:
-            w = (N / (N + 1.0)) ** np.arange(cutoff) / (N + 1.0)
-        weights.append(w)
-    diag = reduce(np.kron, weights)
+    occ, diag, op = _williamson_frame(gstate, cutoff)
     deficit = 1.0 - float(diag.sum())
     if deficit > trace_tol:
-        suggestion = None
-        d = cutoff
-        while d <= 65536:
-            d *= 2
-            tail = 1.0 - np.prod(
-                [1.0 - (N / (N + 1.0)) ** d if N > 0 else 1.0 for N in occ]
-            )
-            if tail <= trace_tol:
-                suggestion = d
-                break
-        raise TruncationError(
-            f"thermal weights lose {deficit:.3e} at cutoff {cutoff}",
-            deficit=deficit,
-            suggested_cutoff=suggestion,
+        raise _truncation_refusal(
+            "the Williamson thermal product", deficit, cutoff, trace_tol,
+            lambda d: 1.0 - np.prod([_thermal_weights(N, d).sum() for N in occ]),
         )
-    u = symplectic_to_unitary(SymplecticOp(n, s_mat, gstate.mean), cutoff)
+    u = symplectic_to_unitary(op, cutoff)
     rho = (u * diag) @ u.conj().T
     rho = 0.5 * (rho + rho.conj().T)
-    return FockArray(n, cutoff, "density", rho, trace_tol=trace_tol)
+    return FockArray(gstate.n_modes, cutoff, "density", rho, trace_tol=trace_tol)
 
 
 def delta_g(state):
@@ -745,20 +761,9 @@ def delta_g_relent(state):
     evaluated on the exact geometric spectrum; an eigensolver on the assembled
     σ would drown its tiny eigenvalues in floating-point noise.
     """
-    d = state.cutoff
     g = gaussify(state)
-    mu, s_mat = williamson(g.cov)
-    occ = np.maximum((mu - 1.0) / 2.0, 0.0)
-    weights = []
-    for N in occ:
-        if N == 0.0:
-            w = np.zeros(d)
-            w[0] = 1.0
-        else:
-            w = (N / (N + 1.0)) ** np.arange(d) / (N + 1.0)
-        weights.append(w)
-    q = reduce(np.kron, weights)
-    u = symplectic_to_unitary(SymplecticOp(g.n_modes, s_mat, g.mean), d)
+    _, q, op = _williamson_frame(g, state.cutoff)
+    u = symplectic_to_unitary(op, state.cutoff)
     rho = state.to_density()
     proj = np.einsum("ji,jk,ki->i", u.conj(), rho.data, u).real
     live = q > 0

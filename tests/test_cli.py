@@ -67,8 +67,22 @@ def test_map_ng_pns_analytic(capsys):
     assert abs(results["value"]["value"] - 2.0) <= 1e-2
     peak = results["argmax"]
     assert abs(complex(peak["alpha_re"], peak["alpha_im"])) <= 0.05
+    # δ̃ is flat on α = 0: the other coordinates are not determined
+    assert peak["theta"] is None and peak["r"] is None and peak["n_s"] is None
     assert results["alpha_zero_spread"]["value"] <= 1e-3
     assert results["evaluations"] > 50
+    assert results["excluded"] == 0
+
+
+def test_map_ng_fock_backend_reports_full_argmax(capsys):
+    code, out, _ = run_cli(["map-ng", "kerr:0.5"], capsys)
+    assert code == 0
+    results = load_report(out)["results"]
+    assert results["backend"] == "fock"
+    for key in ("alpha_re", "alpha_im", "theta", "r", "n_s"):
+        assert isinstance(results["argmax"][key], float), key
+    assert results["evaluations"] == 744
+    assert results["excluded"] == 263
 
 
 def test_map_ng_loss_routes_to_lower_bound(capsys):
@@ -80,6 +94,7 @@ def test_map_ng_loss_routes_to_lower_bound(capsys):
     assert results["value"]["value"] <= 0.05
     label, index = results["argmax_input"]
     assert isinstance(label, str) and index >= 0
+    assert 0 <= results["excluded"] < results["evaluations"]
 
 
 def test_map_ng_gd_bound(capsys):

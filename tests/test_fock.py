@@ -1,7 +1,9 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import expm
+from scipy.linalg import expm, logm, polar
 
 from nongauss.errors import (
     InvalidStateError,
@@ -37,6 +39,7 @@ from nongauss.gaussian import (
     SymplecticOp,
     apply_symplectic,
     gaussian_unitary,
+    symplectic_form,
     thermal_entropy,
     tmsv_state,
     vacuum_state,
@@ -173,14 +176,12 @@ def test_beamsplitter_on_single_photon():
 
 
 def test_beamsplitter_sector_route_matches_dense():
-    from nongauss.fock import _bs_sector_expm
-
     d = 9
     a = ladder(d)
     theta = np.arccos(np.sqrt(0.35))
     g = np.kron(a, a.conj().T)
     dense = expm(theta * (g - g.conj().T))
-    assert_allclose(_bs_sector_expm(theta, d), dense, atol=1e-12)
+    assert_allclose(build_unitary("beamsplitter", 0.35, d), dense, atol=1e-12)
 
 
 def test_convention_lock_single_mode():
@@ -267,6 +268,19 @@ def test_apply_map_subtraction_on_tmsv():
     assert rec.adag_a[1, 1].real == pytest.approx(2.0, abs=1e-7)
 
 
+def test_ket_route_keeps_the_lost_trace_and_zero_probability_checks():
+    d = 10
+    half = ConditionalMap(1, 1, ("kraus", (0.5 * np.eye(d), 0.5 * np.eye(d))), False)
+    with pytest.raises(TruncationError) as exc:
+        apply_map(build_state("coherent", 0.5, cutoff=d), half)
+    assert exc.value.deficit == pytest.approx(0.5, abs=1e-12)
+    assert exc.value.suggested_cutoff == 2 * d
+    a = ladder(d)
+    lower = ConditionalMap(1, 1, ("kraus", (a, a @ a)), True)
+    with pytest.raises(ZeroProbabilityError):
+        apply_map(build_state("vacuum", cutoff=d), lower)
+
+
 def test_apply_map_mode_changing_projector():
     d = 14
     bra = build_state("vacuum", cutoff=d).data.conj()
@@ -291,6 +305,22 @@ def test_von_neumann_entropy_values():
     half = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
     st = FockArray(1, 4, "density", half)
     assert von_neumann_entropy(st) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_gram_entropy_matches_the_density_spectrum():
+    rng = np.random.default_rng(5)
+    d = 6
+    phi = rng.normal(size=(3, d * d)) + 1j * rng.normal(size=(3, d * d))
+    phi /= np.linalg.norm(phi)
+    rho = phi.T @ phi.conj()
+    with_branches = FockArray(2, d, "density", rho, branches=phi)
+    w = np.linalg.eigvalsh(rho)
+    w = w[w > 1e-12]
+    assert von_neumann_entropy(with_branches) == pytest.approx(
+        float(-(w @ np.log2(w))), abs=1e-12
+    )
+    with pytest.raises(ValueError):
+        with_branches.branches[0, 0] = 0.0
 
 
 def test_relative_entropy_basics():
@@ -458,6 +488,40 @@ def test_symplectic_to_unitary_random_single_mode():
         g_out = covariance_from_moments(moments(apply_unitary(psi, u)))
         assert_allclose(g_out.mean, g_exp.mean, atol=1e-6)
         assert_allclose(g_out.cov, g_exp.cov, atol=1e-6)
+
+
+def dense_symplectic_unitary(op, d):
+    """Reference: every generator lifted to dim × dim and exponentiated whole."""
+    n = op.n_modes
+    eye = np.eye(d)
+    a = [
+        reduce(np.kron, [ladder(d) if m == k else eye for m in range(n)])
+        for k in range(n)
+    ]
+    orth, pos = polar(op.S)
+    K = -symplectic_form(n) @ logm(pos)
+    K = 0.5 * (K + K.T).real
+    xs = [x for b in a for x in (b + b.conj().T, 1j * (b.conj().T - b))]
+    active = sum(K[i, j] * xs[i] @ xs[j] for i in range(2 * n) for j in range(2 * n))
+    theta = 1j * logm(orth[0::2, 0::2] + 1j * orth[1::2, 0::2])
+    theta = 0.5 * (theta + theta.conj().T)
+    passive = sum(theta[j, k] * a[j].conj().T @ a[k] for j in range(n) for k in range(n))
+    alpha = 0.5 * (op.delta_x[0::2] + 1j * op.delta_x[1::2])
+    disp = sum(alpha[k] * a[k].conj().T - np.conj(alpha[k]) * a[k] for k in range(n))
+    return expm(disp) @ expm(-1j * passive) @ expm(-0.25j * active)
+
+
+@pytest.mark.parametrize("n_modes, d", [(1, 24), (2, 9)])
+@pytest.mark.parametrize("displaced", [False, True])
+def test_parity_blocked_unitary_matches_dense_reference(n_modes, d, displaced):
+    rng = np.random.default_rng(61 + n_modes)
+    for _ in range(2):
+        s = random_symplectic(n_modes, rng, scale=0.3)
+        dx = rng.normal(scale=0.5, size=2 * n_modes) if displaced else np.zeros(2 * n_modes)
+        op = SymplecticOp(n_modes, s, dx)
+        assert_allclose(
+            symplectic_to_unitary(op, cutoff=d), dense_symplectic_unitary(op, d), atol=1e-12
+        )
 
 
 def test_symplectic_to_unitary_two_mode_squeeze():

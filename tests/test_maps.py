@@ -19,6 +19,7 @@ from nongauss.maps import (
     MapDescriptor,
     bps,
     coherent_projector,
+    compose,
     gaussian_dilatable,
     identity_map,
     kerr,
@@ -279,6 +280,34 @@ def test_dilated_channel_preserves_trace_on_random_input():
     desc = gaussian_dilatable(sym, build_state("fock", 1, d), d)
     _, prob = apply_map(state, desc.body)
     assert abs(prob - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "make_map",
+    [
+        lambda d: parse_map_spec("gd:bs0.4,env=fock:1", d).body,
+        lambda d: loss(0.7, d).body,
+        lambda d: bps(d).body,
+        lambda d: compose(pns(d).body, loss(0.6, d).body),
+    ],
+    ids=["gd", "loss", "bps", "pns-after-loss"],
+)
+def test_ket_branch_route_matches_density_route(make_map):
+    d = 14
+    body = make_map(d)
+    rng = np.random.default_rng(23)
+    amps = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    psi = np.zeros((d, d), dtype=complex)
+    psi[:4, :4] = amps / np.linalg.norm(amps)
+    ket = FockArray(2, d, "ket", psi)
+    out, prob = apply_map(ket, body, targets=[1])
+    ref, ref_prob = apply_map(ket.to_density(), body, targets=[1])
+    assert out.kind == "density" and out.branches is not None
+    assert out.branches.shape[0] < d * d
+    assert prob == pytest.approx(ref_prob, abs=1e-12)
+    assert_allclose(out.data, ref.data, atol=1e-12)
+    assert out.trace_deficit == pytest.approx(ref.trace_deficit, abs=1e-12)
+    assert von_neumann_entropy(out) == pytest.approx(von_neumann_entropy(ref), abs=1e-12)
 
 
 def test_dilated_channel_rejects_mixed_environment():
