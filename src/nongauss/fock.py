@@ -59,8 +59,8 @@ class FockArray:
 
     trace_deficit records 1 − ⟨ψ|ψ⟩ (ket) or 1 − Tr ρ (density); it must not
     exceed trace_tol. States are kept unnormalized-by-truncation so the
-    deficit stays observable.  A density may carry branches Φ, an r × Dⁿ
-    array of kets with ρ = Φᵀ Φ̄ (a channel's branch kets on a pure input).
+    deficit stays observable.  A density built by `from_branches` also
+    carries its branch kets as the read-only `branches` field.
     """
 
     n_modes: int
@@ -68,8 +68,8 @@ class FockArray:
     kind: str
     data: np.ndarray
     trace_tol: float = APPLY_DEFICIT_TOL
-    branches: np.ndarray = field(default=None, compare=False, repr=False)
     trace_deficit: float = field(init=False)
+    branches: np.ndarray = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n, d = self.n_modes, self.cutoff
@@ -101,13 +101,22 @@ class FockArray:
                 f"trace deficit {deficit:.3e} exceeds bound {self.trace_tol:.1e}",
                 deficit=deficit,
             )
-        if self.branches is not None:
-            if self.kind != "density" or self.branches.shape[1:] != (dim,):
-                raise ValueError(f"branches must be kets of a {dim}-dim density")
-            self.branches.setflags(write=False)
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "trace_deficit", deficit)
+
+    @classmethod
+    def from_branches(cls, n_modes, cutoff, phi, trace_tol=APPLY_DEFICIT_TOL):
+        """Density ρ = Φᵀ Φ̄ of the branch kets Φ (r × Dⁿ, e.g. [K_j ψ] of a
+        channel on a pure input), which it keeps as `branches`."""
+        phi = np.array(phi, dtype=complex)
+        dim = cutoff**n_modes
+        if phi.ndim != 2 or phi.shape[1] != dim:
+            raise ValueError(f"branches must be an r x {dim} array, got {phi.shape}")
+        out = cls(n_modes, cutoff, "density", phi.T @ phi.conj(), trace_tol=trace_tol)
+        phi.setflags(write=False)
+        object.__setattr__(out, "branches", phi)
+        return out
 
     def to_density(self):
         """Outer product for kets; identity on densities."""
@@ -346,9 +355,9 @@ def apply_map(state, cmap, targets=None, min_prob=1e-14, trace_tol=APPLY_DEFICIT
 
     Post-selected maps (renormalize=True) return a unit-trace output and the
     branch probability; channels return their raw output and report its trace.
-    A ket through a Kraus family or a mixture (Kraus operators √p_j U_j) is
-    never turned into a density: its output is Φᵀ Φ̄ over the branch kets
-    Φ = [K_j ψ], which the output carries as `branches`.  A single
+    A mixture acts as the Kraus family √p_j U_j.  A ket through a Kraus
+    family is never turned into a density: its output is
+    `FockArray.from_branches` of the branch kets Φ = [K_j ψ].  A single
     post-selected Kraus operator keeps a ket a ket.
 
     :raises ZeroProbabilityError: post-selected branch weight ≤ min_prob.
@@ -376,15 +385,6 @@ def apply_map(state, cmap, targets=None, min_prob=1e-14, trace_tol=APPLY_DEFICIT
     if tag == "unitary":
         out = apply_unitary(state, payload, targets)
         return out, 1.0
-
-    if tag == "mixture" and state.kind == "density":
-        acc = np.zeros_like(state.data)
-        for p, u in payload:
-            acc = acc + p * apply_unitary(state, u, targets).data
-        return (
-            FockArray(state.n_modes, d, "density", acc, trace_tol=out_tol),
-            float(np.trace(acc).real),
-        )
 
     kraus = payload if tag == "kraus" else tuple(np.sqrt(p) * u for p, u in payload)
     if state.kind == "ket":
@@ -416,10 +416,7 @@ def apply_map(state, cmap, targets=None, min_prob=1e-14, trace_tol=APPLY_DEFICIT
         phi = phi / np.sqrt(prob)
         if len(kraus) == 1:
             return FockArray(n_out, d, "ket", phi[0], trace_tol=out_tol), prob
-    rho = FockArray(
-        n_out, d, "density", phi.T @ phi.conj(), trace_tol=out_tol, branches=phi
-    )
-    return rho, prob
+    return FockArray.from_branches(n_out, d, phi, trace_tol=out_tol), prob
 
 
 def partial_trace(state, keep):

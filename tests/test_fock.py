@@ -313,7 +313,8 @@ def test_gram_entropy_matches_the_density_spectrum():
     phi = rng.normal(size=(3, d * d)) + 1j * rng.normal(size=(3, d * d))
     phi /= np.linalg.norm(phi)
     rho = phi.T @ phi.conj()
-    with_branches = FockArray(2, d, "density", rho, branches=phi)
+    with_branches = FockArray.from_branches(2, d, phi)
+    assert_allclose(with_branches.data, rho, atol=1e-15)
     w = np.linalg.eigvalsh(rho)
     w = w[w > 1e-12]
     assert von_neumann_entropy(with_branches) == pytest.approx(
@@ -321,6 +322,12 @@ def test_gram_entropy_matches_the_density_spectrum():
     )
     with pytest.raises(ValueError):
         with_branches.branches[0, 0] = 0.0
+    # branches cannot be passed alongside data that they might not match
+    with pytest.raises(TypeError):
+        FockArray(2, d, "density", rho, branches=phi)
+    assert FockArray(2, d, "density", rho).branches is None
+    with pytest.raises(ValueError):
+        FockArray.from_branches(2, d, phi[:, :-1])
 
 
 def test_relative_entropy_basics():
