@@ -56,7 +56,6 @@ from .maps import (
     pns,
 )
 from .monotone import (
-    _is_conditional_unitary,
     alpha_zero_spread,
     d_g_bound,
     delta_tilde,
@@ -125,7 +124,6 @@ def _config(args, **extra):
     cfg = {
         "cutoff": args.cutoff,
         "seed": args.seed,
-        "trace_tol": args.trace_tol,
         "format": args.format,
         "out": args.out,
     }
@@ -163,7 +161,8 @@ def cmd_state_ng(args):
         ),
         "n_modes": state.n_modes,
     }
-    return _config(args, spec=args.spec, cutoff=cutoff), results
+    config = _config(args, spec=args.spec, cutoff=cutoff, trace_tol=args.trace_tol)
+    return config, results
 
 
 def cmd_map_ng(args):
@@ -185,7 +184,7 @@ def cmd_map_ng(args):
             "excluded": res.excluded,
         }
         return config, results
-    if _is_conditional_unitary(desc.body):
+    if desc.body.conditional_unitary:
         res = delta_tilde(desc, seed=args.seed)
         analytic = res.diagnostics["backend"] == "analytic"
         results = {
@@ -515,8 +514,8 @@ def _suite_monotone_props(seed):
         "displacement", complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4)), d
     )
     body = compose(
-        ConditionalMap(1, 1, ("unitary", u_post), renormalize=False),
-        compose(pns(d).body, ConditionalMap(1, 1, ("unitary", u_pre), renormalize=False)),
+        ConditionalMap(1, 1, (u_post,), renormalize=False),
+        compose(pns(d).body, ConditionalMap(1, 1, (u_pre,), renormalize=False)),
     )
     res = delta_tilde(MapDescriptor("conjugated_subtract", body, d), seed=seed)
     checks.append(_assert_le("conjugation_invariance", abs(res.value - sup.value), 2e-2))
@@ -576,13 +575,13 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--cutoff", type=int, default=None, help="Fock truncation")
     common.add_argument("--seed", type=int, default=0, help="generator seed")
-    common.add_argument("--trace-tol", type=float, default=1e-6, dest="trace_tol")
     common.add_argument("--out", default=None, help="write the report here")
     common.add_argument("--format", choices=("json", "csv"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("state-ng", parents=[common], help="δ_G of a state")
     p.add_argument("spec", help="vacuum | fock:n | coherent:re[,im] | thermal:N | tmsv:NS | cat:alpha")
+    p.add_argument("--trace-tol", type=float, default=1e-6, dest="trace_tol")
 
     p = sub.add_parser("map-ng", parents=[common], help="monotone of a map")
     p.add_argument("spec", help="pns | pna | bps | kerr:g | talpha:a | gd:bs<tau>,env=<state> | loss:tau | id")

@@ -1,5 +1,6 @@
-"""Truncated Fock-space engine: states and maps as finite complex arrays,
-entropies, moment extraction, and the Gaussian resource-destroying map.
+"""Truncated Fock-space engine: states as finite complex arrays, conditional
+maps as Kraus families of matrices, entropies, moment extraction, and the
+Gaussian resource-destroying map.
 
 Kets over n modes are stored as tensors of shape (D,)*n; density matrices as
 (D**n, D**n) matrices with C-ordered multi-indices (mode 0 most significant).
@@ -137,33 +138,27 @@ class FockArray:
 
 @dataclass(frozen=True)
 class ConditionalMap:
-    """A conditional quantum map ρ → T(ρ)/Tr T(ρ) (or the channel T itself).
+    """A conditional quantum map ρ → T(ρ)/Tr T(ρ) (or the channel T itself),
+    given by its Kraus family: T(ρ) = Σ_j K_j ρ K_j†.
 
-    body is one of ('unitary', U), ('kraus', (K₁, …)), or
-    ('mixture', ((p₁, U₁), …)). renormalize=True gives the post-selected map.
+    kraus is a nonempty tuple of matrices.  A unitary is the family (U,), a
+    mixture Σ_j p_j U_j ρ U_j† the family (√p_j U_j).  renormalize=True
+    gives the post-selected map.
     """
 
     n_in: int
     n_out: int
-    body: tuple
+    kraus: tuple
     renormalize: bool
 
     def __post_init__(self):
-        tag, payload = self.body
-        if tag == "kraus":
-            if len(payload) == 0:
-                raise ValueError("Kraus list must be nonempty")
-        elif tag == "mixture":
-            total = sum(p for p, _ in payload)
-            if abs(total - 1.0) > 1e-12:
-                raise ValueError(f"mixture probabilities sum to {total}, not 1")
-            if self.n_in != self.n_out:
-                raise ValueError("unitary mixtures cannot change mode count")
-        elif tag == "unitary":
-            if self.n_in != self.n_out:
-                raise ValueError("a unitary cannot change mode count")
-        else:
-            raise ValueError(f"unknown body tag {tag!r}")
+        if not isinstance(self.kraus, tuple) or not self.kraus:
+            raise ValueError("the Kraus family must be a nonempty tuple")
+
+    @property
+    def conditional_unitary(self):
+        """One Kraus operator and the same mode count in and out."""
+        return self.n_in == self.n_out and len(self.kraus) == 1
 
 
 def _coherent_amplitudes(alpha, cutoff):
@@ -325,16 +320,10 @@ def apply_unitary(state, u, targets=None):
     targets = tuple(int(t) for t in targets)
     if len(targets) != arity or any(t < 0 or t >= state.n_modes for t in targets):
         raise ValueError(f"bad targets {targets} for arity {arity}")
-    if state.kind == "ket":
-        out = _contract_matrix(state.data, u, targets, d)
-        return FockArray(state.n_modes, d, "ket", out, trace_tol=state.trace_tol)
-    t = _contract_matrix(state.tensor(), u, targets, d)
-    bra_axes = tuple(state.n_modes + t_ for t_ in targets)
-    t = _contract_matrix(t, np.conj(u), bra_axes, d)
-    dim = d**state.n_modes
-    return FockArray(
-        state.n_modes, d, "density", t.reshape(dim, dim), trace_tol=state.trace_tol
-    )
+    out = _kraus_once(state, u, targets, d, state.n_modes)
+    if state.kind == "density":
+        out = out.reshape(d**state.n_modes, -1)
+    return FockArray(state.n_modes, d, state.kind, out, trace_tol=state.trace_tol)
 
 
 def _kraus_once(state, k_mat, targets, cutoff, n_out):
@@ -353,12 +342,13 @@ def _kraus_once(state, k_mat, targets, cutoff, n_out):
 def apply_map(state, cmap, targets=None, min_prob=1e-14, trace_tol=APPLY_DEFICIT_TOL):
     """Apply a ConditionalMap; returns (output FockArray, success probability).
 
-    Post-selected maps (renormalize=True) return a unit-trace output and the
-    branch probability; channels return their raw output and report its trace.
-    A mixture acts as the Kraus family √p_j U_j.  A ket through a Kraus
-    family is never turned into a density: its output is
-    `FockArray.from_branches` of the branch kets Φ = [K_j ψ].  A single
-    post-selected Kraus operator keeps a ket a ket.
+    Every map acts through its Kraus family.  Post-selected maps
+    (renormalize=True) return a unit-trace output and the branch
+    probability; channels return their raw output and report its trace
+    (for a unitary, the input's weight ⟨ψ|ψ⟩ or Tr ρ).  A ket is never
+    turned into a density: a single Kraus operator keeps it a ket, and a
+    larger family gives `FockArray.from_branches` of the branch kets
+    Φ = [K_j ψ].
 
     :raises ZeroProbabilityError: post-selected branch weight ≤ min_prob.
     :raises TruncationError: a channel loses more than trace_tol of its trace.
@@ -379,14 +369,9 @@ def apply_map(state, cmap, targets=None, min_prob=1e-14, trace_tol=APPLY_DEFICIT
     if len(targets) != cmap.n_in:
         raise ValueError(f"map acts on {cmap.n_in} modes, got targets {targets}")
 
-    tag, payload = cmap.body
+    kraus = cmap.kraus
     n_out = state.n_modes if cmap.n_in == cmap.n_out else cmap.n_out
     out_tol = trace_tol + state.trace_deficit
-    if tag == "unitary":
-        out = apply_unitary(state, payload, targets)
-        return out, 1.0
-
-    kraus = payload if tag == "kraus" else tuple(np.sqrt(p) * u for p, u in payload)
     if state.kind == "ket":
         phi = np.stack(
             [_kraus_once(state, k_mat, targets, d, n_out).reshape(-1) for k_mat in kraus]
@@ -414,8 +399,8 @@ def apply_map(state, cmap, targets=None, min_prob=1e-14, trace_tol=APPLY_DEFICIT
         return FockArray(n_out, d, "density", acc, trace_tol=out_tol), prob
     if cmap.renormalize:
         phi = phi / np.sqrt(prob)
-        if len(kraus) == 1:
-            return FockArray(n_out, d, "ket", phi[0], trace_tol=out_tol), prob
+    if len(kraus) == 1:
+        return FockArray(n_out, d, "ket", phi[0], trace_tol=out_tol), prob
     return FockArray.from_branches(n_out, d, phi, trace_tol=out_tol), prob
 
 
@@ -614,6 +599,8 @@ def gaussify(state):
 def _expm_passive(theta, cutoff):
     """exp(−i Σ θ_jk a_j†a_k) for 1 or 2 modes, per total-photon sector."""
     n = theta.shape[0]
+    if n > 2:
+        raise ValueError(f"passive exponential covers 1 or 2 modes, got {n}")
     if n == 1:
         return np.diag(np.exp(-1j * theta[0, 0].real * np.arange(cutoff)))
     d = cutoff

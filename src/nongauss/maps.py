@@ -1,8 +1,10 @@
 """Catalog of conditional photonic maps and channel constructors.
 
 Each constructor returns a MapDescriptor whose body is a ConditionalMap on
-Fock tensors truncated at the given cutoff.  Descriptors are immutable and
-safe to share between threads.
+Fock tensors truncated at the given cutoff, given by its Kraus family: a
+unitary is (U,), a unitary mixture (√p_j U_j), and composition multiplies
+Kraus operators pairwise.  Descriptors are immutable and safe to share
+between threads.
 """
 
 import dataclasses
@@ -34,20 +36,13 @@ class MapDescriptor:
     cutoff: int
     metadata: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        probs = self.metadata.get("probabilities")
-        if probs is not None:
-            tag, payload = self.body.body
-            if tag != "mixture" or tuple(p for p, _ in payload) != tuple(probs):
-                raise ValueError("metadata probabilities disagree with body")
-
 
 def pns(cutoff=DEFAULT_CUTOFF):
     """Photon-number subtraction: single Kraus operator a, renormalized."""
     if cutoff < 3:
         raise ValueError("cutoff must be at least 3")
-    body = ConditionalMap(1, 1, ("kraus", (ladder(cutoff),)), renormalize=True)
-    return MapDescriptor("pns", body, cutoff, {"normalization": "pns"})
+    body = ConditionalMap(1, 1, (ladder(cutoff),), renormalize=True)
+    return MapDescriptor("pns", body, cutoff)
 
 
 def pna(cutoff=DEFAULT_CUTOFF):
@@ -55,8 +50,8 @@ def pna(cutoff=DEFAULT_CUTOFF):
     if cutoff < 3:
         raise ValueError("cutoff must be at least 3")
     adag = ladder(cutoff).conj().T
-    body = ConditionalMap(1, 1, ("kraus", (adag,)), renormalize=True)
-    return MapDescriptor("pna", body, cutoff, {"normalization": "pna"})
+    body = ConditionalMap(1, 1, (adag,), renormalize=True)
+    return MapDescriptor("pna", body, cutoff)
 
 
 def _arm_photon_number(alpha, r, n_s):
@@ -85,26 +80,21 @@ def bps(cutoff=DEFAULT_CUTOFF):
     """Binary phase shift: a π rotation applied with probability 1/2."""
     eye = np.eye(cutoff, dtype=complex)
     parity = build_unitary("rotation", np.pi, cutoff)
-    body = ConditionalMap(
-        1, 1, ("mixture", ((0.5, eye), (0.5, parity))), renormalize=False
-    )
-    meta = {"probabilities": (0.5, 0.5)}
-    return MapDescriptor("bps", body, cutoff, meta)
+    kraus = (np.sqrt(0.5) * eye, np.sqrt(0.5) * parity)
+    return MapDescriptor("bps", ConditionalMap(1, 1, kraus, renormalize=False), cutoff)
 
 
 def kerr(gamma=DEFAULT_KERR_GAMMA, cutoff=DEFAULT_CUTOFF):
     """Self-Kerr unitary exp(-iγ(a†a)²)."""
     u = build_unitary("kerr", float(gamma), cutoff)
-    body = ConditionalMap(1, 1, ("unitary", u), renormalize=False)
+    body = ConditionalMap(1, 1, (u,), renormalize=False)
     return MapDescriptor("kerr", body, cutoff, {"gamma": float(gamma)})
 
 
 def identity_map(cutoff=DEFAULT_CUTOFF):
     """The single-mode identity channel."""
-    body = ConditionalMap(
-        1, 1, ("unitary", np.eye(cutoff, dtype=complex)), renormalize=False
-    )
-    return MapDescriptor("id", body, cutoff, {})
+    body = ConditionalMap(1, 1, (np.eye(cutoff, dtype=complex),), renormalize=False)
+    return MapDescriptor("id", body, cutoff)
 
 
 def coherent_projector(alpha, cutoff=DEFAULT_CUTOFF):
@@ -115,7 +105,7 @@ def coherent_projector(alpha, cutoff=DEFAULT_CUTOFF):
     """
     bra = build_state("coherent", alpha, cutoff).data.conj()
     k = np.kron(np.eye(cutoff), bra.reshape(1, -1))
-    body = ConditionalMap(2, 1, ("kraus", (k,)), renormalize=True)
+    body = ConditionalMap(2, 1, (k,), renormalize=True)
     return MapDescriptor("talpha", body, cutoff, {"alpha": complex(alpha)})
 
 
@@ -145,9 +135,8 @@ def gaussian_dilatable(sym, env, cutoff=DEFAULT_CUTOFF):
     dim_e = d**n_env
     k_flat = k_tensor.reshape(dim_s, dim_e, dim_s)
     kraus = tuple(np.ascontiguousarray(k_flat[:, j, :]) for j in range(dim_e))
-    body = ConditionalMap(n_sys, n_sys, ("kraus", kraus), renormalize=False)
-    meta = {"symplectic": sym, "environment": env}
-    return MapDescriptor("gd", body, cutoff, meta)
+    body = ConditionalMap(n_sys, n_sys, kraus, renormalize=False)
+    return MapDescriptor("gd", body, cutoff, {"environment": env})
 
 
 def loss(tau, cutoff=DEFAULT_CUTOFF):
@@ -161,15 +150,6 @@ def loss(tau, cutoff=DEFAULT_CUTOFF):
     return dataclasses.replace(desc, name="loss", metadata=meta)
 
 
-def _as_kraus(cmap):
-    tag, payload = cmap.body
-    if tag == "kraus":
-        return payload
-    if tag == "unitary":
-        return (payload,)
-    return tuple(np.sqrt(p) * u for p, u in payload)
-
-
 def compose(outer, inner):
     """The map ρ → outer(inner(ρ)) as a single ConditionalMap.
 
@@ -181,13 +161,10 @@ def compose(outer, inner):
             f"cannot compose: inner yields {inner.n_out} modes, "
             f"outer expects {outer.n_in}"
         )
-    kraus = tuple(
-        b @ a for b in _as_kraus(outer) for a in _as_kraus(inner)
-    )
     return ConditionalMap(
         inner.n_in,
         outer.n_out,
-        ("kraus", kraus),
+        tuple(b @ a for b in outer.kraus for a in inner.kraus),
         renormalize=inner.renormalize or outer.renormalize,
     )
 

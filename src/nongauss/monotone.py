@@ -267,13 +267,6 @@ def analytic_output_covariance(p, which):
     return covariance_from_moments(MomentRecord(2, m[:2], aa, m[5:].reshape(2, 2)))
 
 
-def _is_conditional_unitary(cmap):
-    tag, payload = cmap.body
-    if cmap.n_in != cmap.n_out:
-        return False
-    return tag == "unitary" or (tag == "kraus" and len(payload) == 1)
-
-
 def _clamp(x, n_s_cap):
     return InputParams(
         complex(min(abs(float(x[0])), _CAP_ALPHA)),
@@ -310,7 +303,7 @@ def delta_tilde(desc, seed=0, cutoff=None, max_n_s=_CAP_NS, refine=True):
     not a conditional unitary map.
     """
     body = desc.body
-    if not _is_conditional_unitary(body):
+    if not body.conditional_unitary:
         raise UnsupportedMapError(
             "delta_tilde needs a conditional unitary map; use d_g_bound or "
             "divergence_profile for channels"
@@ -637,14 +630,6 @@ def environment_bound(desc, seed=0, samples=4, slack=1e-3):
             f"environment bound {bound:.6f}"
         )
     return EnvironmentBound(float(bound), float(worst), checked, len(refusals))
-
-
-def gd_upper_bound(desc, seed=0, samples=4, slack=1e-3, return_samples=False):
-    """environment_bound's bound; with return_samples, (bound, sampled_max)."""
-    res = environment_bound(desc, seed=seed, samples=samples, slack=slack)
-    if return_samples:
-        return res.bound, res.sampled_max
-    return res.bound
 
 
 def energy_ceiling(energy, n_modes=1):

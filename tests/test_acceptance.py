@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from nongauss.cli import main
+from nongauss.cli import _correlated_coherent_mixture, main
 from nongauss.errors import TruncationError
 from nongauss.fock import (
     apply_map,
@@ -30,7 +30,7 @@ from nongauss.monotone import (
     analytic_output_covariance,
     d_g_bound,
     delta_tilde,
-    gd_upper_bound,
+    environment_bound,
     input_family,
 )
 
@@ -111,22 +111,10 @@ def test_c05_gaussification_commutes_with_loss(capsys):
     assert checks[0]["pass"] and checks[0]["measured"] <= 1e-4
 
 
-def correlated_coherent_pair(alpha, d):
-    from nongauss.fock import FockArray
-
-    plus = build_state("coherent", alpha, d).data
-    minus = build_state("coherent", -alpha, d).data
-    both_p = np.multiply.outer(plus, plus).reshape(-1)
-    both_m = np.multiply.outer(minus, minus).reshape(-1)
-    data = 0.5 * np.outer(both_p, both_p.conj())
-    data += 0.5 * np.outer(both_m, both_m.conj())
-    return FockArray(2, d, "density", data)
-
-
 def test_c06_projection_gaussification_order():
     d = 40
     for alpha in (0.5, 1.0):
-        sigma = correlated_coherent_pair(alpha, d)
+        sigma = _correlated_coherent_mixture(alpha, d)
         projector = coherent_projector(alpha, d)
 
         projected, _ = apply_map(sigma, projector.body)
@@ -205,9 +193,9 @@ def test_c09_divergence_classification(capsys):
 
 def test_c10_dilated_channel_environment_bound():
     desc = parse_map_spec("gd:bs0.5,env=fock:1", 25)
-    bound, sampled = gd_upper_bound(desc, seed=0, return_samples=True)
-    assert abs(bound - 2.0) <= 1e-9
-    assert sampled <= 2.0 + 1e-3
+    res = environment_bound(desc, seed=0)
+    assert abs(res.bound - 2.0) <= 1e-9
+    assert res.sampled_max <= 2.0 + 1e-3
 
 
 def test_c11_lower_bound_below_supremum():

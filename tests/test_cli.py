@@ -58,6 +58,33 @@ def test_every_number_has_tolerance_or_deficit(capsys):
         assert "tolerance" in node or "deficit" in node, path
 
 
+def test_state_ng_applies_and_echoes_trace_tol(capsys):
+    # thermal:1 loses 1.5e-5 of its weight at cutoff 16
+    argv = ["state-ng", "thermal:1", "--cutoff", "16"]
+    assert run_cli(argv, capsys)[0] == 3
+    code, out, _ = run_cli(argv + ["--trace-tol", "1e-4"], capsys)
+    assert code == 0
+    assert load_report(out)["config"]["trace_tol"] == 1e-4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["map-ng", "id", "--cutoff", "8"],
+        ["sweep", "id", "--cutoff", "8", "--grid", "0.1,0.2,0.3,0.4"],
+        ["verify", "relent"],
+    ],
+    ids=["map-ng", "sweep", "verify"],
+)
+def test_trace_tol_belongs_to_state_ng_only(argv, capsys):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert "trace_tol" not in load_report(out)["config"]
+    code, _, err = run_cli(argv + ["--trace-tol", "1e-5"], capsys)
+    assert code == 2
+    assert "--trace-tol" in err
+
+
 def test_map_ng_pns_analytic(capsys):
     code, out, _ = run_cli(["map-ng", "pns"], capsys)
     assert code == 0

@@ -223,14 +223,14 @@ def test_convention_lock_two_mode():
 def test_apply_map_unitary_and_mixture():
     d = 16
     st = build_state("coherent", 1.0, cutoff=d)
-    ident = ConditionalMap(1, 1, ("unitary", np.eye(d, dtype=complex)), False)
+    ident = ConditionalMap(1, 1, (np.eye(d, dtype=complex),), False)
     out, prob = apply_map(st, ident)
-    assert prob == 1.0
+    assert prob == float(np.vdot(st.data, st.data).real)
     assert_allclose(out.data, st.data, atol=1e-14)
 
     parity = np.diag((-1.0 + 0j) ** np.arange(d))
     bps = ConditionalMap(
-        1, 1, ("mixture", ((0.5, np.eye(d, dtype=complex)), (0.5, parity))), False
+        1, 1, (np.sqrt(0.5) * np.eye(d, dtype=complex), np.sqrt(0.5) * parity), False
     )
     out, prob = apply_map(st, bps)
     assert prob == pytest.approx(1.0, abs=1e-12)
@@ -242,7 +242,7 @@ def test_apply_map_unitary_and_mixture():
 
 def test_apply_map_kraus_subtraction():
     d = 12
-    sub = ConditionalMap(1, 1, ("kraus", (ladder(d),)), True)
+    sub = ConditionalMap(1, 1, (ladder(d),), True)
     one = build_state("fock", 1, cutoff=d)
     out, prob = apply_map(one, sub)
     assert prob == pytest.approx(1.0, abs=1e-12)
@@ -255,7 +255,7 @@ def test_apply_map_subtraction_on_tmsv():
     # a_B on TMSV: success weight ⟨a_B†a_B⟩ = N_S; oracle by direct arithmetic.
     d = 40
     st = build_state("tmsv", 1.0, cutoff=d)
-    sub = ConditionalMap(1, 1, ("kraus", (ladder(d),)), True)
+    sub = ConditionalMap(1, 1, (ladder(d),), True)
     out, prob = apply_map(st, sub, targets=(1,))
     assert prob == pytest.approx(1.0, abs=1e-8)
     psi_ref = np.zeros((d, d), dtype=complex)
@@ -270,13 +270,13 @@ def test_apply_map_subtraction_on_tmsv():
 
 def test_ket_route_keeps_the_lost_trace_and_zero_probability_checks():
     d = 10
-    half = ConditionalMap(1, 1, ("kraus", (0.5 * np.eye(d), 0.5 * np.eye(d))), False)
+    half = ConditionalMap(1, 1, (0.5 * np.eye(d), 0.5 * np.eye(d)), False)
     with pytest.raises(TruncationError) as exc:
         apply_map(build_state("coherent", 0.5, cutoff=d), half)
     assert exc.value.deficit == pytest.approx(0.5, abs=1e-12)
     assert exc.value.suggested_cutoff == 2 * d
     a = ladder(d)
-    lower = ConditionalMap(1, 1, ("kraus", (a, a @ a)), True)
+    lower = ConditionalMap(1, 1, (a, a @ a), True)
     with pytest.raises(ZeroProbabilityError):
         apply_map(build_state("vacuum", cutoff=d), lower)
 
@@ -285,7 +285,7 @@ def test_apply_map_mode_changing_projector():
     d = 14
     bra = build_state("vacuum", cutoff=d).data.conj()
     k = np.kron(np.eye(d, dtype=complex), bra.reshape(1, -1))  # I_A ⊗ ⟨0|
-    proj = ConditionalMap(2, 1, ("kraus", (k,)), True)
+    proj = ConditionalMap(2, 1, (k,), True)
     psi = np.zeros((d, d), dtype=complex)
     psi[:, 0] = build_state("coherent", 0.8, cutoff=d).data  # |β⟩_A |0⟩_B
     st = FockArray(2, d, "ket", psi)
@@ -540,6 +540,23 @@ def test_symplectic_to_unitary_two_mode_squeeze():
     vac = np.zeros(d * d)
     vac[0] = 1.0
     assert_allclose(u @ vac, ref @ vac, atol=1e-8)
+
+
+def test_symplectic_to_unitary_refuses_three_modes():
+    # the passive exponential covers one or two modes only
+    for op in (
+        SymplecticOp(3, np.eye(6), np.zeros(6)),
+        gaussian_unitary("beamsplitter", 0.5, n_modes=3, targets=(0, 2)),
+    ):
+        with pytest.raises(ValueError, match="got 3"):
+            symplectic_to_unitary(op, cutoff=4)
+
+
+def test_symplectic_to_unitary_refuses_large_dense_dimension():
+    # a two-mode lift at cutoff 65 is 4225 > 4096 dimensional
+    op = gaussian_unitary("beamsplitter", 0.5, n_modes=2)
+    with pytest.raises(ValueError, match="4225"):
+        symplectic_to_unitary(op, cutoff=65)
 
 
 # ---------------------------------------------------------------- delta_g

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from nongauss.cli import _correlated_coherent_mixture
 from nongauss.errors import UnsupportedMapError, ZeroProbabilityError
 from nongauss.fock import (
+    ConditionalMap,
     FockArray,
     apply_map,
     apply_unitary,
@@ -16,7 +18,6 @@ from nongauss.fock import (
     von_neumann_entropy,
 )
 from nongauss.maps import (
-    MapDescriptor,
     bps,
     coherent_projector,
     compose,
@@ -122,8 +123,7 @@ def test_bps_output_entropy_at_most_one_bit():
 def test_kerr_trivial_angles():
     d = 15
     for gamma in (0.0, 2.0 * np.pi):
-        tag, u = kerr(gamma, d).body.body
-        assert tag == "unitary"
+        (u,) = kerr(gamma, d).body.kraus
         assert_allclose(u, np.eye(d), atol=1e-12)
 
 
@@ -137,8 +137,34 @@ def test_identity_map_passthrough():
     d = 12
     state = build_state("cat", 1.0, d)
     out, prob = apply_map(state, identity_map(d).body)
-    assert abs(prob - 1.0) < 1e-12
+    assert prob == float(np.vdot(state.data, state.data).real)
     assert_allclose(out.data, state.data, atol=1e-12)
+
+
+def test_conditional_unitary_is_one_operator_on_unchanged_modes():
+    d = 12
+    rotate = ConditionalMap(1, 1, (build_unitary("rotation", 0.3, d),), False)
+    for desc in (pns(d), pna(d), kerr(0.5, d), identity_map(d)):
+        assert desc.body.conditional_unitary, desc.name
+    assert compose(rotate, pns(d).body).conditional_unitary
+    gd = parse_map_spec("gd:bs0.5,env=fock:1", d)
+    for desc in (bps(d), loss(0.7, d), gd, coherent_projector(1.0, d)):
+        assert not desc.body.conditional_unitary, desc.name
+
+
+@pytest.mark.parametrize("make", [lambda d: kerr(0.5, d), identity_map], ids=["kerr", "id"])
+def test_single_operator_channel_keeps_a_ket_a_ket(make):
+    d = 20
+    (u,) = make(d).body.kraus
+    coherent = build_state("coherent", 1.0 + 0.5j, d)
+    pair = build_state("tmsv", 0.5, d)
+    for state, targets in ((coherent, [0]), (pair, [1])):
+        out, prob = apply_map(state, make(d).body, targets=targets)
+        assert out.kind == "ket"
+        assert np.array_equal(out.data, apply_unitary(state, u, targets).data)
+        # a channel reports its output weight, here the input's ⟨ψ|ψ⟩
+        assert prob == float(np.vdot(out.data, out.data).real)
+        assert prob == pytest.approx(np.vdot(state.data, state.data).real, abs=1e-15)
 
 
 def test_coherent_projector_on_product_input():
@@ -153,15 +179,6 @@ def test_coherent_projector_on_product_input():
     assert abs(weight - expected_weight) < 1e-8
     ref = build_state("coherent", beta, d).to_density()
     assert_allclose(out.to_density().data, ref.data, atol=1e-8)
-
-
-def _correlated_coherent_mixture(alpha, d):
-    # ½(|α,α><α,α| + |-α,-α><-α,-α|)
-    plus = build_state("coherent", alpha, d)
-    minus = build_state("coherent", -alpha, d)
-    both_p = _product_ket(plus, plus).to_density().data
-    both_m = _product_ket(minus, minus).to_density().data
-    return FockArray(2, d, "density", 0.5 * both_p + 0.5 * both_m)
 
 
 def test_correlated_mixture_covariance():
@@ -316,13 +333,6 @@ def test_dilated_channel_rejects_mixed_environment():
     env = build_state("thermal", 0.5, d, trace_tol=1e-4)
     with pytest.raises(UnsupportedMapError):
         gaussian_dilatable(sym, env, d)
-
-
-def test_metadata_consistency_enforced():
-    d = 10
-    body = bps(d).body
-    with pytest.raises(ValueError):
-        MapDescriptor("bad", body, d, {"probabilities": (0.3, 0.7)})
 
 
 def test_parse_state_spec_kinds():

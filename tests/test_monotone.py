@@ -50,7 +50,6 @@ from nongauss.monotone import (
     energy_ceiling,
     environment_bound,
     gaussian_mean_photons,
-    gd_upper_bound,
     input_family,
     mixed_unitary_bounds,
 )
@@ -303,8 +302,8 @@ def test_composition_with_gaussian_unitaries_preserves_value():
     u_pre = build_unitary("rotation", 0.7, d) @ build_unitary("squeeze", 0.25, d)
     u_post = build_unitary("displacement", 0.3 - 0.2j, d)
     body = compose(
-        ConditionalMap(1, 1, ("unitary", u_post), renormalize=False),
-        compose(pns(d).body, ConditionalMap(1, 1, ("unitary", u_pre), renormalize=False)),
+        ConditionalMap(1, 1, (u_post,), renormalize=False),
+        compose(pns(d).body, ConditionalMap(1, 1, (u_pre,), renormalize=False)),
     )
     res = delta_tilde(MapDescriptor("conjugated_subtract", body, d))
     assert abs(res.value - 2.0) < 2e-2
@@ -368,19 +367,19 @@ def test_mixed_unitary_bounds_sandwich(weights):
 
 
 def test_gd_bound_vacuum_environment_is_gaussian():
-    assert gd_upper_bound(loss(0.5, 25)) == 0.0
+    assert environment_bound(loss(0.5, 25)).bound == 0.0
 
 
 def test_gd_bound_single_photon_environment():
     env = build_state("fock", 1, cutoff=25)
     desc = gaussian_dilatable(gaussian_unitary("beamsplitter", 0.5, 2), env, 25)
-    assert_allclose(gd_upper_bound(desc), 2.0, atol=1e-9)
+    assert_allclose(environment_bound(desc).bound, 2.0, atol=1e-9)
 
 
 def test_gd_bound_equals_environment_non_gaussianity():
     env = build_state("fock", 2, cutoff=25)
     desc = gaussian_dilatable(gaussian_unitary("beamsplitter", 0.3, 2), env, 25)
-    assert_allclose(gd_upper_bound(desc), delta_g(env), atol=1e-12)
+    assert_allclose(environment_bound(desc).bound, delta_g(env), atol=1e-12)
 
 
 def test_environment_bound_replaces_and_counts_refused_members():
@@ -405,7 +404,7 @@ def test_environment_bound_raises_when_no_member_fits():
 
 def test_gd_bound_needs_environment_metadata():
     with pytest.raises(UnsupportedMapError):
-        gd_upper_bound(pns(20))
+        environment_bound(pns(20))
 
 
 def test_mean_photon_oracles():
