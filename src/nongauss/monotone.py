@@ -181,6 +181,12 @@ _EDGE_TOL = 1e-6
 # finite stand-in for excluded points so the simplex comparisons stay quiet
 _PENALTY = -1e9
 
+# The search compares values rounded to this many decimals (bits).  Its
+# lattice and simplices meet exact ties: at r = 0 the rotation on the
+# consumed mode equals one on the kept mode, so every θ gives one value.
+# Rounding noise in the last bits must not decide between tied points.
+_RANK_DECIMALS = 9
+
 
 def _ladder_moments(p):
     """Ladder means and ordered fluctuations of the input family.
@@ -332,7 +338,7 @@ def delta_tilde(desc, seed=0, cutoff=None, max_n_s=_CAP_NS, refine=True):
             excluded[0] += 1
             val = -np.inf
         trace.append((p, val))
-        return val if np.isfinite(val) else _PENALTY
+        return round(val, _RANK_DECIMALS) if np.isfinite(val) else _PENALTY
 
     lattice_ns = sorted({min(n, max_n_s) for n in _LATTICE_NS})
     for a in _LATTICE_ALPHA:
@@ -342,7 +348,7 @@ def delta_tilde(desc, seed=0, cutoff=None, max_n_s=_CAP_NS, refine=True):
                     evaluate(np.array([a, t, r, n]))
 
     order = sorted(
-        range(len(trace)), key=lambda i: (-trace[i][1], i)
+        range(len(trace)), key=lambda i: (-round(trace[i][1], _RANK_DECIMALS), i)
     )
     starts = [trace[i][0] for i in order[:3]]
     rng = np.random.default_rng(seed)

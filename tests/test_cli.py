@@ -109,7 +109,7 @@ def test_map_ng_fock_backend_reports_full_argmax(capsys):
     for key in ("alpha_re", "alpha_im", "theta", "r", "n_s"):
         assert isinstance(results["argmax"][key], float), key
     assert results["evaluations"] == 744
-    assert results["excluded"] == 263
+    assert results["excluded"] == 224
 
 
 def test_map_ng_loss_routes_to_lower_bound(capsys):

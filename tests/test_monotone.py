@@ -242,8 +242,8 @@ def test_delta_tilde_fock_search_pins():
     # exactly the points it admitted when it checked the edge itself
     res = delta_tilde(kerr(0.5, 32), seed=0)
     assert res.evaluations == 744
-    assert res.diagnostics["excluded"] == 263
-    assert_allclose(res.value, 5.343036231328668, rtol=1e-12)
+    assert res.diagnostics["excluded"] == 224
+    assert_allclose(res.value, 5.667567367933926, rtol=1e-12)
 
 
 def test_delta_tilde_rejects_non_conditional_unitaries():
