@@ -9,10 +9,10 @@ so means and covariances can move freely between the two backends.
 """
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
-from scipy.linalg import expm, logm, polar
+from scipy.linalg import expm, polar, schur
 
 from .errors import InvalidStateError, TruncationError, ZeroProbabilityError
 from .gaussian import (
@@ -260,12 +260,38 @@ def build_state(kind, params=None, cutoff=DEFAULT_CUTOFF, trace_tol=BUILD_DEFICI
     return FockArray(n_modes, cutoff, arr_kind, data, trace_tol=trace_tol)
 
 
+@lru_cache(maxsize=16)
+def _generator_eigenbasis(kind, cutoff):
+    """Eigenpairs (w, V) of the Hermitian i·G for the truncated generator
+    G = a† − a ('displacement') or (a² − a†²)/2 ('squeeze'), so that
+    exp(x·G) = V e^{−ixw} V†.  Cached per cutoff and read-only; copy
+    before writing."""
+    a = ladder(cutoff)
+    adag = a.conj().T
+    gen = adag - a if kind == "displacement" else 0.5 * (a @ a - adag @ adag)
+    w, v = np.linalg.eigh(1j * gen)
+    w.setflags(write=False)
+    v.setflags(write=False)
+    return w, v
+
+
+def _from_eigenbasis(kind, x, cutoff):
+    """exp(x·G) for the generator G of _generator_eigenbasis."""
+    w, v = _generator_eigenbasis(kind, cutoff)
+    return (v * np.exp(-1j * x * w)) @ v.conj().T
+
+
 def build_unitary(kind, params, cutoff=DEFAULT_CUTOFF):
     """Truncated Gaussian (or Kerr) unitary as a dense matrix.
 
     Single-mode kinds: 'displacement' (α), 'rotation' (θ), 'squeeze' (r),
     'kerr' (γ). Two-mode: 'two_mode_squeeze' (r), 'beamsplitter' (τ); the
     beamsplitter is assembled per total-photon sector at any cutoff.
+
+    The displacement and the squeeze are exponentials of their truncated
+    generators, taken through eigenbases cached per cutoff: S(r) =
+    exp(r(a² − a†²)/2) and D(|α|) = exp(|α|(a† − a)), and for α = |α|e^{iφ}
+    D(α) = R(−φ) D(|α|) R(φ), exact in the box because R is diagonal.
     """
     a = ladder(cutoff)
     n = np.arange(cutoff)
@@ -275,10 +301,10 @@ def build_unitary(kind, params, cutoff=DEFAULT_CUTOFF):
         return np.diag(np.exp(-1j * float(params) * n**2))
     if kind == "displacement":
         alpha = complex(params)
-        return expm(alpha * a.conj().T - np.conj(alpha) * a)
+        phase = np.exp(1j * np.angle(alpha) * n)
+        return phase[:, None] * _from_eigenbasis(kind, abs(alpha), cutoff) * phase.conj()
     if kind == "squeeze":
-        r = float(params)
-        return expm(0.5 * r * (a @ a - a.conj().T @ a.conj().T))
+        return _from_eigenbasis(kind, float(params), cutoff)
     if kind == "two_mode_squeeze":
         if cutoff**2 > _MAX_DENSE_DIM:
             raise ValueError(f"two-mode dense exponential too large at cutoff {cutoff}")
@@ -670,13 +696,18 @@ def symplectic_to_unitary(op, cutoff=DEFAULT_CUTOFF):
     omega = symplectic_form(n)
     orth, pos = polar(op.S)
 
+    # both logarithms go through eigenbases: u_pass is unitary, hence
+    # normal, so its complex Schur factor is diagonal; pos is symmetric
+    # positive definite
     u_pass = orth[0::2, 0::2] + 1j * orth[1::2, 0::2]
-    theta = 1j * logm(u_pass)
+    t, z = schur(u_pass, output="complex")
+    theta = 1j * (z * np.log(np.diag(t))) @ z.conj().T
     theta = 0.5 * (theta + theta.conj().T)
     u = _expm_passive(theta, cutoff)
 
     if np.max(np.abs(pos - np.eye(2 * n))) > 1e-12:
-        K = -omega @ logm(pos)
+        w, v = np.linalg.eigh(pos)
+        K = -omega @ (v * np.log(w)) @ v.T
         K = 0.5 * (K + K.T).real
         h = _quadratic_generator(K, n, cutoff)
         # the passive part preserves photon number, so U_pass·exp(−ih/4)

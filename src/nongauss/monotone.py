@@ -22,9 +22,9 @@ from .errors import TruncationError, UnsupportedMapError, ZeroProbabilityError
 from .fock import (
     DEFAULT_CUTOFF,
     EDGE_COST,
+    FockArray,
     MomentRecord,
     apply_map,
-    apply_unitary,
     build_state,
     build_unitary,
     certify_edge,
@@ -137,7 +137,9 @@ def input_family(
 
     The displacement, rotation and squeeze act on the second mode (the one
     the map will consume).  backend 'gaussian' returns the exact
-    GaussianState; 'fock' a truncated ket carrying its build deficit,
+    GaussianState; 'fock' a truncated ket carrying its build deficit.  The
+    TMSV is Σ_i c_i |i, i⟩, so with the in-box U = D_α R_θ S_r of
+    fock.build_unitary the ket is ψ[i, j] = c_i U[j, i], one product.  It is
     certified by fock.certify_edge at edge_tol, by default
     moment_tol/(EDGE_COST·cutoff²): the truncation error of its second
     moments, and of those of its image under one ladder operator, is
@@ -149,8 +151,8 @@ def input_family(
         cutoff at which the same moment certificate is expected to hold
         (fock.gaussian_cutoff).
     """
-    ops = (("squeeze", p.r), ("rotation", p.theta), ("displacement", p.alpha))
     if backend == "gaussian":
+        ops = (("squeeze", p.r), ("rotation", p.theta), ("displacement", p.alpha))
         state = tmsv_state(p.n_s)
         for kind, par in ops:
             state = apply_symplectic(
@@ -158,9 +160,14 @@ def input_family(
             )
         return state
     if backend == "fock":
-        ket = build_state("tmsv", p.n_s, cutoff, trace_tol=trace_tol)
-        for kind, par in ops:
-            ket = apply_unitary(ket, build_unitary(kind, par, cutoff), targets=[1])
+        tmsv = build_state("tmsv", p.n_s, cutoff, trace_tol=trace_tol)
+        u = build_unitary("displacement", p.alpha, cutoff) @ (
+            build_unitary("rotation", p.theta, cutoff).diagonal()[:, None]
+            * build_unitary("squeeze", p.r, cutoff)
+        )
+        ket = FockArray(
+            2, cutoff, "ket", (u * np.diagonal(tmsv.data)).T, trace_tol=trace_tol
+        )
         if edge_tol is not None:
             return certify_edge(ket, edge_tol)
         try:

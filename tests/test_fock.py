@@ -2,7 +2,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import expm, logm, polar
 
 from nongauss.errors import (
@@ -13,6 +13,7 @@ from nongauss.errors import (
 from nongauss.fock import (
     EDGE_COST,
     ConditionalMap,
+    _generator_eigenbasis,
     FockArray,
     apply_map,
     apply_unitary,
@@ -182,6 +183,32 @@ def test_beamsplitter_sector_route_matches_dense():
     g = np.kron(a, a.conj().T)
     dense = expm(theta * (g - g.conj().T))
     assert_allclose(build_unitary("beamsplitter", 0.35, d), dense, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 8, 32, 120])
+def test_displacement_and_squeeze_match_expm_of_their_generators(d):
+    a = ladder(d)
+    adag = a.conj().T
+    for alpha in (0.7, 1.1 + 0.8j, -1.3, -0.4j, 3.0 * np.exp(2.5j), 0.0):
+        want = expm(alpha * adag - np.conj(alpha) * a)
+        assert_allclose(build_unitary("displacement", alpha, d), want, rtol=0, atol=1e-12)
+    for r in (0.4, -0.9, 1.5, -1.5, 0.0):
+        want = expm(0.5 * r * (a @ a - adag @ adag))
+        assert_allclose(build_unitary("squeeze", r, d), want, rtol=0, atol=1e-12)
+
+
+def test_generator_eigenbases_are_cached_read_only():
+    for kind in ("displacement", "squeeze"):
+        for d in (2, 9, 32):
+            w, v = _generator_eigenbasis(kind, d)
+            again = _generator_eigenbasis(kind, d)
+            assert again[0] is w and again[1] is v
+            assert not w.flags.writeable and not v.flags.writeable
+            w_ref, v_ref = _generator_eigenbasis.__wrapped__(kind, d)
+            assert_array_equal(w, w_ref)
+            assert_array_equal(v, v_ref)
+            with pytest.raises(ValueError):
+                v[0, 0] = 2.0
 
 
 def test_convention_lock_single_mode():
@@ -529,6 +556,51 @@ def test_parity_blocked_unitary_matches_dense_reference(n_modes, d, displaced):
         assert_allclose(
             symplectic_to_unitary(op, cutoff=d), dense_symplectic_unitary(op, d), atol=1e-12
         )
+
+
+def _composed(n_modes, *factors):
+    """SymplecticOp of the named Gaussian unitaries, the last applied first."""
+    s = reduce(
+        np.matmul,
+        [gaussian_unitary(kind, par, n_modes, targets).S for kind, par, targets in factors],
+    )
+    return SymplecticOp(n_modes, s, np.zeros(2 * n_modes))
+
+
+@pytest.mark.parametrize(
+    "op, d",
+    [
+        (_composed(1, ("rotation", np.pi, [0])), 24),
+        (_composed(1, ("rotation", np.pi, [0]), ("squeeze", 0.3, [0])), 24),
+        (_composed(1, ("rotation", -2.0, [0]), ("squeeze", -0.5, [0])), 24),
+        (_composed(2, ("rotation", np.pi, [1]), ("beamsplitter", 0.4, [0, 1])), 9),
+        (_composed(2, ("rotation", np.pi, [0]), ("rotation", np.pi, [1])), 9),
+        (
+            _composed(
+                2,
+                ("beamsplitter", 0.3, [0, 1]),
+                ("rotation", np.pi, [0]),
+                ("two_mode_squeeze", 0.3, [0, 1]),
+            ),
+            9,
+        ),
+        (
+            _composed(
+                2,
+                ("squeeze", 0.2, [0]),
+                ("rotation", np.pi, [1]),
+                ("beamsplitter", 0.6, [0, 1]),
+            ),
+            9,
+        ),
+    ],
+)
+def test_symplectic_logs_match_the_logm_route(op, d):
+    # the polar factors' logarithms come from eigenbases; at a π rotation
+    # θ may move by 2π on the eigenvalue −1, but the unitary may not
+    assert_allclose(
+        symplectic_to_unitary(op, cutoff=d), dense_symplectic_unitary(op, d), atol=1e-12
+    )
 
 
 def test_symplectic_to_unitary_two_mode_squeeze():

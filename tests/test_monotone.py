@@ -8,6 +8,7 @@ from nongauss.errors import TruncationError, UnsupportedMapError
 from nongauss.fock import (
     ConditionalMap,
     apply_map,
+    apply_unitary,
     build_state,
     build_unitary,
     delta_g,
@@ -87,6 +88,38 @@ def test_input_family_refuses_a_spilled_ket():
     with pytest.raises(TruncationError) as info:
         input_family(p, "fock", cutoff=50, edge_tol=1e-6)
     assert info.value.suggested_cutoff is None
+
+
+def test_input_family_fock_matches_the_three_step_chain():
+    # the one-product ket against the TMSV rotated, squeezed and displaced
+    # in turn, over draws up to the search's caps
+    d = 40
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        p = InputParams(
+            3.0 * np.sqrt(rng.random()) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)),
+            rng.uniform(-np.pi, np.pi),
+            rng.uniform(-1.5, 1.5),
+            rng.uniform(0.0, 4.0),
+        )
+        ket = build_state("tmsv", p.n_s, d, trace_tol=1e-3)
+        for kind, par in (("squeeze", p.r), ("rotation", p.theta), ("displacement", p.alpha)):
+            ket = apply_unitary(ket, build_unitary(kind, par, d), targets=[1])
+        got = input_family(p, "fock", cutoff=d, edge_tol=1.0)
+        assert_allclose(got.data, ket.data, rtol=0, atol=1e-13)
+        assert got.trace_deficit == pytest.approx(ket.trace_deficit, abs=1e-13)
+
+
+def test_kerr_output_at_r_zero_does_not_depend_on_theta():
+    # at r = 0, R_θ on the consumed mode of the TMSV is R_θ on the kept one
+    body = kerr(0.5, 32).body
+    for alpha, n_s in ((0.0, 0.5), (1.0, 1.0), (1.5, 0.1)):
+        values = []
+        for theta in (0.0, np.pi / 4.0, np.pi / 2.0, 2.0):
+            p = InputParams(alpha, theta, 0.0, n_s)
+            ket = input_family(p, "fock", cutoff=32, edge_tol=1.0)
+            values.append(delta_g(apply_map(ket, body, targets=[1])[0]))
+        assert_allclose(values, values[0], rtol=0, atol=1e-12)
 
 
 def test_input_family_at_origin_is_tmsv():
@@ -244,6 +277,27 @@ def test_delta_tilde_fock_search_pins():
     assert res.evaluations == 744
     assert res.diagnostics["excluded"] == 224
     assert_allclose(res.value, 5.667567367933926, rtol=1e-12)
+
+
+def test_delta_tilde_ignores_rounding_noise(monkeypatch):
+    # a 1e-13 relative wobble, alternating in sign, breaks the exact ties
+    # the search meets; neither its starts nor its simplex steps may move
+    import nongauss.monotone as monotone
+
+    plain = delta_tilde(kerr(0.5, 32), seed=0)
+    for sign in (1.0, -1.0):
+        calls = []
+
+        def wobbled(state):
+            calls.append(None)
+            return delta_g(state) * (1.0 + sign * 1e-13 * (-1) ** len(calls))
+
+        monkeypatch.setattr(monotone, "delta_g", wobbled)
+        noisy = delta_tilde(kerr(0.5, 32), seed=0)
+        assert calls
+        assert noisy.argmax == plain.argmax
+        assert noisy.evaluations == plain.evaluations
+        assert noisy.diagnostics["excluded"] == plain.diagnostics["excluded"]
 
 
 def test_delta_tilde_rejects_non_conditional_unitaries():
