@@ -151,8 +151,8 @@ def input_family(
         cutoff at which the same moment certificate is expected to hold
         (fock.gaussian_cutoff).
     """
+    ops = (("squeeze", p.r), ("rotation", p.theta), ("displacement", p.alpha))
     if backend == "gaussian":
-        ops = (("squeeze", p.r), ("rotation", p.theta), ("displacement", p.alpha))
         state = tmsv_state(p.n_s)
         for kind, par in ops:
             state = apply_symplectic(

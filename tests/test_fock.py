@@ -191,7 +191,8 @@ def test_displacement_and_squeeze_match_expm_of_their_generators(d):
     adag = a.conj().T
     for alpha in (0.7, 1.1 + 0.8j, -1.3, -0.4j, 3.0 * np.exp(2.5j), 0.0):
         want = expm(alpha * adag - np.conj(alpha) * a)
-        assert_allclose(build_unitary("displacement", alpha, d), want, rtol=0, atol=1e-12)
+        got = build_unitary("displacement", alpha, d)
+        assert_allclose(got, want, rtol=0, atol=1e-12)
     for r in (0.4, -0.9, 1.5, -1.5, 0.0):
         want = expm(0.5 * r * (a @ a - adag @ adag))
         assert_allclose(build_unitary("squeeze", r, d), want, rtol=0, atol=1e-12)
@@ -574,6 +575,15 @@ def _composed(n_modes, *factors):
         (_composed(1, ("rotation", np.pi, [0]), ("squeeze", 0.3, [0])), 24),
         (_composed(1, ("rotation", -2.0, [0]), ("squeeze", -0.5, [0])), 24),
         (_composed(2, ("rotation", np.pi, [1]), ("beamsplitter", 0.4, [0, 1])), 9),
+        (
+            _composed(
+                2,
+                ("rotation", np.pi, [1]),
+                ("beamsplitter", 0.4, [0, 1]),
+                ("rotation", 0.7, [0]),
+            ),
+            9,
+        ),
         (_composed(2, ("rotation", np.pi, [0]), ("rotation", np.pi, [1])), 9),
         (
             _composed(

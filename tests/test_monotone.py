@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import nongauss.monotone as monotone
 from nongauss.errors import TruncationError, UnsupportedMapError
 from nongauss.fock import (
     ConditionalMap,
@@ -103,7 +104,8 @@ def test_input_family_fock_matches_the_three_step_chain():
             rng.uniform(0.0, 4.0),
         )
         ket = build_state("tmsv", p.n_s, d, trace_tol=1e-3)
-        for kind, par in (("squeeze", p.r), ("rotation", p.theta), ("displacement", p.alpha)):
+        ops = (("squeeze", p.r), ("rotation", p.theta), ("displacement", p.alpha))
+        for kind, par in ops:
             ket = apply_unitary(ket, build_unitary(kind, par, d), targets=[1])
         got = input_family(p, "fock", cutoff=d, edge_tol=1.0)
         assert_allclose(got.data, ket.data, rtol=0, atol=1e-13)
@@ -282,8 +284,6 @@ def test_delta_tilde_fock_search_pins():
 def test_delta_tilde_ignores_rounding_noise(monkeypatch):
     # a 1e-13 relative wobble, alternating in sign, breaks the exact ties
     # the search meets; neither its starts nor its simplex steps may move
-    import nongauss.monotone as monotone
-
     plain = delta_tilde(kerr(0.5, 32), seed=0)
     for sign in (1.0, -1.0):
         calls = []
