@@ -16,6 +16,7 @@ from scipy.linalg import expm, polar, schur
 
 from .errors import InvalidStateError, TruncationError, ZeroProbabilityError
 from .gaussian import (
+    MU_CLAMP_TOL,
     GaussianState,
     SymplecticOp,
     gaussian_entropy,
@@ -47,10 +48,23 @@ EDGE_COST = 32.0
 _EDGE_LEVELS = 2
 
 
-def ladder(cutoff):
-    """Annihilation operator a|n⟩ = √n|n−1⟩ on the basis 0..cutoff−1."""
+def _check_cutoff(cutoff):
     if cutoff < 2:
         raise ValueError(f"cutoff must be >= 2, got {cutoff}")
+
+
+def _dense_dim(n_modes, cutoff):
+    """Dimension cutoff**n_modes of a dense n-mode unitary, refused above
+    _MAX_DENSE_DIM."""
+    dim = cutoff**n_modes
+    if dim > _MAX_DENSE_DIM:
+        raise ValueError(f"dimension {dim} too large for a dense unitary")
+    return dim
+
+
+def ladder(cutoff):
+    """Annihilation operator a|n⟩ = √n|n−1⟩ on the basis 0..cutoff−1."""
+    _check_cutoff(cutoff)
     return np.diag(np.sqrt(np.arange(1.0, cutoff)), k=1).astype(complex)
 
 
@@ -293,7 +307,7 @@ def build_unitary(kind, params, cutoff=DEFAULT_CUTOFF):
     exp(r(a² − a†²)/2) and D(|α|) = exp(|α|(a† − a)), and for α = |α|e^{iφ}
     D(α) = R(−φ) D(|α|) R(φ), exact in the box because R is diagonal.
     """
-    a = ladder(cutoff)
+    _check_cutoff(cutoff)
     n = np.arange(cutoff)
     if kind == "rotation":
         return np.diag(np.exp(-1j * float(params) * n))
@@ -306,10 +320,10 @@ def build_unitary(kind, params, cutoff=DEFAULT_CUTOFF):
     if kind == "squeeze":
         return _from_eigenbasis(kind, float(params), cutoff)
     if kind == "two_mode_squeeze":
-        if cutoff**2 > _MAX_DENSE_DIM:
-            raise ValueError(f"two-mode dense exponential too large at cutoff {cutoff}")
+        _dense_dim(2, cutoff)
         r = float(params)
-        up = np.kron(a.conj().T, a.conj().T)
+        adag = ladder(cutoff).conj().T
+        up = np.kron(adag, adag)
         return expm(r * (up - up.conj().T))
     if kind == "beamsplitter":
         tau = float(params)
@@ -317,6 +331,7 @@ def build_unitary(kind, params, cutoff=DEFAULT_CUTOFF):
             raise ValueError(f"transmissivity must be in [0, 1], got {tau}")
         # exp(ϑ(a b† − a† b)) = exp(−i Σ Θ_jk a_j† a_k)
         theta = np.arccos(np.sqrt(tau))
+        _dense_dim(2, cutoff)
         return _expm_passive(np.array([[0.0, -1j * theta], [1j * theta, 0.0]]), cutoff)
     raise ValueError(f"unknown unitary kind: {kind!r}")
 
@@ -510,16 +525,13 @@ class MomentRecord:
             raise InvalidStateError("⟨a†a⟩ must be real and nonnegative")
 
 
-def _ladder_ket(psi, mode, dagger=False):
+def _ladder_ket(psi, mode):
+    """a ψ on one mode of a ket tensor: out[…, n, …] = √(n+1) ψ[…, n+1, …]."""
     d = psi.shape[mode]
-    root = np.sqrt(np.arange(1.0, d)).reshape((-1,) + (1,) * (psi.ndim - 1))
-    src = np.moveaxis(psi, mode, 0)
+    root = np.sqrt(np.arange(1.0, d)).reshape((-1,) + (1,) * (psi.ndim - 1 - mode))
+    lead = (slice(None),) * mode
     out = np.zeros_like(psi)
-    dst = np.moveaxis(out, mode, 0)
-    if dagger:
-        dst[1:] = root * src[:-1]
-    else:
-        dst[:-1] = root * src[1:]
+    out[lead + (slice(None, -1),)] = root * psi[lead + (slice(1, None),)]
     return out
 
 
@@ -681,18 +693,13 @@ def _parity_blocks(n_modes, cutoff):
     return [np.flatnonzero(total % 2 == parity) for parity in (0, 1)]
 
 
-def symplectic_to_unitary(op, cutoff=DEFAULT_CUTOFF):
-    """Fock unitary implementing a SymplecticOp, via its polar decomposition.
-
-    S = O·P splits into a passive rotation block (photon-number preserving)
-    and an active quadratic squeezer; the displacement is appended last.
-    The truncated active generator changes n₁+…+nₙ by 0 or ±2 only, so it
-    is exponentiated separately on the even and the odd photon-parity block.
-    """
+def _unitary_columns(op, cutoff, cols=None):
+    """Columns U[:, cols] (distinct indices) of U =
+    symplectic_to_unitary(op, cutoff), or all of U, built in place, when
+    cols is None.  Only the parity blocks that hold a requested column are
+    exponentiated, and the displacement acts on those columns alone."""
     n = op.n_modes
-    dim = cutoff**n
-    if dim > _MAX_DENSE_DIM:
-        raise ValueError(f"dimension {dim} too large for a dense unitary")
+    dim = _dense_dim(n, cutoff)
     omega = symplectic_form(n)
     orth, pos = polar(op.S)
 
@@ -704,6 +711,10 @@ def symplectic_to_unitary(op, cutoff=DEFAULT_CUTOFF):
     theta = 1j * (z * np.log(np.diag(t))) @ z.conj().T
     theta = 0.5 * (theta + theta.conj().T)
     u = _expm_passive(theta, cutoff)
+    if cols is None:
+        cols, out = np.arange(dim), u
+    else:
+        out = u[:, cols]
 
     if np.max(np.abs(pos - np.eye(2 * n))) > 1e-12:
         w, v = np.linalg.eigh(pos)
@@ -713,49 +724,70 @@ def symplectic_to_unitary(op, cutoff=DEFAULT_CUTOFF):
         # the passive part preserves photon number, so U_pass·exp(−ih/4)
         # is block-diagonal in parity too
         for block in _parity_blocks(n, cutoff):
+            held = np.flatnonzero(np.isin(cols, block))
+            if held.size == 0:
+                continue
             ix = np.ix_(block, block)
-            u[ix] = u[ix] @ expm(-0.25j * h[ix])
+            active = expm(-0.25j * h[ix])
+            if held.size < block.size:
+                active = active[:, np.searchsorted(block, cols[held])]
+            out[np.ix_(block, held)] = u[ix] @ active
 
     if np.max(np.abs(op.delta_x)) > 0:
-        u = u.reshape((cutoff,) * (2 * n))
+        out = out.reshape((cutoff,) * n + (-1,))
         for k in range(n):
             disp = build_unitary(
                 "displacement",
                 0.5 * (op.delta_x[2 * k] + 1j * op.delta_x[2 * k + 1]),
                 cutoff,
             )
-            u = _contract_matrix(u, disp, (k,), cutoff)
-        u = u.reshape(dim, dim)
-    return u
+            out = _contract_matrix(out, disp, (k,), cutoff)
+        out = out.reshape(dim, -1)
+    return out
+
+
+def symplectic_to_unitary(op, cutoff=DEFAULT_CUTOFF):
+    """Fock unitary implementing a SymplecticOp, via its polar decomposition.
+
+    S = O·P splits into a passive rotation block (photon-number preserving)
+    and an active quadratic squeezer; the displacement is appended last.
+    The truncated active generator changes n₁+…+nₙ by 0 or ±2 only, so it
+    is exponentiated separately on the even and the odd photon-parity block.
+    """
+    return _unitary_columns(op, cutoff)
 
 
 def _williamson_frame(gstate, cutoff):
     """Thermal occupations of a Gaussian state, their product number
     distribution at the cutoff, and its Williamson symplectic with the
-    state's mean: the state is U(S) diag(weights) U(S)†."""
+    state's mean: the state is U(S) diag(weights) U(S)†.  A symplectic
+    eigenvalue within MU_CLAMP_TOL of 1 is read as 1, a pure mode."""
     mu, s_mat = williamson(gstate.cov)
-    occ = np.maximum((mu - 1.0) / 2.0, 0.0)
+    occ = np.where(mu <= 1.0 + MU_CLAMP_TOL, 0.0, (mu - 1.0) / 2.0)
     weights = reduce(np.kron, [_thermal_weights(N, cutoff) for N in occ])
     return occ, weights, SymplecticOp(gstate.n_modes, s_mat, gstate.mean)
 
 
 def gaussian_to_fock(gstate, cutoff=DEFAULT_CUTOFF, trace_tol=APPLY_DEFICIT_TOL):
-    """Fock density matrix of a Gaussian state, via its Williamson form.
+    """Fock density of a Gaussian state that carries its Williamson branches.
 
-    Thermal product with the state's symplectic spectrum, rotated by the Fock
-    unitary of the Williamson symplectic, then displaced to the state's mean.
+    The state is U diag(w) U†, with w the thermal product of its symplectic
+    spectrum and U the Fock unitary of its Williamson symplectic, displaced
+    to the state's mean.  Only the columns of U with w_k > 0 are built;
+    they give the branch kets Φ = √w_k (U e_k)ᵀ of
+    `FockArray.from_branches`.  A symplectic eigenvalue within MU_CLAMP_TOL
+    of 1 counts as a pure mode, so a pure state carries one branch.
     """
-    occ, diag, op = _williamson_frame(gstate, cutoff)
-    deficit = 1.0 - float(diag.sum())
+    occ, weights, op = _williamson_frame(gstate, cutoff)
+    deficit = 1.0 - float(weights.sum())
     if deficit > trace_tol:
         raise _truncation_refusal(
             "the Williamson thermal product", deficit, cutoff, trace_tol,
             lambda d: 1.0 - np.prod([_thermal_weights(N, d).sum() for N in occ]),
         )
-    u = symplectic_to_unitary(op, cutoff)
-    rho = (u * diag) @ u.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
-    return FockArray(gstate.n_modes, cutoff, "density", rho, trace_tol=trace_tol)
+    cols = np.flatnonzero(weights > 0)
+    phi = np.sqrt(weights[cols])[:, None] * _unitary_columns(op, cutoff, cols).T
+    return FockArray.from_branches(gstate.n_modes, cutoff, phi, trace_tol=trace_tol)
 
 
 def delta_g(state):

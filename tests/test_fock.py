@@ -14,6 +14,8 @@ from nongauss.fock import (
     EDGE_COST,
     ConditionalMap,
     _generator_eigenbasis,
+    _ladder_ket,
+    _unitary_columns,
     FockArray,
     apply_map,
     apply_unitary,
@@ -44,6 +46,7 @@ from nongauss.gaussian import (
     thermal_entropy,
     tmsv_state,
     vacuum_state,
+    williamson,
 )
 
 from conftest import random_gaussian_state, random_symplectic
@@ -141,6 +144,9 @@ def test_unitary_diagonals():
     assert_allclose(np.diag(u), np.exp(-0.3j * np.arange(6)), atol=1e-14)
     u = build_unitary("kerr", 0.5, cutoff=6)
     assert_allclose(np.diag(u), np.exp(-0.5j * np.arange(6) ** 2), atol=1e-14)
+    for kind in ("rotation", "kerr"):
+        with pytest.raises(ValueError, match="cutoff must be >= 2"):
+            build_unitary(kind, 0.3, cutoff=1)
 
 
 def test_displacement_builds_coherent():
@@ -183,6 +189,20 @@ def test_beamsplitter_sector_route_matches_dense():
     g = np.kron(a, a.conj().T)
     dense = expm(theta * (g - g.conj().T))
     assert_allclose(build_unitary("beamsplitter", 0.35, d), dense, atol=1e-12)
+
+
+def test_two_mode_lifts_share_one_dimension_limit():
+    # 64² = 4096 dimensions is the largest dense two-mode unitary
+    op = gaussian_unitary("beamsplitter", 0.5, n_modes=2)
+    for build in (
+        lambda d: build_unitary("beamsplitter", 0.5, d),
+        lambda d: symplectic_to_unitary(op, cutoff=d),
+    ):
+        with pytest.raises(ValueError, match="dimension 4225 too large"):
+            build(65)
+        assert build(64).shape == (4096, 4096)
+    with pytest.raises(ValueError, match="dimension 4225 too large"):
+        build_unitary("two_mode_squeeze", 0.1, 65)
 
 
 @pytest.mark.parametrize("d", [2, 8, 32, 120])
@@ -402,6 +422,18 @@ def test_relative_entropy_properties_sampled():
 # ---------------------------------------------------------------- moments
 
 
+@pytest.mark.parametrize("n_modes", [1, 2, 3])
+def test_ladder_ket_matches_moveaxis_lowering(n_modes):
+    # bitwise: moments must not move when the lowering changes indexing
+    rng = np.random.default_rng(4)
+    psi = random_low_ket(n_modes, rng, 5, levels=5).data
+    for mode in range(n_modes):
+        root = np.sqrt(np.arange(1.0, 5)).reshape((-1,) + (1,) * (n_modes - 1))
+        want = np.zeros_like(psi)
+        np.moveaxis(want, mode, 0)[:-1] = root * np.moveaxis(psi, mode, 0)[1:]
+        assert_array_equal(_ladder_ket(psi, mode), want)
+
+
 def test_moments_oracles():
     alpha = 0.9 + 0.4j
     st = build_state("coherent", alpha, cutoff=40)
@@ -508,6 +540,60 @@ def test_gaussian_to_fock_truncation_error():
     with pytest.raises(TruncationError) as exc:
         gaussian_to_fock(th, cutoff=20)
     assert exc.value.suggested_cutoff > 20
+
+
+def dense_lift(g, d):
+    """Reference lift (u·w)u† with the unclamped Williamson weights w."""
+    mu, s_mat = williamson(g.cov)
+    occ = np.maximum((mu - 1.0) / 2.0, 0.0)
+    w = reduce(np.kron, [(N / (N + 1.0)) ** np.arange(d) / (N + 1.0) for N in occ])
+    u = symplectic_to_unitary(SymplecticOp(g.n_modes, s_mat, g.mean), cutoff=d)
+    return (u * w) @ u.conj().T, w
+
+
+@pytest.mark.parametrize("n_modes, d", [(1, 30), (2, 9)])
+@pytest.mark.parametrize("pure", [True, False])
+@pytest.mark.parametrize("displaced", [False, True])
+def test_branch_lift_matches_dense_reference(n_modes, d, pure, displaced):
+    rng = np.random.default_rng(17 + n_modes)
+    for _ in range(2):
+        g = random_gaussian_state(n_modes, rng, max_thermal=0.0 if pure else 0.3)
+        if not displaced:
+            g = GaussianState(n_modes, np.zeros(2 * n_modes), g.cov)
+        rho = gaussian_to_fock(g, cutoff=d, trace_tol=1e-3)
+        want, w = dense_lift(g, d)
+        assert_allclose(rho.data, want, rtol=0, atol=1e-12)
+        assert rho.branches.shape == (1 if pure else np.count_nonzero(w), d**n_modes)
+        spectrum = np.linalg.eigvalsh(rho.data)
+        spectrum = spectrum[spectrum > 1e-12]
+        assert von_neumann_entropy(rho) == pytest.approx(
+            float(-(spectrum @ np.log2(spectrum))), abs=1e-12
+        )
+
+
+@pytest.mark.parametrize("n_modes, d", [(1, 24), (2, 9)])
+def test_unitary_columns_match_the_full_matrix(n_modes, d):
+    rng = np.random.default_rng(29)
+    op = SymplecticOp(
+        n_modes, random_symplectic(n_modes, rng, scale=0.3), rng.normal(size=2 * n_modes)
+    )
+    full = symplectic_to_unitary(op, cutoff=d)
+    subset = np.sort(rng.choice(d**n_modes, size=d**n_modes // 3, replace=False))
+    for cols in ([0], [1], [2, 5, 7, 8], subset):
+        assert_allclose(
+            _unitary_columns(op, d, np.asarray(cols)), full[:, cols], rtol=0, atol=1e-14
+        )
+
+
+def test_nearly_pure_mode_is_lifted_as_pure():
+    # N = 2e-10 puts μ = 1 + 4e-10 inside the MU_CLAMP_TOL band
+    d = 20
+    th = GaussianState(1, np.array([0.4, -0.2]), (1.0 + 4e-10) * np.eye(2))
+    rho = gaussian_to_fock(th, cutoff=d)
+    assert rho.branches.shape[0] == 1
+    want, w = dense_lift(th, d)
+    assert np.count_nonzero(w) == d
+    assert np.abs(np.linalg.eigvalsh(rho.data - want)).sum() <= 1e-9
 
 
 def test_symplectic_to_unitary_random_single_mode():
