@@ -155,19 +155,24 @@ class ConditionalMap:
     """A conditional quantum map ρ → T(ρ)/Tr T(ρ) (or the channel T itself),
     given by its Kraus family: T(ρ) = Σ_j K_j ρ K_j†.
 
-    kraus is a nonempty tuple of matrices.  A unitary is the family (U,), a
-    mixture Σ_j p_j U_j ρ U_j† the family (√p_j U_j).  renormalize=True
-    gives the post-selected map.
+    kraus is a nonempty tuple of matrices of one shape.  A unitary is the
+    family (U,), a mixture Σ_j p_j U_j ρ U_j† the family (√p_j U_j).
+    renormalize=True gives the post-selected map.  The family is also kept
+    stacked, once, as the read-only k × out × in array `stack`.
     """
 
     n_in: int
     n_out: int
     kraus: tuple
     renormalize: bool
+    stack: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.kraus, tuple) or not self.kraus:
             raise ValueError("the Kraus family must be a nonempty tuple")
+        stack = np.stack(self.kraus).astype(complex)
+        stack.setflags(write=False)
+        object.__setattr__(self, "stack", stack)
 
     @property
     def conditional_unitary(self):
@@ -245,15 +250,31 @@ def _state_vector(kind, params, cutoff):
         p = _thermal_weights(N, cutoff)
         return 1, "density", np.diag(p.astype(complex)), 1.0 - float(p.sum())
     if kind == "tmsv":
-        N_S = float(params)
-        if N_S < 0:
-            raise ValueError(f"N_S must be >= 0, got {N_S}")
-        lam = np.sqrt(N_S / (N_S + 1.0))
-        c = lam ** np.arange(cutoff) / np.sqrt(N_S + 1.0)
+        c, deficit = tmsv_schmidt(params, cutoff)
         ket = np.zeros((cutoff, cutoff), dtype=complex)
         np.fill_diagonal(ket, c)
-        return 2, "ket", ket, 1.0 - float(c @ c)
+        return 2, "ket", ket, deficit
     raise ValueError(f"unknown state kind: {kind!r}")
+
+
+def tmsv_schmidt(n_s, cutoff, trace_tol=np.inf):
+    """Schmidt coefficients c_i = λⁱ/√(N_S+1), i < cutoff, of the TMSV
+    Σ_i c_i |i, i⟩ with λ = √(N_S/(N_S+1)), and its trace deficit 1 − Σ c_i².
+
+    :raises TruncationError: deficit above trace_tol, the refusal
+        build_state('tmsv', n_s, cutoff, trace_tol) raises.
+    """
+    N_S = float(n_s)
+    if N_S < 0:
+        raise ValueError(f"N_S must be >= 0, got {N_S}")
+    lam = np.sqrt(N_S / (N_S + 1.0))
+    c = lam ** np.arange(cutoff) / np.sqrt(N_S + 1.0)
+    deficit = 1.0 - float(c @ c)
+    if deficit > trace_tol:
+        raise _truncation_refusal(
+            "tmsv state", deficit, cutoff, trace_tol, lambda d: tmsv_schmidt(n_s, d)[1]
+        )
+    return c, deficit
 
 
 def build_state(kind, params=None, cutoff=DEFAULT_CUTOFF, trace_tol=BUILD_DEFICIT_TOL):
@@ -261,7 +282,7 @@ def build_state(kind, params=None, cutoff=DEFAULT_CUTOFF, trace_tol=BUILD_DEFICI
 
     Kinds: 'vacuum', 'fock' (n), 'coherent' (complex α), 'cat' (even coherent
     superposition, α), 'thermal' (N), 'tmsv' (N_S, Schmidt series with
-    λ = √(N_S/(N_S+1))).
+    λ = √(N_S/(N_S+1)), see tmsv_schmidt).
 
     :raises TruncationError: deficit above trace_tol, with a suggested cutoff.
     """
@@ -300,7 +321,7 @@ def build_unitary(kind, params, cutoff=DEFAULT_CUTOFF):
 
     Single-mode kinds: 'displacement' (α), 'rotation' (θ), 'squeeze' (r),
     'kerr' (γ). Two-mode: 'two_mode_squeeze' (r), 'beamsplitter' (τ); the
-    beamsplitter is assembled per total-photon sector at any cutoff.
+    beamsplitter is exponentiated per total-photon sector.
 
     The displacement and the squeeze are exponentials of their truncated
     generators, taken through eigenbases cached per cutoff: S(r) =
@@ -369,9 +390,7 @@ def apply_unitary(state, u, targets=None):
 
 def _kraus_once(state, k_mat, targets, cutoff, n_out):
     """K·ψ for kets, K·ρ·K† (as raw tensor data) for densities."""
-    if n_out != state.n_modes:  # register-consuming map, e.g. a projector
-        if state.kind == "ket":
-            return k_mat @ state.data.reshape(-1)
+    if n_out != state.n_modes:  # register-consuming map on a density
         return k_mat @ state.data @ k_mat.conj().T
     if state.kind == "ket":
         return _contract_matrix(state.data, k_mat, targets, cutoff)
@@ -380,16 +399,36 @@ def _kraus_once(state, k_mat, targets, cutoff, n_out):
     return _contract_matrix(t, np.conj(k_mat), bra, cutoff)
 
 
+def _branch_kets(stack, rows, targets, cutoff, n_modes, n_out):
+    """Branch kets [K_j φ_i] of the stacked family (k × out × in) on the
+    rows φ_i (r × Dⁿ), as a (k·r) × D^n_out array, j-major."""
+    k, r = stack.shape[0], rows.shape[0]
+    if n_out != n_modes:  # register-consuming map, e.g. a projector
+        return np.matmul(stack, rows.T).transpose(0, 2, 1).reshape(k * r, -1)
+    a = len(targets)
+    ut = stack.reshape((k,) + (cutoff,) * (2 * a))
+    t = rows.reshape((r,) + (cutoff,) * n_modes)
+    out = np.tensordot(ut, t, axes=(list(range(a + 1, 2 * a + 1)), [1 + m for m in targets]))
+    # axes are now (k, output targets, r, other modes); put the targets back
+    out = np.moveaxis(out, range(1, a + 1), [2 + m for m in targets])
+    return out.reshape(k * r, -1)
+
+
 def apply_map(state, cmap, targets=None, min_prob=1e-14, trace_tol=APPLY_DEFICIT_TOL):
     """Apply a ConditionalMap; returns (output FockArray, success probability).
 
     Every map acts through its Kraus family.  Post-selected maps
     (renormalize=True) return a unit-trace output and the branch
     probability; channels return their raw output and report its trace
-    (for a unitary, the input's weight ⟨ψ|ψ⟩ or Tr ρ).  A ket is never
-    turned into a density: a single Kraus operator keeps it a ket, and a
-    larger family gives `FockArray.from_branches` of the branch kets
-    Φ = [K_j ψ].
+    (for a unitary, the input's weight ⟨ψ|ψ⟩ or Tr ρ).
+
+    A ket is one row ψ, and a density built by `FockArray.from_branches`
+    is its r rows Φ.  The family, stacked once in the map, acts on all the
+    rows in one product and gives the k·r branch kets [K_j φ_i] of
+    `FockArray.from_branches`; one operator keeps a ket a ket.  Every ket
+    takes this route, a branch density only while k·r ≤ D^n_out, so the
+    branches never outgrow the density they stand for.  Any other density
+    is summed as Σ_j K_j ρ K_j†, one operator at a time.
 
     :raises ZeroProbabilityError: post-selected branch weight ≤ min_prob.
     :raises TruncationError: a channel loses more than trace_tol of its trace.
@@ -412,14 +451,17 @@ def apply_map(state, cmap, targets=None, min_prob=1e-14, trace_tol=APPLY_DEFICIT
 
     kraus = cmap.kraus
     n_out = state.n_modes if cmap.n_in == cmap.n_out else cmap.n_out
+    dim_out = d**n_out
     out_tol = trace_tol + state.trace_deficit
+    rows = state.branches
     if state.kind == "ket":
-        phi = np.stack(
-            [_kraus_once(state, k_mat, targets, d, n_out).reshape(-1) for k_mat in kraus]
-        )
+        rows = state.data.reshape(1, -1)
+    elif rows is not None and len(kraus) * rows.shape[0] > dim_out:
+        rows = None
+    if rows is not None:
+        phi = _branch_kets(cmap.stack, rows, targets, d, state.n_modes, n_out)
         prob = float(np.vdot(phi, phi).real)
     else:
-        dim_out = d**n_out
         acc = np.zeros((dim_out, dim_out), dtype=complex)
         for k_mat in kraus:
             term = _kraus_once(state, k_mat, targets, d, n_out)
@@ -434,13 +476,13 @@ def apply_map(state, cmap, targets=None, min_prob=1e-14, trace_tol=APPLY_DEFICIT
             deficit=1.0 - prob,
             suggested_cutoff=2 * d,
         )
-    if state.kind == "density":
+    if rows is None:
         if cmap.renormalize:
             acc = acc / prob
         return FockArray(n_out, d, "density", acc, trace_tol=out_tol), prob
     if cmap.renormalize:
         phi = phi / np.sqrt(prob)
-    if len(kraus) == 1:
+    if state.kind == "ket" and len(kraus) == 1:
         return FockArray(n_out, d, "ket", phi[0], trace_tol=out_tol), prob
     return FockArray.from_branches(n_out, d, phi, trace_tol=out_tol), prob
 
@@ -525,11 +567,11 @@ class MomentRecord:
             raise InvalidStateError("⟨a†a⟩ must be real and nonnegative")
 
 
-def _ladder_ket(psi, mode):
-    """a ψ on one mode of a ket tensor: out[…, n, …] = √(n+1) ψ[…, n+1, …]."""
-    d = psi.shape[mode]
-    root = np.sqrt(np.arange(1.0, d)).reshape((-1,) + (1,) * (psi.ndim - 1 - mode))
-    lead = (slice(None),) * mode
+def _ladder_ket(psi, axis):
+    """a ψ along one axis of a ket tensor: out[…, n, …] = √(n+1) ψ[…, n+1, …]."""
+    d = psi.shape[axis]
+    root = np.sqrt(np.arange(1.0, d)).reshape((-1,) + (1,) * (psi.ndim - 1 - axis))
+    lead = (slice(None),) * axis
     out = np.zeros_like(psi)
     out[lead + (slice(None, -1),)] = root * psi[lead + (slice(1, None),)]
     return out
@@ -557,19 +599,26 @@ def _expect_dm(tensor, n_modes, ops):
 
 
 def moments(state):
-    """All first/second ladder moments, normalized by the state's weight."""
+    """All first/second ladder moments, normalized by the state's weight.
+
+    A ket, or a density carrying branches, is read from its rows φ_i as
+    ⟨X⟩ = Σ_i ⟨φ_i|X|φ_i⟩ / Σ_i ‖φ_i‖²; any other density by contracting
+    its tensor with the ladder operators.
+    """
     n, d = state.n_modes, state.cutoff
     first = np.zeros(n, dtype=complex)
     aa = np.zeros((n, n), dtype=complex)
     adag_a = np.zeros((n, n), dtype=complex)
-    if state.kind == "ket":
-        psi = state.data
+    rows = state.data if state.kind == "ket" else state.branches
+    if rows is not None:
+        psi = rows.reshape((-1,) + (d,) * n)
         norm_sq = float(np.vdot(psi, psi).real)
-        lowered = [_ladder_ket(psi, j) for j in range(n)]
+        # axis 0 runs over the rows, so mode j is axis j + 1
+        lowered = [_ladder_ket(psi, j + 1) for j in range(n)]
         for j in range(n):
             first[j] = np.vdot(psi, lowered[j])
             for k in range(j, n):
-                aa[j, k] = aa[k, j] = np.vdot(psi, _ladder_ket(lowered[j], k))
+                aa[j, k] = aa[k, j] = np.vdot(psi, _ladder_ket(lowered[j], k + 1))
             for k in range(n):
                 adag_a[j, k] = np.vdot(lowered[j], lowered[k])
         first /= norm_sq
@@ -634,20 +683,26 @@ def gaussify(state):
     return covariance_from_moments(moments(state))
 
 
-def _expm_passive(theta, cutoff):
-    """exp(−i Σ θ_jk a_j†a_k) for 1 or 2 modes, per total-photon sector."""
+def _expm_passive(theta, cutoff, cols=None):
+    """Columns U[:, cols] (distinct indices) of U = exp(−i Σ θ_jk a_j†a_k)
+    for 1 or 2 modes, or all of U when cols is None.  U keeps the total
+    photon number, so only the sectors holding a requested column are
+    exponentiated, and only those columns are written."""
     n = theta.shape[0]
     if n > 2:
         raise ValueError(f"passive exponential covers 1 or 2 modes, got {n}")
-    if n == 1:
-        return np.diag(np.exp(-1j * theta[0, 0].real * np.arange(cutoff)))
     d = cutoff
-    u = np.zeros((d * d, d * d), dtype=complex)
-    for total in range(2 * d - 1):
+    want = np.arange(d**n) if cols is None else np.asarray(cols)
+    out = np.zeros((d**n, want.size), dtype=complex)
+    if n == 1:
+        out[want, np.arange(want.size)] = np.exp(-1j * theta[0, 0].real * want)
+        return out
+    first, second = np.divmod(want, d)
+    totals = first + second
+    for total in np.unique(totals):
         lo = max(0, total - d + 1)
         hi = min(total, d - 1)
         ks = np.arange(lo, hi + 1)
-        idx = ks * d + (total - ks)
         m = len(ks)
         h = np.zeros((m, m), dtype=complex)
         for i, k in enumerate(ks):
@@ -657,8 +712,9 @@ def _expm_passive(theta, cutoff):
                 val = np.sqrt((k + 1.0) * (total - k))
                 h[i + 1, i] += theta[0, 1] * val
                 h[i, i + 1] += theta[1, 0] * val
-        u[np.ix_(idx, idx)] = expm(-1j * h)
-    return u
+        held = np.flatnonzero(totals == total)
+        out[np.ix_(ks * d + (total - ks), held)] = expm(-1j * h)[:, first[held] - lo]
+    return out
 
 
 def _quadratic_generator(K, n_modes, cutoff):
@@ -693,11 +749,18 @@ def _parity_blocks(n_modes, cutoff):
     return [np.flatnonzero(total % 2 == parity) for parity in (0, 1)]
 
 
-def _unitary_columns(op, cutoff, cols=None):
-    """Columns U[:, cols] (distinct indices) of U =
-    symplectic_to_unitary(op, cutoff), or all of U, built in place, when
-    cols is None.  Only the parity blocks that hold a requested column are
-    exponentiated, and the displacement acts on those columns alone."""
+def symplectic_to_unitary(op, cutoff=DEFAULT_CUTOFF, cols=None):
+    """Fock unitary U implementing a SymplecticOp, via its polar
+    decomposition; with cols (distinct indices) only the columns U[:, cols].
+
+    S = O·P splits into a passive rotation block (photon-number preserving)
+    and an active quadratic squeezer; the displacement is appended last and
+    acts on the requested columns alone.  A passive U is exponentiated only
+    on the total-photon sectors that hold a requested column.  The
+    truncated active generator changes n₁+…+nₙ by 0 or ±2 only, so it is
+    exponentiated separately on the even and the odd photon-parity block,
+    and only on the blocks that hold a requested column.
+    """
     n = op.n_modes
     dim = _dense_dim(n, cutoff)
     omega = symplectic_form(n)
@@ -710,13 +773,16 @@ def _unitary_columns(op, cutoff, cols=None):
     t, z = schur(u_pass, output="complex")
     theta = 1j * (z * np.log(np.diag(t))) @ z.conj().T
     theta = 0.5 * (theta + theta.conj().T)
-    u = _expm_passive(theta, cutoff)
-    if cols is None:
-        cols, out = np.arange(dim), u
-    else:
-        out = u[:, cols]
 
-    if np.max(np.abs(pos - np.eye(2 * n))) > 1e-12:
+    if np.max(np.abs(pos - np.eye(2 * n))) <= 1e-12:
+        out = _expm_passive(theta, cutoff, cols)
+    else:
+        u = _expm_passive(theta, cutoff)
+        if cols is None:
+            cols, out = np.arange(dim), u
+        else:
+            cols = np.asarray(cols)
+            out = u[:, cols]
         w, v = np.linalg.eigh(pos)
         K = -omega @ (v * np.log(w)) @ v.T
         K = 0.5 * (K + K.T).real
@@ -744,17 +810,6 @@ def _unitary_columns(op, cutoff, cols=None):
             out = _contract_matrix(out, disp, (k,), cutoff)
         out = out.reshape(dim, -1)
     return out
-
-
-def symplectic_to_unitary(op, cutoff=DEFAULT_CUTOFF):
-    """Fock unitary implementing a SymplecticOp, via its polar decomposition.
-
-    S = O·P splits into a passive rotation block (photon-number preserving)
-    and an active quadratic squeezer; the displacement is appended last.
-    The truncated active generator changes n₁+…+nₙ by 0 or ±2 only, so it
-    is exponentiated separately on the even and the odd photon-parity block.
-    """
-    return _unitary_columns(op, cutoff)
 
 
 def _williamson_frame(gstate, cutoff):
@@ -786,7 +841,7 @@ def gaussian_to_fock(gstate, cutoff=DEFAULT_CUTOFF, trace_tol=APPLY_DEFICIT_TOL)
             lambda d: 1.0 - np.prod([_thermal_weights(N, d).sum() for N in occ]),
         )
     cols = np.flatnonzero(weights > 0)
-    phi = np.sqrt(weights[cols])[:, None] * _unitary_columns(op, cutoff, cols).T
+    phi = np.sqrt(weights[cols])[:, None] * symplectic_to_unitary(op, cutoff, cols).T
     return FockArray.from_branches(gstate.n_modes, cutoff, phi, trace_tol=trace_tol)
 
 

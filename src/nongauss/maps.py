@@ -114,7 +114,9 @@ def gaussian_dilatable(sym, env, cutoff=DEFAULT_CUTOFF):
 
     sym acts on the system modes followed by the environment modes; env
     supplies ψ_E as a ket at the same cutoff.  The body is the Kraus family
-    K_j = (I ⊗ ⟨j|) U (I ⊗ |ψ_E⟩).
+    K_j = (I ⊗ ⟨j|) U (I ⊗ |ψ_E⟩) = Σ_e ψ_E[e] (I ⊗ ⟨j|) U |·, e⟩, so only
+    the columns |n, e⟩ of U with ψ_E[e] ≠ 0 are built: d^n_sys of them for
+    a Fock-state environment, every column for one of full support.
     """
     if env.kind != "ket":
         raise UnsupportedMapError("environment must be a pure state")
@@ -124,17 +126,16 @@ def gaussian_dilatable(sym, env, cutoff=DEFAULT_CUTOFF):
     n_sys = sym.n_modes - n_env
     if n_sys < 1:
         raise ValueError("symplectic must cover at least one system mode")
-    d = cutoff
-    n_tot = sym.n_modes
-    u = symplectic_to_unitary(sym, cutoff)
-    u_tensor = u.reshape((d,) * (2 * n_tot))
-    in_env_axes = tuple(range(n_tot + n_sys, 2 * n_tot))
-    k_tensor = np.tensordot(u_tensor, env.data, axes=(in_env_axes, tuple(range(n_env))))
-    # remaining axes: output system, output environment, input system
-    dim_s = d**n_sys
-    dim_e = d**n_env
-    k_flat = k_tensor.reshape(dim_s, dim_e, dim_s)
-    kraus = tuple(np.ascontiguousarray(k_flat[:, j, :]) for j in range(dim_e))
+    dim_s = cutoff**n_sys
+    dim_e = cutoff**n_env
+    amps = env.data.reshape(-1)
+    support = np.flatnonzero(amps)
+    # column (n, e) of U: input system n, input environment e
+    cols = (np.arange(dim_s)[:, None] * dim_e + support).reshape(-1)
+    u_cols = symplectic_to_unitary(sym, cutoff, cols)
+    # axes: output system, output environment, input system
+    k_tensor = u_cols.reshape(dim_s, dim_e, dim_s, support.size) @ amps[support]
+    kraus = tuple(np.ascontiguousarray(k_tensor[:, j, :]) for j in range(dim_e))
     body = ConditionalMap(n_sys, n_sys, kraus, renormalize=False)
     return MapDescriptor("gd", body, cutoff, {"environment": env})
 

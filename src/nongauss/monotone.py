@@ -25,13 +25,13 @@ from .fock import (
     FockArray,
     MomentRecord,
     apply_map,
-    build_state,
     build_unitary,
     certify_edge,
     covariance_from_moments,
     delta_g,
     gaussian_cutoff,
     gaussian_to_fock,
+    tmsv_schmidt,
 )
 from .gaussian import (
     GaussianState,
@@ -160,14 +160,12 @@ def input_family(
             )
         return state
     if backend == "fock":
-        tmsv = build_state("tmsv", p.n_s, cutoff, trace_tol=trace_tol)
+        c, _ = tmsv_schmidt(p.n_s, cutoff, trace_tol)
         u = build_unitary("displacement", p.alpha, cutoff) @ (
             build_unitary("rotation", p.theta, cutoff).diagonal()[:, None]
             * build_unitary("squeeze", p.r, cutoff)
         )
-        ket = FockArray(
-            2, cutoff, "ket", (u * np.diagonal(tmsv.data)).T, trace_tol=trace_tol
-        )
+        ket = FockArray(2, cutoff, "ket", (u * c).T, trace_tol=trace_tol)
         if edge_tol is not None:
             return certify_edge(ket, edge_tol)
         try:

@@ -15,7 +15,6 @@ from nongauss.fock import (
     ConditionalMap,
     _generator_eigenbasis,
     _ladder_ket,
-    _unitary_columns,
     FockArray,
     apply_map,
     apply_unitary,
@@ -581,7 +580,25 @@ def test_unitary_columns_match_the_full_matrix(n_modes, d):
     subset = np.sort(rng.choice(d**n_modes, size=d**n_modes // 3, replace=False))
     for cols in ([0], [1], [2, 5, 7, 8], subset):
         assert_allclose(
-            _unitary_columns(op, d, np.asarray(cols)), full[:, cols], rtol=0, atol=1e-14
+            symplectic_to_unitary(op, d, np.asarray(cols)), full[:, cols], rtol=0, atol=1e-14
+        )
+
+
+@pytest.mark.parametrize("n_modes, d", [(1, 24), (2, 9)])
+def test_passive_unitary_columns_match_the_full_matrix(n_modes, d):
+    # a passive symplectic exponentiates only the total-photon sectors that
+    # hold a requested column
+    rng = np.random.default_rng(31)
+    s = gaussian_unitary("rotation", 0.7, n_modes=n_modes, targets=[n_modes - 1]).S
+    if n_modes == 2:
+        s = gaussian_unitary("beamsplitter", 0.35, n_modes=2).S @ s
+    op = SymplecticOp(n_modes, s, rng.normal(size=2 * n_modes))
+    full = symplectic_to_unitary(op, cutoff=d)
+    assert_allclose(full, dense_symplectic_unitary(op, d), atol=1e-12)
+    subset = np.sort(rng.choice(d**n_modes, size=d**n_modes // 3, replace=False))
+    for cols in ([0], [1], [2, 5, 7, 8], subset):
+        assert_allclose(
+            symplectic_to_unitary(op, d, np.asarray(cols)), full[:, cols], rtol=0, atol=1e-14
         )
 
 

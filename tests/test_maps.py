@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -15,6 +18,7 @@ from nongauss.fock import (
     gaussian_to_fock,
     gaussify,
     moments,
+    symplectic_to_unitary,
     von_neumann_entropy,
 )
 from nongauss.maps import (
@@ -32,7 +36,12 @@ from nongauss.maps import (
     pna,
     pns,
 )
-from nongauss.gaussian import condition_on_projection, gaussian_unitary
+from nongauss.gaussian import (
+    GaussianState,
+    apply_symplectic,
+    condition_on_projection,
+    gaussian_unitary,
+)
 
 
 def _product_ket(a, b):
@@ -299,6 +308,39 @@ def test_dilated_channel_preserves_trace_on_random_input():
     assert abs(prob - 1.0) < 1e-10
 
 
+def _branch_inputs(d):
+    """Two-mode inputs: a ket; branch densities from gaussian_to_fock with 14
+    and with d² branches; and one from a prior apply_map."""
+    rng = np.random.default_rng(23)
+    amps = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    psi = np.zeros((d, d), dtype=complex)
+    psi[:4, :4] = amps / np.linalg.norm(amps)
+    ket = FockArray(2, d, "ket", psi)
+
+    def lift(n0, n1):
+        g = GaussianState(2, np.zeros(4), np.diag([1 + 2 * n0] * 2 + [1 + 2 * n1] * 2))
+        for op in (
+            gaussian_unitary("beamsplitter", 0.6, n_modes=2),
+            gaussian_unitary("two_mode_squeeze", 0.15, n_modes=2),
+            gaussian_unitary("displacement", 0.2 - 0.1j, n_modes=2, targets=[1]),
+        ):
+            g = apply_symplectic(g, op)
+        return gaussian_to_fock(g, d)
+
+    mapped, _ = apply_map(ket, loss(0.8, d).body, targets=[0])
+    return {"ket": ket, "lift": lift(0.3, 0.0), "thermal-lift": lift(0.3, 0.2),
+            "mapped": mapped}
+
+
+def _without_branches(state):
+    return FockArray(state.n_modes, state.cutoff, "density", state.to_density().data)
+
+
+def _assert_same_moments(got, want):
+    for field_ in ("first", "aa", "adag_a"):
+        assert_allclose(getattr(got, field_), getattr(want, field_), rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize(
     "make_map",
     [
@@ -306,25 +348,108 @@ def test_dilated_channel_preserves_trace_on_random_input():
         lambda d: loss(0.7, d).body,
         lambda d: bps(d).body,
         lambda d: compose(pns(d).body, loss(0.6, d).body),
+        lambda d: pns(d).body,
+        lambda d: coherent_projector(0.5, d).body,
     ],
-    ids=["gd", "loss", "bps", "pns-after-loss"],
+    ids=["gd", "loss", "bps", "pns-after-loss", "pns", "talpha"],
 )
 def test_ket_branch_route_matches_density_route(make_map):
+    # each input against the same density rebuilt without branches, which
+    # takes the one-operator-at-a-time Kraus loop
     d = 14
     body = make_map(d)
-    rng = np.random.default_rng(23)
-    amps = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    psi = np.zeros((d, d), dtype=complex)
-    psi[:4, :4] = amps / np.linalg.norm(amps)
-    ket = FockArray(2, d, "ket", psi)
-    out, prob = apply_map(ket, body, targets=[1])
-    ref, ref_prob = apply_map(ket.to_density(), body, targets=[1])
-    assert out.kind == "density" and out.branches is not None
-    assert out.branches.shape[0] < d * d
-    assert prob == pytest.approx(ref_prob, abs=1e-12)
-    assert_allclose(out.data, ref.data, atol=1e-12)
-    assert out.trace_deficit == pytest.approx(ref.trace_deficit, abs=1e-12)
-    assert von_neumann_entropy(out) == pytest.approx(von_neumann_entropy(ref), abs=1e-12)
+    k = len(body.kraus)
+    n_out = 2 if body.n_in == body.n_out else body.n_out
+    inputs = _branch_inputs(d)
+    # the d-branch inputs meet the row rule k·r ≤ d² with equality under a
+    # d-operator family; the d²-branch lift fails it for any k > 1
+    assert [inputs[n].branches.shape[0] for n in ("lift", "thermal-lift", "mapped")] == [
+        d, d * d, d,
+    ]
+    for name, state in inputs.items():
+        plain = _without_branches(state)
+        if state.kind == "density":
+            assert state.branches is not None
+            _assert_same_moments(moments(state), moments(plain))
+        rows = 1 if state.kind == "ket" else state.branches.shape[0]
+        for targets in ([0], [1]) if body.n_in == 1 else (None,):
+            out, prob = apply_map(state, body, targets=targets)
+            ref, ref_prob = apply_map(plain, body, targets=targets)
+            assert ref.branches is None
+            if state.kind == "ket" and k == 1:
+                assert out.kind == "ket", name
+            elif state.kind == "ket" or k * rows <= d**n_out:
+                assert out.kind == "density" and out.branches is not None, name
+                assert out.branches.shape == (k * rows, d**n_out)
+                _assert_same_moments(moments(out), moments(_without_branches(out)))
+            else:
+                assert out.branches is None, name
+            if state.kind == "ket" and k > 1:
+                assert out.branches.shape[0] < d * d
+            assert prob == pytest.approx(ref_prob, abs=1e-12)
+            assert_allclose(out.to_density().data, ref.data, atol=1e-12)
+            assert out.trace_deficit == pytest.approx(ref.trace_deficit, abs=1e-12)
+            assert von_neumann_entropy(out) == pytest.approx(
+                von_neumann_entropy(ref), abs=1e-12
+            )
+
+
+@pytest.mark.parametrize("d", [8, 32, 60])
+def test_loss_kraus_match_the_binomial_closed_form(d):
+    # K_k[n−k, n] = √C(n,k) τ^{(n−k)/2} (1−τ)^{k/2} (Ivan, Sabapathy &
+    # Simon, arXiv:1012.4266)
+    tau = 0.7
+    want = np.zeros((d, d, d))
+    for k in range(d):
+        n = np.arange(k, d)
+        binom = np.array([math.comb(int(m), k) for m in n], dtype=float)
+        want[k, n - k, n] = np.sqrt(binom) * tau ** ((n - k) / 2) * (1 - tau) ** (k / 2)
+    assert_allclose(np.stack(loss(tau, d).body.kraus), want, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("env_spec", ["vacuum", "fock:1", "coherent:0.5"])
+@pytest.mark.parametrize(
+    "sym",
+    [
+        gaussian_unitary("beamsplitter", 0.35, n_modes=2),
+        gaussian_unitary("two_mode_squeeze", 0.2, n_modes=2),
+    ],
+    ids=["beamsplitter", "two-mode-squeeze"],
+)
+def test_dilation_kraus_match_the_full_unitary(sym, env_spec):
+    # the coherent environment has full support, so every column is taken
+    d = 20
+    env = parse_state_spec(env_spec, d)
+    u = symplectic_to_unitary(sym, d).reshape((d,) * 4)
+    # axes: output system, output environment, input system
+    want = np.tensordot(u, env.data, axes=([3], [0]))
+    got = np.stack(gaussian_dilatable(sym, env, d).body.kraus, axis=1)
+    assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+def _traced_peak_mb(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_loss_dilation_builds_only_the_columns_it_reads():
+    # the full cutoff-60 beamsplitter alone would take 3600² · 16 B = 198 MiB
+    assert _traced_peak_mb(lambda: loss(0.7, 60)) < 32.0
+
+
+def test_mixed_lift_through_loss_keeps_the_kraus_loop():
+    # 625 branches · 25 operators as rows would take about 150 MiB
+    d = 25
+    g = GaussianState(2, np.zeros(4), np.diag([1.6, 1.6, 1.4, 1.4]))
+    g = apply_symplectic(g, gaussian_unitary("beamsplitter", 0.6, n_modes=2))
+    rho = gaussian_to_fock(g, d)
+    assert rho.branches.shape[0] == d * d
+    body = loss(0.7, d).body
+    assert _traced_peak_mb(lambda: apply_map(rho, body, targets=[0])) < 64.0
 
 
 def test_dilated_channel_rejects_mixed_environment():

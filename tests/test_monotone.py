@@ -8,6 +8,7 @@ import nongauss.monotone as monotone
 from nongauss.errors import TruncationError, UnsupportedMapError
 from nongauss.fock import (
     ConditionalMap,
+    FockArray,
     apply_map,
     apply_unitary,
     build_state,
@@ -110,6 +111,39 @@ def test_input_family_fock_matches_the_three_step_chain():
         got = input_family(p, "fock", cutoff=d, edge_tol=1.0)
         assert_allclose(got.data, ket.data, rtol=0, atol=1e-13)
         assert got.trace_deficit == pytest.approx(ket.trace_deficit, abs=1e-13)
+
+
+def test_input_family_ket_matches_the_tmsv_state_route():
+    # the Schmidt coefficients against the diagonal of build_state's TMSV
+    d = 32
+    rng = np.random.default_rng(19)
+    for _ in range(40):
+        p = InputParams(
+            3.0 * np.sqrt(rng.random()) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)),
+            rng.uniform(-np.pi, np.pi),
+            rng.uniform(-1.5, 1.5),
+            rng.uniform(0.0, 4.0),
+        )
+        tmsv = build_state("tmsv", p.n_s, d, trace_tol=1e-3)
+        u = build_unitary("displacement", p.alpha, d) @ (
+            build_unitary("rotation", p.theta, d).diagonal()[:, None]
+            * build_unitary("squeeze", p.r, d)
+        )
+        want = FockArray(2, d, "ket", (u * np.diagonal(tmsv.data)).T, trace_tol=1e-3)
+        got = input_family(p, "fock", cutoff=d, edge_tol=1.0)
+        assert_allclose(got.data, want.data, rtol=0, atol=1e-15)
+        assert got.trace_deficit == pytest.approx(want.trace_deficit, abs=1e-15)
+
+
+def test_input_family_refuses_a_tmsv_as_build_state_does():
+    p = InputParams(0.0, 0.0, 0.0, 4.0)
+    with pytest.raises(TruncationError) as want:
+        build_state("tmsv", 4.0, 8, trace_tol=1e-3)
+    with pytest.raises(TruncationError) as got:
+        input_family(p, "fock", cutoff=8, trace_tol=1e-3)
+    assert str(got.value) == str(want.value)
+    assert got.value.deficit == want.value.deficit
+    assert got.value.suggested_cutoff == want.value.suggested_cutoff == 32
 
 
 def test_kerr_output_at_r_zero_does_not_depend_on_theta():
