@@ -219,7 +219,6 @@ def cmd_map_ng(args):
 
 
 def cmd_sweep(args):
-    name = args.spec.split(":", 1)[0].strip().lower()
     cutoff = args.cutoff or _SWEEP_CUTOFF
     desc = parse_map_spec(args.spec, cutoff)
     grid = tuple(float(x) for x in args.grid.split(",")) if args.grid else None

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
 import numpy as np
-from scipy.linalg import expm, polar, schur
+from scipy.linalg import polar, schur
 
 from .errors import InvalidStateError, TruncationError, ZeroProbabilityError
 from .gaussian import (
@@ -20,6 +20,7 @@ from .gaussian import (
     GaussianState,
     SymplecticOp,
     gaussian_entropy,
+    gaussian_unitary,
     photon_tail_bound,
     symplectic_form,
     williamson,
@@ -31,7 +32,7 @@ APPLY_DEFICIT_TOL = 1e-6
 ENTROPY_CLAMP = 1e-12
 SUPPORT_TOL = 1e-12
 
-# Dense matrix exponentials above this total dimension are refused.
+# Fock lifts of Gaussian unitaries above this total dimension are refused.
 _MAX_DENSE_DIM = 4096
 
 # Truncation certificate.  In-box unitaries fold escaping amplitude back
@@ -51,15 +52,6 @@ _EDGE_LEVELS = 2
 def _check_cutoff(cutoff):
     if cutoff < 2:
         raise ValueError(f"cutoff must be >= 2, got {cutoff}")
-
-
-def _dense_dim(n_modes, cutoff):
-    """Dimension cutoff**n_modes of a dense n-mode unitary, refused above
-    _MAX_DENSE_DIM."""
-    dim = cutoff**n_modes
-    if dim > _MAX_DENSE_DIM:
-        raise ValueError(f"dimension {dim} too large for a dense unitary")
-    return dim
 
 
 def ladder(cutoff):
@@ -155,24 +147,23 @@ class ConditionalMap:
     """A conditional quantum map ρ → T(ρ)/Tr T(ρ) (or the channel T itself),
     given by its Kraus family: T(ρ) = Σ_j K_j ρ K_j†.
 
-    kraus is a nonempty tuple of matrices of one shape.  A unitary is the
-    family (U,), a mixture Σ_j p_j U_j ρ U_j† the family (√p_j U_j).
-    renormalize=True gives the post-selected map.  The family is also kept
-    stacked, once, as the read-only k × out × in array `stack`.
+    The constructor takes a nonempty tuple of matrices of one shape and
+    keeps them stacked, once, as the read-only k × out × in array `kraus`.
+    A unitary is the family (U,), a mixture Σ_j p_j U_j ρ U_j† the family
+    (√p_j U_j).  renormalize=True gives the post-selected map.
     """
 
     n_in: int
     n_out: int
-    kraus: tuple
+    kraus: np.ndarray
     renormalize: bool
-    stack: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.kraus, tuple) or not self.kraus:
             raise ValueError("the Kraus family must be a nonempty tuple")
-        stack = np.stack(self.kraus).astype(complex)
-        stack.setflags(write=False)
-        object.__setattr__(self, "stack", stack)
+        kraus = np.stack(self.kraus).astype(complex)
+        kraus.setflags(write=False)
+        object.__setattr__(self, "kraus", kraus)
 
     @property
     def conditional_unitary(self):
@@ -286,6 +277,9 @@ def build_state(kind, params=None, cutoff=DEFAULT_CUTOFF, trace_tol=BUILD_DEFICI
 
     :raises TruncationError: deficit above trace_tol, with a suggested cutoff.
     """
+    if kind == "tmsv":
+        # refuses from the Schmidt series alone, building no d×d ket
+        tmsv_schmidt(params, cutoff, trace_tol)
     n_modes, arr_kind, data, deficit = _state_vector(kind, params, cutoff)
     if deficit > trace_tol:
         raise _truncation_refusal(
@@ -310,18 +304,23 @@ def _generator_eigenbasis(kind, cutoff):
     return w, v
 
 
-def _from_eigenbasis(kind, x, cutoff):
-    """exp(x·G) for the generator G of _generator_eigenbasis."""
-    w, v = _generator_eigenbasis(kind, cutoff)
-    return (v * np.exp(-1j * x * w)) @ v.conj().T
+def _eigen_exp(w, v, x, cols):
+    """Columns `cols` of exp(−ix·H) = v e^{−ixw} v† for the eigenpairs
+    (w, v) of a Hermitian H."""
+    return (v * np.exp(-1j * x * w)) @ v[cols].conj().T
+
+
+def _from_eigenbasis(kind, x, cutoff, cols=slice(None)):
+    """Columns `cols` of exp(x·G) for the generator G of _generator_eigenbasis."""
+    return _eigen_exp(*_generator_eigenbasis(kind, cutoff), x, cols)
 
 
 def build_unitary(kind, params, cutoff=DEFAULT_CUTOFF):
     """Truncated Gaussian (or Kerr) unitary as a dense matrix.
 
     Single-mode kinds: 'displacement' (α), 'rotation' (θ), 'squeeze' (r),
-    'kerr' (γ). Two-mode: 'two_mode_squeeze' (r), 'beamsplitter' (τ); the
-    beamsplitter is exponentiated per total-photon sector.
+    'kerr' (γ). Two-mode: 'two_mode_squeeze' (r), 'beamsplitter' (τ), both
+    symplectic_to_unitary of the gaussian_unitary of that kind.
 
     The displacement and the squeeze are exponentials of their truncated
     generators, taken through eigenbases cached per cutoff: S(r) =
@@ -340,20 +339,8 @@ def build_unitary(kind, params, cutoff=DEFAULT_CUTOFF):
         return phase[:, None] * _from_eigenbasis(kind, abs(alpha), cutoff) * phase.conj()
     if kind == "squeeze":
         return _from_eigenbasis(kind, float(params), cutoff)
-    if kind == "two_mode_squeeze":
-        _dense_dim(2, cutoff)
-        r = float(params)
-        adag = ladder(cutoff).conj().T
-        up = np.kron(adag, adag)
-        return expm(r * (up - up.conj().T))
-    if kind == "beamsplitter":
-        tau = float(params)
-        if not 0.0 <= tau <= 1.0:
-            raise ValueError(f"transmissivity must be in [0, 1], got {tau}")
-        # exp(ϑ(a b† − a† b)) = exp(−i Σ Θ_jk a_j† a_k)
-        theta = np.arccos(np.sqrt(tau))
-        _dense_dim(2, cutoff)
-        return _expm_passive(np.array([[0.0, -1j * theta], [1j * theta, 0.0]]), cutoff)
+    if kind in ("two_mode_squeeze", "beamsplitter"):
+        return symplectic_to_unitary(gaussian_unitary(kind, params), cutoff)
     raise ValueError(f"unknown unitary kind: {kind!r}")
 
 
@@ -414,7 +401,7 @@ def _branch_kets(stack, rows, targets, cutoff, n_modes, n_out):
     return out.reshape(k * r, -1)
 
 
-def apply_map(state, cmap, targets=None, min_prob=1e-14, trace_tol=APPLY_DEFICIT_TOL):
+def apply_map(state, cmap, targets=None, trace_tol=APPLY_DEFICIT_TOL):
     """Apply a ConditionalMap; returns (output FockArray, success probability).
 
     Every map acts through its Kraus family.  Post-selected maps
@@ -430,7 +417,7 @@ def apply_map(state, cmap, targets=None, min_prob=1e-14, trace_tol=APPLY_DEFICIT
     branches never outgrow the density they stand for.  Any other density
     is summed as Σ_j K_j ρ K_j†, one operator at a time.
 
-    :raises ZeroProbabilityError: post-selected branch weight ≤ min_prob.
+    :raises ZeroProbabilityError: post-selected branch weight ≤ 1e-14.
     :raises TruncationError: a channel loses more than trace_tol of its trace.
     """
     d = state.cutoff
@@ -459,7 +446,7 @@ def apply_map(state, cmap, targets=None, min_prob=1e-14, trace_tol=APPLY_DEFICIT
     elif rows is not None and len(kraus) * rows.shape[0] > dim_out:
         rows = None
     if rows is not None:
-        phi = _branch_kets(cmap.stack, rows, targets, d, state.n_modes, n_out)
+        phi = _branch_kets(kraus, rows, targets, d, state.n_modes, n_out)
         prob = float(np.vdot(phi, phi).real)
     else:
         acc = np.zeros((dim_out, dim_out), dtype=complex)
@@ -468,7 +455,7 @@ def apply_map(state, cmap, targets=None, min_prob=1e-14, trace_tol=APPLY_DEFICIT
             acc = acc + term.reshape(dim_out, dim_out)
         prob = float(np.trace(acc).real)
     if cmap.renormalize:
-        if prob <= min_prob:
+        if prob <= 1e-14:
             raise ZeroProbabilityError(f"post-selected branch has weight {prob:.3e}")
     elif 1.0 - prob > out_tol:
         raise TruncationError(
@@ -509,7 +496,7 @@ def partial_trace(state, keep):
     )
 
 
-def von_neumann_entropy(state, clamp=ENTROPY_CLAMP):
+def von_neumann_entropy(state):
     """S(ρ) = −Σ λ log₂ λ; exactly 0 for kets.
 
     A density carrying r < Dⁿ branches Φ takes its spectrum from the r × r
@@ -524,11 +511,11 @@ def von_neumann_entropy(state, clamp=ENTROPY_CLAMP):
         w = np.linalg.eigvalsh(state.data)
     if w.min() < -1e-9:
         raise InvalidStateError(f"density eigenvalue {w.min():.3e} < 0")
-    w = w[w > clamp]
+    w = w[w > ENTROPY_CLAMP]
     return float(-(w @ np.log2(w)))
 
 
-def relative_entropy(rho, sigma, support_tol=SUPPORT_TOL):
+def relative_entropy(rho, sigma):
     """S(ρ‖σ) = Tr ρ(log₂ρ − log₂σ); +inf outside σ's support."""
     rho, sigma = rho.to_density(), sigma.to_density()
     if rho.data.shape != sigma.data.shape:
@@ -539,7 +526,7 @@ def relative_entropy(rho, sigma, support_tol=SUPPORT_TOL):
         raise InvalidStateError("negative density eigenvalues")
     p = np.clip(p, 0.0, None)
     overlap = np.abs(u.conj().T @ v) ** 2
-    outside = q <= support_tol
+    outside = q <= SUPPORT_TOL
     if float(p @ overlap[:, outside].sum(axis=1)) > 1e-9:
         return np.inf
     inside = ~outside
@@ -683,21 +670,14 @@ def gaussify(state):
     return covariance_from_moments(moments(state))
 
 
-def _expm_passive(theta, cutoff, cols=None):
-    """Columns U[:, cols] (distinct indices) of U = exp(−i Σ θ_jk a_j†a_k)
-    for 1 or 2 modes, or all of U when cols is None.  U keeps the total
-    photon number, so only the sectors holding a requested column are
-    exponentiated, and only those columns are written."""
-    n = theta.shape[0]
-    if n > 2:
-        raise ValueError(f"passive exponential covers 1 or 2 modes, got {n}")
+def _expm_passive(theta, cutoff, cols):
+    """Columns U[:, cols] (distinct indices) of the two-mode U =
+    exp(−i Σ θ_jk a_j†a_k).  U keeps the total photon number, so only the
+    sectors holding a requested column are exponentiated, each through its
+    eigenpairs, and only those columns are written."""
     d = cutoff
-    want = np.arange(d**n) if cols is None else np.asarray(cols)
-    out = np.zeros((d**n, want.size), dtype=complex)
-    if n == 1:
-        out[want, np.arange(want.size)] = np.exp(-1j * theta[0, 0].real * want)
-        return out
-    first, second = np.divmod(want, d)
+    out = np.zeros((d * d, cols.size), dtype=complex)
+    first, second = np.divmod(cols, d)
     totals = first + second
     for total in np.unique(totals):
         lo = max(0, total - d + 1)
@@ -713,7 +693,9 @@ def _expm_passive(theta, cutoff, cols=None):
                 h[i + 1, i] += theta[0, 1] * val
                 h[i, i + 1] += theta[1, 0] * val
         held = np.flatnonzero(totals == total)
-        out[np.ix_(ks * d + (total - ks), held)] = expm(-1j * h)[:, first[held] - lo]
+        out[np.ix_(ks * d + (total - ks), held)] = _eigen_exp(
+            *np.linalg.eigh(h), 1.0, first[held] - lo
+        )
     return out
 
 
@@ -743,60 +725,65 @@ def _quadratic_generator(K, n_modes, cutoff):
     return h
 
 
-def _parity_blocks(n_modes, cutoff):
-    """Basis indices of even and of odd total photon number n₁+…+nₙ."""
-    total = np.indices((cutoff,) * n_modes).sum(axis=0).reshape(-1)
-    return [np.flatnonzero(total % 2 == parity) for parity in (0, 1)]
-
-
 def symplectic_to_unitary(op, cutoff=DEFAULT_CUTOFF, cols=None):
-    """Fock unitary U implementing a SymplecticOp, via its polar
-    decomposition; with cols (distinct indices) only the columns U[:, cols].
+    """Fock unitary U of a one- or two-mode SymplecticOp, in the box;
+    with cols (distinct indices) only the columns U[:, cols].
 
-    S = O·P splits into a passive rotation block (photon-number preserving)
-    and an active quadratic squeezer; the displacement is appended last and
-    acts on the requested columns alone.  A passive U is exponentiated only
-    on the total-photon sectors that hold a requested column.  The
-    truncated active generator changes n₁+…+nₙ by 0 or ±2 only, so it is
-    exponentiated separately on the even and the odd photon-parity block,
-    and only on the blocks that hold a requested column.
+    S = O·P splits into a passive rotation O and a positive symplectic P;
+    the displacement is applied last, to the requested columns alone, and
+    every exponential goes through eigenpairs.  One mode: O = R(φ) and
+    P = R(ψ)·diag(e^{−r}, e^{r})·R(ψ)ᵀ, and rotations are diagonal in the
+    box, so U = R(φ+ψ)·S(r)·R(−ψ) with S(r) from the squeezer's cached
+    eigenbasis, the same matrix as the exponential of P's truncated
+    generator.  Two modes: the passive U is exponentiated per total-photon
+    sector, and P's truncated generator, which changes n₁+n₂ by 0 or ±2, per
+    photon-parity block, each only where it holds a requested column.
+
+    :raises ValueError: three or more modes, or above _MAX_DENSE_DIM
+        dimensions.
     """
     n = op.n_modes
-    dim = _dense_dim(n, cutoff)
-    omega = symplectic_form(n)
+    if n > 2:
+        raise ValueError(f"the Fock lift covers 1 or 2 modes, got {n}")
+    dim = cutoff**n
+    if dim > _MAX_DENSE_DIM:
+        raise ValueError(f"dimension {dim} too large for a dense unitary")
+    cols = np.arange(dim) if cols is None else np.asarray(cols)
     orth, pos = polar(op.S)
 
-    # both logarithms go through eigenbases: u_pass is unitary, hence
-    # normal, so its complex Schur factor is diagonal; pos is symmetric
-    # positive definite
+    # the passive logarithm goes through an eigenbasis: u_pass is unitary,
+    # hence normal, so its complex Schur factor is diagonal
     u_pass = orth[0::2, 0::2] + 1j * orth[1::2, 0::2]
     t, z = schur(u_pass, output="complex")
     theta = 1j * (z * np.log(np.diag(t))) @ z.conj().T
     theta = 0.5 * (theta + theta.conj().T)
+    w, v = np.linalg.eigh(pos)
 
-    if np.max(np.abs(pos - np.eye(2 * n))) <= 1e-12:
+    if n == 1:
+        # v[:, 0] = ±(cos ψ, −sin ψ) is the e^{−r} axis of P
+        phi = theta[0, 0].real
+        psi = np.arctan2(-v[1, 0], v[0, 0])
+        levels = np.arange(cutoff)
+        out = _from_eigenbasis("squeeze", 0.5 * np.log(w[1] / w[0]), cutoff, cols)
+        out = np.exp(-1j * (phi + psi) * levels)[:, None] * out * np.exp(1j * psi * cols)
+    elif np.max(np.abs(pos - np.eye(4))) <= 1e-12:
         out = _expm_passive(theta, cutoff, cols)
     else:
-        u = _expm_passive(theta, cutoff)
-        if cols is None:
-            cols, out = np.arange(dim), u
-        else:
-            cols = np.asarray(cols)
-            out = u[:, cols]
-        w, v = np.linalg.eigh(pos)
-        K = -omega @ (v * np.log(w)) @ v.T
+        u = _expm_passive(theta, cutoff, np.arange(dim))
+        K = -symplectic_form(2) @ (v * np.log(w)) @ v.T
         K = 0.5 * (K + K.T).real
-        h = _quadratic_generator(K, n, cutoff)
+        h = _quadratic_generator(K, 2, cutoff)
         # the passive part preserves photon number, so U_pass·exp(−ih/4)
         # is block-diagonal in parity too
-        for block in _parity_blocks(n, cutoff):
-            held = np.flatnonzero(np.isin(cols, block))
+        out = np.zeros((dim, cols.size), dtype=complex)
+        parity = np.add.outer(np.arange(cutoff), np.arange(cutoff)).reshape(-1) % 2
+        for p in (0, 1):
+            block = np.flatnonzero(parity == p)
+            held = np.flatnonzero(parity[cols] == p)
             if held.size == 0:
                 continue
             ix = np.ix_(block, block)
-            active = expm(-0.25j * h[ix])
-            if held.size < block.size:
-                active = active[:, np.searchsorted(block, cols[held])]
+            active = _eigen_exp(*np.linalg.eigh(h[ix]), 0.25, np.searchsorted(block, cols[held]))
             out[np.ix_(block, held)] = u[ix] @ active
 
     if np.max(np.abs(op.delta_x)) > 0:

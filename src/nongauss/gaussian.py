@@ -1,5 +1,5 @@
 """Exact phase-space engine: symplectic algebra, Gaussian states and unitaries,
-Williamson spectra, entropies, Schmidt decomposition and purification.
+Williamson spectra, entropies and conditioning.
 
 Conventions: hbar = 2, so the vacuum covariance matrix is the identity, and
 quadratures are ordered (q1, p1, ..., qn, pn) with a = (q + ip)/2 per mode.
@@ -341,49 +341,3 @@ def williamson(cov):
     d_isqrt = np.repeat(1.0 / np.sqrt(mu), 2)
     S = root @ q @ np.diag(d_isqrt)
     return mu, S
-
-
-def schmidt_decompose(state, modes_a):
-    """TMSV parameters lambda_k of a pure state's phase-space Schmidt form.
-
-    The state is reduced to the modes_a side; each reduced symplectic
-    eigenvalue gives N_k = (mu_k - 1)/2 and lambda_k = sqrt(N_k / (N_k + 1)).
-    Padded with zeros up to the larger side of the bipartition.
-    """
-    mu_all = symplectic_eigenvalues(state).mu
-    if np.max(np.abs(mu_all - 1.0)) > 1e-6:
-        raise InvalidStateError("Schmidt decomposition needs a pure state")
-    modes_a = tuple(int(m) for m in modes_a)
-    if not modes_a or len(modes_a) >= state.n_modes:
-        raise ValueError("bipartition must be a nonempty strict subset of modes")
-    reduced = partial_trace_gaussian(state, modes_a)
-    mu = np.maximum(symplectic_eigenvalues(reduced).mu, 1.0)
-    N = (mu - 1.0) / 2.0
-    lam = np.sqrt(N / (N + 1.0))
-    size = max(len(modes_a), state.n_modes - len(modes_a))
-    out = np.zeros(size)
-    out[: len(lam)] = np.sort(lam)[::-1]
-    return out
-
-
-def purify(state):
-    """Gaussian purification on 2n modes; tracing out modes n..2n-1 returns
-    the input. Built from the Williamson form with one TMSV per thermal mode.
-    """
-    n = state.n_modes
-    mu, S = williamson(state.cov)
-    cov0 = np.eye(4 * n)
-    z = np.diag([1.0, -1.0])
-    for k in range(n):
-        sl = slice(2 * k, 2 * k + 2)
-        sl_anc = slice(2 * n + 2 * k, 2 * n + 2 * k + 2)
-        cov0[sl, sl] = mu[k] * np.eye(2)
-        cov0[sl_anc, sl_anc] = mu[k] * np.eye(2)
-        cross = np.sqrt(max(mu[k] ** 2 - 1.0, 0.0)) * z
-        cov0[sl, sl_anc] = cross
-        cov0[sl_anc, sl] = cross
-    s_full = linalg.block_diag(S, np.eye(2 * n))
-    cov = s_full @ cov0 @ s_full.T
-    cov = 0.5 * (cov + cov.T)
-    mean = np.concatenate([state.mean, np.zeros(2 * n)])
-    return GaussianState(2 * n, mean, cov)

@@ -135,8 +135,7 @@ def gaussian_dilatable(sym, env, cutoff=DEFAULT_CUTOFF):
     u_cols = symplectic_to_unitary(sym, cutoff, cols)
     # axes: output system, output environment, input system
     k_tensor = u_cols.reshape(dim_s, dim_e, dim_s, support.size) @ amps[support]
-    kraus = tuple(np.ascontiguousarray(k_tensor[:, j, :]) for j in range(dim_e))
-    body = ConditionalMap(n_sys, n_sys, kraus, renormalize=False)
+    body = ConditionalMap(n_sys, n_sys, tuple(k_tensor.transpose(1, 0, 2)), renormalize=False)
     return MapDescriptor("gd", body, cutoff, {"environment": env})
 
 

@@ -302,7 +302,7 @@ def alpha_zero_spread(which, seed=0, count=10):
     return float(max(vals) - min(vals))
 
 
-def delta_tilde(desc, seed=0, cutoff=None, max_n_s=_CAP_NS, refine=True):
+def delta_tilde(desc, seed=0, cutoff=None, max_n_s=_CAP_NS):
     """Maximize joint-output non-Gaussianity over the input family.
 
     The returned value is the running maximum over every evaluation
@@ -366,15 +366,14 @@ def delta_tilde(desc, seed=0, cutoff=None, max_n_s=_CAP_NS, refine=True):
                 max_n_s,
             )
         )
-    if refine:
-        for p0 in starts:
-            x0 = np.array([abs(p0.alpha), p0.theta, p0.r, p0.n_s])
-            optimize.minimize(
-                lambda x: -evaluate(x),
-                x0,
-                method="Nelder-Mead",
-                options={"xatol": 1e-4, "fatol": 1e-7, "maxfev": 120},
-            )
+    for p0 in starts:
+        x0 = np.array([abs(p0.alpha), p0.theta, p0.r, p0.n_s])
+        optimize.minimize(
+            lambda x: -evaluate(x),
+            x0,
+            method="Nelder-Mead",
+            options={"xatol": 1e-4, "fatol": 1e-7, "maxfev": 120},
+        )
     values = np.array([v for _, v in trace])
     best = int(np.argmax(values))
     if not np.isfinite(values[best]):
@@ -510,23 +509,16 @@ def d_g_bound(desc, inputs=None, energy=None, seed=0, cutoff=None, count=4):
     )
 
 
-def divergence_profile(
-    desc,
-    grid=None,
-    slope_min=SLOPE_MIN,
-    plateau_tol=PLATEAU_TOL,
-    seed=0,
-    cutoff=None,
-    count=3,
-):
+def divergence_profile(desc, grid=None, seed=0, cutoff=None):
     """Classify growth of the best available lower bound against energy.
 
     Maps with the analytic input-family backend (pns, pna) route through
     delta_tilde with the family's N_S capped at each grid value; all other
     maps route through d_g_bound with the grid value as the input energy
     budget.  Slope is fitted over the top half of the grid; the label is
-    'finite' on a plateau (within plateau_tol), 'diverging' on a monotone
-    rise with slope ≥ slope_min, 'inconclusive' otherwise.
+    'finite' on a plateau (within PLATEAU_TOL), 'diverging' on a monotone
+    rise with slope ≥ SLOPE_MIN, 'inconclusive' otherwise.  d_g_bound
+    draws three squeezed-thermal samples at each energy.
     """
     via_family = desc.name in ("pns", "pna")
     if grid is None:
@@ -539,7 +531,7 @@ def divergence_profile(
         if via_family:
             res = delta_tilde(desc, seed=seed, cutoff=cutoff, max_n_s=e)
         else:
-            res = d_g_bound(desc, energy=e, seed=seed, cutoff=cutoff, count=count)
+            res = d_g_bound(desc, energy=e, seed=seed, cutoff=cutoff, count=3)
         deltas.append(res.value)
     half = len(grid) // 2
     top_x = np.log2(np.asarray(grid[half:]))
@@ -547,9 +539,9 @@ def divergence_profile(
     slope = float(np.polyfit(top_x, top_d, 1)[0])
     spread = float(top_d.max() - top_d.min())
     rising = bool(np.all(np.diff(top_d) > -1e-9))
-    if spread <= plateau_tol:
+    if spread <= PLATEAU_TOL:
         label = "finite"
-    elif slope >= slope_min and rising:
+    elif slope >= SLOPE_MIN and rising:
         label = "diverging"
     else:
         label = "inconclusive"

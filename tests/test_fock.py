@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -127,6 +128,21 @@ def test_build_tmsv_schmidt_series():
     assert st.data[0, 0] == pytest.approx(np.sqrt(0.5), abs=1e-12)
     assert st.data[1, 1] == pytest.approx(np.sqrt(0.5) ** 2 / np.sqrt(2) * np.sqrt(2), abs=1e-12)
     assert st.data[2, 3] == 0.0
+
+
+def test_tmsv_refusal_builds_no_ket():
+    # the suggestion needs cutoff 1024, where a TMSV ket alone is 16 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncationError) as exc:
+            build_state("tmsv", 50.0, cutoff=8)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "tmsv state loses 8.535e-01 of its weight at cutoff 8"
+    assert exc.value.deficit == pytest.approx((50.0 / 51.0) ** 8, abs=1e-15)
+    assert exc.value.suggested_cutoff == 1024
+    assert peak < 1.0
 
 
 def test_build_cat_even_support():
@@ -649,6 +665,24 @@ def dense_symplectic_unitary(op, d):
     return expm(disp) @ expm(-1j * passive) @ expm(-0.25j * active)
 
 
+@pytest.mark.parametrize("d", [8, 32, 60])
+def test_single_mode_lift_is_frame_independent(d):
+    # S·R(χ) lifts to U(S)·diag(e^{−iχn}): the input rotation stays in the box
+    rng = np.random.default_rng(37)
+    for _ in range(4):
+        s = random_symplectic(1, rng, scale=0.4)
+        chi = rng.uniform(-np.pi, np.pi)
+        dx = rng.normal(scale=0.5, size=2)
+        turn = gaussian_unitary("rotation", chi).S
+        assert_allclose(
+            symplectic_to_unitary(SymplecticOp(1, s @ turn, dx), d),
+            symplectic_to_unitary(SymplecticOp(1, s, dx), d)
+            * np.exp(-1j * chi * np.arange(d)),
+            rtol=0,
+            atol=1e-12,
+        )
+
+
 @pytest.mark.parametrize("n_modes, d", [(1, 24), (2, 9)])
 @pytest.mark.parametrize("displaced", [False, True])
 def test_parity_blocked_unitary_matches_dense_reference(n_modes, d, displaced):
@@ -660,6 +694,17 @@ def test_parity_blocked_unitary_matches_dense_reference(n_modes, d, displaced):
         assert_allclose(
             symplectic_to_unitary(op, cutoff=d), dense_symplectic_unitary(op, d), atol=1e-12
         )
+
+
+def test_single_mode_lift_matches_dense_reference_at_cutoff_60():
+    rng = np.random.default_rng(41)
+    for _ in range(3):
+        s = random_symplectic(1, rng, scale=0.3)
+        for dx in (np.zeros(2), rng.normal(scale=0.5, size=2)):
+            op = SymplecticOp(1, s, dx)
+            assert_allclose(
+                symplectic_to_unitary(op, 60), dense_symplectic_unitary(op, 60), rtol=0, atol=1e-12
+            )
 
 
 def _composed(n_modes, *factors):

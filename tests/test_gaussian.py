@@ -13,8 +13,6 @@ from nongauss.gaussian import (
     gaussian_unitary,
     partial_trace_gaussian,
     photon_tail_bound,
-    purify,
-    schmidt_decompose,
     symplectic_eigenvalues,
     symplectic_form,
     thermal_entropy,
@@ -223,43 +221,6 @@ def test_williamson_reconstructs_and_is_symplectic():
             assert_allclose(
                 np.sort(mu), np.sort(symplectic_eigenvalues(state).mu), atol=1e-8
             )
-
-
-def test_schmidt_decompose_tmsv():
-    lam = schmidt_decompose(tmsv_state(1.0), (0,))
-    assert_allclose(lam, [np.sqrt(0.5)], atol=1e-10)
-
-
-def test_schmidt_decompose_pads_uneven_split():
-    # TMSV on modes (0, 1) plus a vacuum ancilla on mode 2.
-    cov = np.eye(6)
-    cov[:4, :4] = tmsv_state(1.0).cov
-    state = GaussianState(3, np.zeros(6), cov)
-    lam = schmidt_decompose(state, (0,))
-    assert_allclose(lam, [np.sqrt(0.5), 0.0], atol=1e-10)
-
-
-def test_schmidt_decompose_rejects_mixed():
-    with pytest.raises(InvalidStateError):
-        schmidt_decompose(thermal_state(1.0, 2), (0,))
-
-
-def test_purify_roundtrip():
-    rng = np.random.default_rng(19)
-    for n in (1, 2):
-        for _ in range(6):
-            state = random_gaussian_state(n, rng)
-            pure = purify(state)
-            mu = symplectic_eigenvalues(pure).mu
-            assert_allclose(mu, np.ones(2 * n), atol=1e-7)
-            back = partial_trace_gaussian(pure, tuple(range(n)))
-            assert_allclose(back.cov, state.cov, atol=1e-8)
-            assert_allclose(back.mean, state.mean, atol=1e-12)
-
-
-def test_purify_thermal_is_tmsv():
-    pure = purify(thermal_state(1.0))
-    assert_allclose(pure.cov, tmsv_state(1.0).cov, atol=1e-12)
 
 
 # ------------------------------------------------------- Gaussian conditioning
