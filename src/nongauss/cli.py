@@ -56,6 +56,7 @@ from .maps import (
     pns,
 )
 from .monotone import (
+    ENVIRONMENT_SLACK,
     alpha_zero_spread,
     d_g_bound,
     delta_tilde,
@@ -80,9 +81,6 @@ _MAP_CUTOFFS = {
     "gd": 25,
     "talpha": 30,
 }
-
-_SUITES = ("state-props", "lemma1", "counterexamples", "relent", "monotone-props")
-
 
 def _utc_now():
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
@@ -178,8 +176,8 @@ def cmd_map_ng(args):
         res = environment_bound(desc, seed=args.seed)
         results = {
             "method": "gd_upper_bound",
-            "upper_bound": _measured(res.bound, tolerance=1e-3),
-            "sampled_max": _measured(res.sampled_max, tolerance=1e-3),
+            "upper_bound": _measured(res.bound, tolerance=ENVIRONMENT_SLACK),
+            "sampled_max": _measured(res.sampled_max, tolerance=ENVIRONMENT_SLACK),
             "checked": res.checked,
             "excluded": res.excluded,
         }
@@ -546,15 +544,17 @@ def _suite_monotone_props(seed):
     return checks
 
 
+_SUITES = {
+    "state-props": _suite_state_props,
+    "lemma1": _suite_lemma1,
+    "counterexamples": _suite_counterexamples,
+    "relent": _suite_relent,
+    "monotone-props": _suite_monotone_props,
+}
+
+
 def cmd_verify(args):
-    suites = {
-        "state-props": _suite_state_props,
-        "lemma1": _suite_lemma1,
-        "counterexamples": _suite_counterexamples,
-        "relent": _suite_relent,
-        "monotone-props": _suite_monotone_props,
-    }
-    checks = suites[args.suite](args.seed)
+    checks = _SUITES[args.suite](args.seed)
     failed = sum(not c["pass"] for c in checks)
     results = {
         "suite": args.suite,

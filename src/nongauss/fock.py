@@ -284,9 +284,17 @@ def build_state(kind, params=None, cutoff=DEFAULT_CUTOFF, trace_tol=BUILD_DEFICI
     if deficit > trace_tol:
         raise _truncation_refusal(
             f"{kind} state", deficit, cutoff, trace_tol,
-            lambda d: _state_vector(kind, params, d)[3],
+            lambda d: _state_deficit(kind, params, d),
         )
     return FockArray(n_modes, cutoff, arr_kind, data, trace_tol=trace_tol)
+
+
+def _state_deficit(kind, params, cutoff):
+    """Trace deficit of a state family at a cutoff; a thermal state's comes
+    from its number distribution, building no d×d density."""
+    if kind == "thermal":
+        return 1.0 - float(_thermal_weights(float(params), cutoff).sum())
+    return _state_vector(kind, params, cutoff)[3]
 
 
 @lru_cache(maxsize=16)
@@ -344,14 +352,6 @@ def build_unitary(kind, params, cutoff=DEFAULT_CUTOFF):
     raise ValueError(f"unknown unitary kind: {kind!r}")
 
 
-def _contract_matrix(tensor, u, axes, cutoff):
-    """Apply matrix u across the given tensor axes (in order)."""
-    k = len(axes)
-    ut = np.asarray(u).reshape((cutoff,) * (2 * k))
-    out = np.tensordot(ut, tensor, axes=(list(range(k, 2 * k)), list(axes)))
-    return np.moveaxis(out, range(k), axes)
-
-
 def _infer_arity(u, cutoff):
     dim = u.shape[0]
     arity = max(1, round(np.log(dim) / np.log(cutoff)))
@@ -361,34 +361,17 @@ def _infer_arity(u, cutoff):
 
 
 def apply_unitary(state, u, targets=None):
-    """Apply a (possibly multi-mode) unitary matrix to the targeted modes."""
-    d = state.cutoff
-    arity = _infer_arity(u, d)
-    if targets is None:
-        targets = tuple(range(arity))
-    targets = tuple(int(t) for t in targets)
-    if len(targets) != arity or any(t < 0 or t >= state.n_modes for t in targets):
-        raise ValueError(f"bad targets {targets} for arity {arity}")
-    out = _kraus_once(state, u, targets, d, state.n_modes)
-    if state.kind == "density":
-        out = out.reshape(d**state.n_modes, -1)
-    return FockArray(state.n_modes, d, state.kind, out, trace_tol=state.trace_tol)
-
-
-def _kraus_once(state, k_mat, targets, cutoff, n_out):
-    """K·ψ for kets, K·ρ·K† (as raw tensor data) for densities."""
-    if n_out != state.n_modes:  # register-consuming map on a density
-        return k_mat @ state.data @ k_mat.conj().T
-    if state.kind == "ket":
-        return _contract_matrix(state.data, k_mat, targets, cutoff)
-    t = _contract_matrix(state.tensor(), k_mat, targets, cutoff)
-    bra = tuple(state.n_modes + t_ for t_ in targets)
-    return _contract_matrix(t, np.conj(k_mat), bra, cutoff)
+    """Apply a (possibly multi-mode) unitary matrix to the targeted modes:
+    apply_map of the family (u,), keeping the input's trace_tol."""
+    arity = _infer_arity(u, state.cutoff)
+    out, _ = apply_map(state, ConditionalMap(arity, arity, (u,), False), targets)
+    return FockArray(state.n_modes, state.cutoff, out.kind, out.data, trace_tol=state.trace_tol)
 
 
 def _branch_kets(stack, rows, targets, cutoff, n_modes, n_out):
     """Branch kets [K_j φ_i] of the stacked family (k × out × in) on the
-    rows φ_i (r × Dⁿ), as a (k·r) × D^n_out array, j-major."""
+    rows φ_i (r × Dⁿ), as a (k·r) × D^n_out array, j-major.  Every
+    operator fock.py applies to a state or a unitary goes through here."""
     k, r = stack.shape[0], rows.shape[0]
     if n_out != n_modes:  # register-consuming map, e.g. a projector
         return np.matmul(stack, rows.T).transpose(0, 2, 1).reshape(k * r, -1)
@@ -415,29 +398,25 @@ def apply_map(state, cmap, targets=None, trace_tol=APPLY_DEFICIT_TOL):
     `FockArray.from_branches`; one operator keeps a ket a ket.  Every ket
     takes this route, a branch density only while k·r ≤ D^n_out, so the
     branches never outgrow the density they stand for.  Any other density
-    is summed as Σ_j K_j ρ K_j†, one operator at a time.
+    is summed as Σ_j K_j ρ K_j†, one operator at a time and through the
+    same product: K on the rows ρ eᵢ gives (Kρ)ᵀ, and K on the rows of
+    conj(Kρ) gives conj(K ρ K†).
 
+    :raises ValueError: targets that repeat or leave the register, or a
+        mode-count-changing map on part of it.
     :raises ZeroProbabilityError: post-selected branch weight ≤ 1e-14.
     :raises TruncationError: a channel loses more than trace_tol of its trace.
     """
-    d = state.cutoff
-    if cmap.n_in != cmap.n_out:
-        if targets not in (None, tuple(range(state.n_modes))):
-            raise ValueError("mode-count-changing maps act on the full register")
-        if state.n_modes != cmap.n_in:
-            raise ValueError(
-                f"map expects {cmap.n_in} modes, state has {state.n_modes}"
-            )
-        targets = tuple(range(cmap.n_in))
-    elif targets is None:
-        targets = tuple(range(cmap.n_in))
-    else:
-        targets = tuple(int(t) for t in targets)
+    d, n = state.cutoff, state.n_modes
+    targets = tuple(range(cmap.n_in)) if targets is None else tuple(int(t) for t in targets)
+    if len(set(targets)) != len(targets) or any(t < 0 or t >= n for t in targets):
+        raise ValueError(f"targets {targets} must be distinct modes of {n}")
     if len(targets) != cmap.n_in:
         raise ValueError(f"map acts on {cmap.n_in} modes, got targets {targets}")
-
+    if cmap.n_in != cmap.n_out and targets != tuple(range(n)):
+        raise ValueError("mode-count-changing maps act on the full register")
     kraus = cmap.kraus
-    n_out = state.n_modes if cmap.n_in == cmap.n_out else cmap.n_out
+    n_out = n if cmap.n_in == cmap.n_out else cmap.n_out
     dim_out = d**n_out
     out_tol = trace_tol + state.trace_deficit
     rows = state.branches
@@ -446,13 +425,16 @@ def apply_map(state, cmap, targets=None, trace_tol=APPLY_DEFICIT_TOL):
     elif rows is not None and len(kraus) * rows.shape[0] > dim_out:
         rows = None
     if rows is not None:
-        phi = _branch_kets(kraus, rows, targets, d, state.n_modes, n_out)
+        phi = _branch_kets(kraus, rows, targets, d, n, n_out)
         prob = float(np.vdot(phi, phi).real)
     else:
+        # accumulates conj(Σ_j K_j ρ K_j†), conjugated once at the end
         acc = np.zeros((dim_out, dim_out), dtype=complex)
-        for k_mat in kraus:
-            term = _kraus_once(state, k_mat, targets, d, n_out)
-            acc = acc + term.reshape(dim_out, dim_out)
+        for j in range(len(kraus)):
+            one = kraus[j : j + 1]
+            k_rho_t = _branch_kets(one, state.data.T, targets, d, n, n_out)
+            acc += _branch_kets(one, k_rho_t.T.conj(), targets, d, n, n_out)
+        acc = acc.conj()
         prob = float(np.trace(acc).real)
     if cmap.renormalize:
         if prob <= 1e-14:
@@ -564,33 +546,13 @@ def _ladder_ket(psi, axis):
     return out
 
 
-def _expect_dm(tensor, n_modes, ops):
-    """Tr[ρ ⊗ O_k] with ops a dict mode → small matrix (identity if absent)."""
-    letters = "abcdefghijkl"
-    ket = letters[:n_modes]
-    bra = letters[n_modes : 2 * n_modes]
-    subs = [ket + bra]
-    args = [tensor]
-    out_pairs = []
-    for m in range(n_modes):
-        if m in ops:
-            subs.append(bra[m] + ket[m])
-            args.append(ops[m])
-        else:
-            out_pairs.append((m, m))
-    # untouched modes contribute their trace: contract ket with bra letter
-    spec = subs[0]
-    for m, _ in out_pairs:
-        spec = spec.replace(bra[m], ket[m])
-    return complex(np.einsum(",".join([spec] + subs[1:]), *args))
-
-
 def moments(state):
     """All first/second ladder moments, normalized by the state's weight.
 
     A ket, or a density carrying branches, is read from its rows φ_i as
-    ⟨X⟩ = Σ_i ⟨φ_i|X|φ_i⟩ / Σ_i ‖φ_i‖²; any other density by contracting
-    its tensor with the ladder operators.
+    ⟨X⟩ = Σ_i ⟨φ_i|X|φ_i⟩ / Σ_i ‖φ_i‖²; any other density as Tr(Xρ) / Tr ρ,
+    with the same lowering on the ket axes of its tensor, and on the bra
+    axis n + j for the a_j† of a_k ρ a_j†.
     """
     n, d = state.n_modes, state.cutoff
     first = np.zeros(n, dtype=complex)
@@ -613,16 +575,14 @@ def moments(state):
         adag_a /= norm_sq
     else:
         t = state.tensor()
-        a = ladder(d)
         trace = float(np.trace(state.data).real)
+        lowered = [_ladder_ket(t, j) for j in range(n)]
         for j in range(n):
-            first[j] = _expect_dm(t, n, {j: a})
-            aa[j, j] = _expect_dm(t, n, {j: a @ a})
-            adag_a[j, j] = _expect_dm(t, n, {j: a.conj().T @ a})
-            for k in range(j + 1, n):
-                aa[j, k] = aa[k, j] = _expect_dm(t, n, {j: a, k: a})
-                adag_a[j, k] = _expect_dm(t, n, {j: a.conj().T, k: a})
-                adag_a[k, j] = np.conj(adag_a[j, k])
+            first[j] = np.trace(lowered[j].reshape(d**n, -1))
+            for k in range(j, n):
+                aa[j, k] = aa[k, j] = np.trace(_ladder_ket(lowered[j], k).reshape(d**n, -1))
+            for k in range(n):
+                adag_a[j, k] = np.trace(_ladder_ket(lowered[k], n + j).reshape(d**n, -1))
         first /= trace
         aa /= trace
         adag_a /= trace
@@ -787,15 +747,15 @@ def symplectic_to_unitary(op, cutoff=DEFAULT_CUTOFF, cols=None):
             out[np.ix_(block, held)] = u[ix] @ active
 
     if np.max(np.abs(op.delta_x)) > 0:
-        out = out.reshape((cutoff,) * n + (-1,))
+        cols_as_rows = out.T
         for k in range(n):
             disp = build_unitary(
                 "displacement",
                 0.5 * (op.delta_x[2 * k] + 1j * op.delta_x[2 * k + 1]),
                 cutoff,
             )
-            out = _contract_matrix(out, disp, (k,), cutoff)
-        out = out.reshape(dim, -1)
+            cols_as_rows = _branch_kets(disp[None], cols_as_rows, (k,), cutoff, n, n)
+        out = cols_as_rows.T
     return out
 
 

@@ -579,18 +579,21 @@ class EnvironmentBound:
 # draws per requested sample before environment_bound stops replacing
 # members the cutoff refuses
 _DRAWS_PER_SAMPLE = 4
+# environment_bound's tolerance on the sampled check, also the moment
+# tolerance its members are certified at
+ENVIRONMENT_SLACK = 1e-3
 
 
-def environment_bound(desc, seed=0, samples=4, slack=1e-3):
+def environment_bound(desc, seed=0, samples=4):
     """Bound δ̃ of a Gaussian-dilatable channel by δ_G of its environment.
 
     Also pushes `samples` seeded input-family members through the channel
     and checks the sampled joint-output δ_G never exceeds the bound
-    (within slack).  Members are certified at moment tolerance slack; at
-    cutoff 25 the δ_G of a member so certified was measured within
-    0.01·slack of its value at cutoff 40.  A member the cutoff refuses is
-    counted in `excluded` and replaced by the next draw, up to
-    _DRAWS_PER_SAMPLE·samples draws in all.
+    (within ENVIRONMENT_SLACK).  Members are certified at moment tolerance
+    ENVIRONMENT_SLACK; at cutoff 25 the δ_G of a member so certified was
+    measured within 0.01·ENVIRONMENT_SLACK of its value at cutoff 40.  A
+    member the cutoff refuses is counted in `excluded` and replaced by the
+    next draw, up to _DRAWS_PER_SAMPLE·samples draws in all.
 
     :raises TruncationError: no drawn member fits the cutoff; the error
         carries the mildest refusal's edge weight and suggested cutoff.
@@ -610,7 +613,9 @@ def environment_bound(desc, seed=0, samples=4, slack=1e-3):
             float(rng.uniform(0.05, 1.0)),
         )
         try:
-            ket = input_family(p, "fock", cutoff=desc.cutoff, moment_tol=slack)
+            ket = input_family(
+                p, "fock", cutoff=desc.cutoff, moment_tol=ENVIRONMENT_SLACK
+            )
         except TruncationError as exc:
             # keep the numbers, not the exception: its traceback would hold
             # the frames alive and fragment the heap under later large arrays
@@ -627,7 +632,7 @@ def environment_bound(desc, seed=0, samples=4, slack=1e-3):
             deficit=deficit,
             suggested_cutoff=suggestion,
         )
-    if worst > bound + slack:
+    if worst > bound + ENVIRONMENT_SLACK:
         raise RuntimeError(
             f"sampled output non-Gaussianity {worst:.6f} exceeds the "
             f"environment bound {bound:.6f}"

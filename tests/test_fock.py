@@ -145,6 +145,21 @@ def test_tmsv_refusal_builds_no_ket():
     assert peak < 1.0
 
 
+def test_thermal_refusal_builds_no_density():
+    # the suggestion needs cutoff 1024, where a thermal density is 16 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncationError) as exc:
+            build_state("thermal", 50.0, cutoff=8)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "thermal state loses 8.535e-01 of its weight at cutoff 8"
+    assert exc.value.deficit == pytest.approx((50.0 / 51.0) ** 8, abs=1e-15)
+    assert exc.value.suggested_cutoff == 1024
+    assert peak < 1.0
+
+
 def test_build_cat_even_support():
     st = build_state("cat", 1.5, cutoff=40)
     assert abs(st.data[1]) < 1e-14 and abs(st.data[3]) < 1e-14

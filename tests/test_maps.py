@@ -41,6 +41,7 @@ from nongauss.gaussian import (
     apply_symplectic,
     condition_on_projection,
     gaussian_unitary,
+    thermal_state,
 )
 
 
@@ -174,6 +175,30 @@ def test_single_operator_channel_keeps_a_ket_a_ket(make):
         # a channel reports its output weight, here the input's ⟨ψ|ψ⟩
         assert prob == float(np.vdot(out.data, out.data).real)
         assert prob == pytest.approx(np.vdot(state.data, state.data).real, abs=1e-15)
+
+
+def test_apply_map_refuses_targets_outside_the_register():
+    d = 12
+    # the thermal lift carries 12 branch rows, so a negative mode would
+    # otherwise index the row axis of the branch product
+    rho = gaussian_to_fock(thermal_state(0.3), d)
+    for targets in ([-1], [5]):
+        with pytest.raises(ValueError, match="distinct modes"):
+            apply_map(rho, pns(d).body, targets=targets)
+    split = ConditionalMap(2, 2, (build_unitary("beamsplitter", 0.3, d),), False)
+    with pytest.raises(ValueError, match="distinct modes"):
+        apply_map(build_state("tmsv", 0.2, d), split, targets=[1, 1])
+
+
+def test_register_map_takes_targets_as_any_sequence():
+    d = 25
+    joint = _product_ket(build_state("coherent", 0.8, d), build_state("coherent", -0.3, d))
+    body = coherent_projector(1.0, d).body
+    ref, ref_weight = apply_map(joint, body)
+    for targets in ([0, 1], (0, 1), range(2)):
+        out, weight = apply_map(joint, body, targets=targets)
+        assert weight == ref_weight
+        assert np.array_equal(out.data, ref.data)
 
 
 def test_coherent_projector_on_product_input():
