@@ -386,14 +386,12 @@ def _suite_lemma1(seed):
 
 
 def _correlated_coherent_mixture(alpha, d):
-    plus = build_state("coherent", alpha, d).data
-    minus = build_state("coherent", -alpha, d).data
-    both_p = np.multiply.outer(plus, plus).reshape(-1)
-    both_m = np.multiply.outer(minus, minus).reshape(-1)
-    data = 0.5 * np.outer(both_p, both_p.conj()) + 0.5 * np.outer(
-        both_m, both_m.conj()
-    )
-    return FockArray(2, d, "density", data)
+    """(|a,a⟩⟨a,a| + |−a,−a⟩⟨−a,−a|)/2, as its two rows √½·|±a,±a⟩."""
+    rows = [
+        np.sqrt(0.5) * np.multiply.outer(ket, ket).reshape(-1)
+        for ket in (build_state("coherent", a, d).data for a in (alpha, -alpha))
+    ]
+    return FockArray.from_branches(2, d, rows)
 
 
 def _first_moment(state):

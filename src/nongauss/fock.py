@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
 import numpy as np
+from scipy import sparse, special
 from scipy.linalg import polar, schur
 
 from .errors import InvalidStateError, TruncationError, ZeroProbabilityError
@@ -54,6 +55,12 @@ def _check_cutoff(cutoff):
         raise ValueError(f"cutoff must be >= 2, got {cutoff}")
 
 
+def _check_register(n_modes, cutoff):
+    if n_modes < 1:
+        raise ValueError(f"need at least one mode, got {n_modes}")
+    _check_cutoff(cutoff)
+
+
 def ladder(cutoff):
     """Annihilation operator a|n⟩ = √n|n−1⟩ on the basis 0..cutoff−1."""
     _check_cutoff(cutoff)
@@ -66,8 +73,9 @@ class FockArray:
 
     trace_deficit records 1 − ⟨ψ|ψ⟩ (ket) or 1 − Tr ρ (density); it must not
     exceed trace_tol. States are kept unnormalized-by-truncation so the
-    deficit stays observable.  A density built by `from_branches` also
-    carries its branch kets as the read-only `branches` field.
+    deficit stays observable.  A density built by `from_branches` is its
+    branch kets, the read-only `branches` field: its `data` ρ = Φᵀ Φ̄ is
+    formed on first read, then cached read-only.
     """
 
     n_modes: int
@@ -80,10 +88,7 @@ class FockArray:
 
     def __post_init__(self):
         n, d = self.n_modes, self.cutoff
-        if n < 1:
-            raise ValueError(f"need at least one mode, got {n}")
-        if d < 2:
-            raise ValueError(f"cutoff must be >= 2, got {d}")
+        _check_register(n, d)
         if self.kind not in ("ket", "density"):
             raise ValueError(f"kind must be 'ket' or 'density', got {self.kind!r}")
         data = np.array(self.data, dtype=complex)
@@ -99,7 +104,13 @@ class FockArray:
             if np.max(np.abs(data - data.conj().T)) > 1e-10:
                 raise InvalidStateError("density matrix is not Hermitian")
             deficit = 1.0 - float(np.trace(data).real)
-        if not np.all(np.isfinite(data)):
+        self._settle(data, deficit)
+        object.__setattr__(self, "data", data)
+
+    def _settle(self, values, deficit):
+        """Check the entries and the trace deficit, then record the deficit
+        and make the entries read-only."""
+        if not np.all(np.isfinite(values)):
             raise ValueError("non-finite entries")
         if deficit < -1e-9:
             raise InvalidStateError(f"trace exceeds 1 by {-deficit:.3e}")
@@ -108,22 +119,41 @@ class FockArray:
                 f"trace deficit {deficit:.3e} exceeds bound {self.trace_tol:.1e}",
                 deficit=deficit,
             )
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
+        values.setflags(write=False)
         object.__setattr__(self, "trace_deficit", deficit)
 
     @classmethod
     def from_branches(cls, n_modes, cutoff, phi, trace_tol=APPLY_DEFICIT_TOL):
         """Density ρ = Φᵀ Φ̄ of the branch kets Φ (r × Dⁿ, e.g. [K_j ψ] of a
-        channel on a pure input), which it keeps as `branches`."""
+        channel on a pure input), kept as `branches`.
+
+        Φ is checked as the constructor checks ρ, with Tr ρ = ‖Φ‖²; ρ itself
+        is formed only when `data` is first read.
+        """
+        _check_register(n_modes, cutoff)
         phi = np.array(phi, dtype=complex)
         dim = cutoff**n_modes
         if phi.ndim != 2 or phi.shape[1] != dim:
             raise ValueError(f"branches must be an r x {dim} array, got {phi.shape}")
-        out = cls(n_modes, cutoff, "density", phi.T @ phi.conj(), trace_tol=trace_tol)
-        phi.setflags(write=False)
-        object.__setattr__(out, "branches", phi)
+        out = object.__new__(cls)
+        for name, value in (
+            ("n_modes", n_modes), ("cutoff", cutoff), ("kind", "density"),
+            ("trace_tol", trace_tol), ("branches", phi),
+        ):
+            object.__setattr__(out, name, value)
+        out._settle(phi, 1.0 - float(np.vdot(phi, phi).real))
         return out
+
+    def __getattr__(self, name):
+        # reached only when `name` is not set: for `data`, that is a branch
+        # density whose ρ has not been read yet
+        phi = self.__dict__.get("branches")
+        if name != "data" or phi is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        rho = phi.T @ phi.conj()
+        rho.setflags(write=False)
+        object.__setattr__(self, "data", rho)
+        return rho
 
     def to_density(self):
         """Outer product for kets; identity on densities."""
@@ -312,15 +342,11 @@ def _generator_eigenbasis(kind, cutoff):
     return w, v
 
 
-def _eigen_exp(w, v, x, cols):
-    """Columns `cols` of exp(−ix·H) = v e^{−ixw} v† for the eigenpairs
-    (w, v) of a Hermitian H."""
-    return (v * np.exp(-1j * x * w)) @ v[cols].conj().T
-
-
 def _from_eigenbasis(kind, x, cutoff, cols=slice(None)):
-    """Columns `cols` of exp(x·G) for the generator G of _generator_eigenbasis."""
-    return _eigen_exp(*_generator_eigenbasis(kind, cutoff), x, cols)
+    """Columns `cols` of exp(x·G) = V e^{−ixw} V† for the generator G and
+    the eigenpairs (w, V) of _generator_eigenbasis."""
+    w, v = _generator_eigenbasis(kind, cutoff)
+    return (v * np.exp(-1j * x * w)) @ v[cols].conj().T
 
 
 def build_unitary(kind, params, cutoff=DEFAULT_CUTOFF):
@@ -368,6 +394,14 @@ def apply_unitary(state, u, targets=None):
     return FockArray(state.n_modes, state.cutoff, out.kind, out.data, trace_tol=state.trace_tol)
 
 
+def _rows(state):
+    """The state as rows Φ with ρ = Φᵀ Φ̄: a ket is one row, a branch
+    density its branches; None for any other density."""
+    if state.kind == "ket":
+        return state.data.reshape(1, -1)
+    return state.branches
+
+
 def _branch_kets(stack, rows, targets, cutoff, n_modes, n_out):
     """Branch kets [K_j φ_i] of the stacked family (k × out × in) on the
     rows φ_i (r × Dⁿ), as a (k·r) × D^n_out array, j-major.  Every
@@ -402,12 +436,16 @@ def apply_map(state, cmap, targets=None, trace_tol=APPLY_DEFICIT_TOL):
     same product: K on the rows ρ eᵢ gives (Kρ)ᵀ, and K on the rows of
     conj(Kρ) gives conj(K ρ K†).
 
-    :raises ValueError: targets that repeat or leave the register, or a
-        mode-count-changing map on part of it.
+    :raises ValueError: a map built at another cutoff than the state's,
+        targets that repeat or leave the register, or a mode-count-changing
+        map on part of it.
     :raises ZeroProbabilityError: post-selected branch weight ≤ 1e-14.
     :raises TruncationError: a channel loses more than trace_tol of its trace.
     """
     d, n = state.cutoff, state.n_modes
+    if cmap.kraus.shape[1:] != (d**cmap.n_out, d**cmap.n_in):
+        map_cutoff = round(cmap.kraus.shape[2] ** (1.0 / cmap.n_in))
+        raise ValueError(f"map cutoff {map_cutoff} does not match the state's cutoff {d}")
     targets = tuple(range(cmap.n_in)) if targets is None else tuple(int(t) for t in targets)
     if len(set(targets)) != len(targets) or any(t < 0 or t >= n for t in targets):
         raise ValueError(f"targets {targets} must be distinct modes of {n}")
@@ -419,10 +457,8 @@ def apply_map(state, cmap, targets=None, trace_tol=APPLY_DEFICIT_TOL):
     n_out = n if cmap.n_in == cmap.n_out else cmap.n_out
     dim_out = d**n_out
     out_tol = trace_tol + state.trace_deficit
-    rows = state.branches
-    if state.kind == "ket":
-        rows = state.data.reshape(1, -1)
-    elif rows is not None and len(kraus) * rows.shape[0] > dim_out:
+    rows = _rows(state)
+    if state.kind == "density" and rows is not None and len(kraus) * rows.shape[0] > dim_out:
         rows = None
     if rows is not None:
         phi = _branch_kets(kraus, rows, targets, d, n, n_out)
@@ -457,25 +493,33 @@ def apply_map(state, cmap, targets=None, trace_tol=APPLY_DEFICIT_TOL):
 
 
 def partial_trace(state, keep):
-    """Reduced density matrix on the kept modes."""
+    """Reduced density on the kept modes, in the order given.
+
+    A ket or a branch density gives rows: its r rows Φ become the r·d^m
+    rows, over the kept modes, of each row and each basis state of the m
+    dropped modes, so no ρ is formed.  Any other density is traced.
+    """
     keep = tuple(int(k) for k in keep)
-    n = state.n_modes
+    n, d = state.n_modes, state.cutoff
     if not keep or len(set(keep)) != len(keep) or any(k < 0 or k >= n for k in keep):
         raise ValueError(f"invalid mode subset {keep} for {n} modes")
-    rho = state.to_density()
-    t = rho.tensor()
     drop = [m for m in range(n) if m not in keep]
+    dim = d ** len(keep)
+    rows = _rows(state)
+    if rows is not None:
+        # axis 0 runs over the rows, so mode m is axis m + 1
+        t = rows.reshape((-1,) + (d,) * n).transpose([0] + [1 + m for m in drop + list(keep)])
+        return FockArray.from_branches(
+            len(keep), d, t.reshape(-1, dim), trace_tol=state.trace_tol
+        )
+    t = state.tensor()
     for m in sorted(drop, reverse=True):
         t = np.trace(t, axis1=m, axis2=t.ndim // 2 + m)
-    dim = state.cutoff ** len(keep)
     # surviving axes keep their relative order; reorder to the keep order
     order = np.argsort(np.argsort(keep))
     perm = list(order) + [len(keep) + o for o in order]
     t = t.transpose(perm) if list(perm) != list(range(t.ndim)) else t
-    return FockArray(
-        len(keep), state.cutoff, "density", t.reshape(dim, dim),
-        trace_tol=state.trace_tol,
-    )
+    return FockArray(len(keep), d, "density", t.reshape(dim, dim), trace_tol=state.trace_tol)
 
 
 def von_neumann_entropy(state):
@@ -558,7 +602,7 @@ def moments(state):
     first = np.zeros(n, dtype=complex)
     aa = np.zeros((n, n), dtype=complex)
     adag_a = np.zeros((n, n), dtype=complex)
-    rows = state.data if state.kind == "ket" else state.branches
+    rows = _rows(state)
     if rows is not None:
         psi = rows.reshape((-1,) + (d,) * n)
         norm_sq = float(np.vdot(psi, psi).real)
@@ -630,59 +674,87 @@ def gaussify(state):
     return covariance_from_moments(moments(state))
 
 
-def _expm_passive(theta, cutoff, cols):
-    """Columns U[:, cols] (distinct indices) of the two-mode U =
-    exp(−i Σ θ_jk a_j†a_k).  U keeps the total photon number, so only the
-    sectors holding a requested column are exponentiated, each through its
-    eigenpairs, and only those columns are written."""
+def _apply_passive(theta, cutoff, vecs):
+    """Overwrite vectors vecs (d² × m) with U·vecs, for the two-mode passive
+    U = exp(−i Σ θ_jk a_j†a_k), and return them.  U keeps the total photon
+    number, so it acts one sector at a time, through the sector's
+    eigenpairs, on the vectors with weight there; empty sectors are
+    skipped, so unit columns exponentiate only the sectors that hold them."""
     d = cutoff
-    out = np.zeros((d * d, cols.size), dtype=complex)
-    first, second = np.divmod(cols, d)
-    totals = first + second
-    for total in np.unique(totals):
-        lo = max(0, total - d + 1)
-        hi = min(total, d - 1)
-        ks = np.arange(lo, hi + 1)
-        m = len(ks)
-        h = np.zeros((m, m), dtype=complex)
-        for i, k in enumerate(ks):
-            h[i, i] = theta[0, 0] * k + theta[1, 1] * (total - k)
-            if i + 1 < m:
-                # a_0† a_1 maps |k, total−k⟩ → √(k+1)√(total−k) |k+1, total−k−1⟩
-                val = np.sqrt((k + 1.0) * (total - k))
-                h[i + 1, i] += theta[0, 1] * val
-                h[i, i + 1] += theta[1, 0] * val
-        held = np.flatnonzero(totals == total)
-        out[np.ix_(ks * d + (total - ks), held)] = _eigen_exp(
-            *np.linalg.eigh(h), 1.0, first[held] - lo
-        )
-    return out
+    for total in range(2 * d - 1):
+        ks = np.arange(max(0, total - d + 1), min(total, d - 1) + 1)
+        rows = ks * d + (total - ks)
+        live = np.flatnonzero(np.any(vecs[rows] != 0, axis=0))
+        if live.size == 0:
+            continue
+        # a_0† a_1 maps |k, total−k⟩ → √(k+1)√(total−k) |k+1, total−k−1⟩
+        hop = np.sqrt((ks[:-1] + 1.0) * (total - ks[:-1]))
+        h = np.diag(theta[0, 0] * ks + theta[1, 1] * (total - ks))
+        h = h + np.diag(theta[0, 1] * hop, -1) + np.diag(theta[1, 0] * hop, 1)
+        w, v = np.linalg.eigh(h)
+        block = np.ix_(rows, live)
+        vecs[block] = (v * np.exp(-1j * w)) @ (v.conj().T @ vecs[block])
+    return vecs
 
 
-def _quadratic_generator(K, n_modes, cutoff):
-    """h = Σ_ij K_ij x_i x_j over the quadratures x = (q₁, p₁, …, qₙ, pₙ).
+def _quadratic_generator(K, cutoff):
+    """Sparse h = Σ_ij K_ij x_i x_j over the two-mode quadratures
+    x = (q₁, p₁, q₂, p₂): Kronecker products of banded d×d factors, at most
+    9 nonzeros per row."""
+    a = sparse.diags(np.sqrt(np.arange(1.0, cutoff)), 1)
+    quad = (a + a.T, 1j * (a.T - a))
+    eye = sparse.identity(cutoff)
 
-    Each term is a d×d product on one mode, or one d×d factor on each of two
-    modes, placed with np.kron; no dim×dim product is formed.
-    """
-    a = ladder(cutoff)
-    quad = (a + a.conj().T, 1j * (a.conj().T - a))
-    eye = np.eye(cutoff)
-
-    def placed(factors):
-        return reduce(np.kron, [factors.get(m, eye) for m in range(n_modes)])
-
-    dim = cutoff**n_modes
-    h = np.zeros((dim, dim), dtype=complex)
-    for k in range(n_modes):
+    def one_mode(k):
         own = K[2 * k : 2 * k + 2, 2 * k : 2 * k + 2]
-        h += placed({k: sum(own[s, t] * quad[s] @ quad[t] for s in (0, 1) for t in (0, 1))})
-        for m in range(k + 1, n_modes):
-            # x_i x_j = x_j x_i across modes, so each unordered pair counts twice
-            cross = 2.0 * K[2 * k : 2 * k + 2, 2 * m : 2 * m + 2]
-            for s in (0, 1):
-                h += placed({k: quad[s], m: cross[s, 0] * quad[0] + cross[s, 1] * quad[1]})
-    return h
+        return sum(own[s, t] * (quad[s] @ quad[t]) for s in (0, 1) for t in (0, 1))
+
+    h = sparse.kron(one_mode(0), eye) + sparse.kron(eye, one_mode(1))
+    # x_i x_j = x_j x_i across modes, so each unordered pair counts twice
+    cross = 2.0 * K[0:2, 2:4]
+    for s in (0, 1):
+        h = h + sparse.kron(quad[s], cross[s, 0] * quad[0] + cross[s, 1] * quad[1])
+    return sparse.csr_matrix(h)
+
+
+def _expm_action(h, x, vecs):
+    """exp(−ix·h)·vecs for a sparse Hermitian h, by the Chebyshev series of
+    the exponential (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).
+
+    Gershgorin's discs put h's spectrum in [c − r, c + r], where
+    exp(−ixh) = e^{−ixc} Σ_k (2 − δ_k0) (−i)^k J_k(xr) T_k((h − c)/r).
+    The series stops at the first k > xr where the bound (xr/2)^k/k! on
+    |J_k(xr)| is below 2⁻⁶⁰, so its length depends on h alone, not on the
+    vectors, and only sparse products touch them.
+    """
+    diag = h.diagonal().real
+    radius = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(diag)
+    lo, hi = (diag - radius).min(), (diag + radius).max()
+    c, r = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    z = x * r
+    n, bound = 0, 1.0
+    while n <= z or bound >= 2.0**-60:
+        n += 1
+        bound *= z / (2 * n)
+    k = np.arange(n + 1)
+    coef = np.where(k == 0, 1.0, 2.0) * np.array([1, -1j, -1, 1j])[k % 4] * special.jv(k, z)
+    # T_{k+1} = 2a·T_k − T_{k−1} for a = (h − c)/r, with 2a formed once;
+    # blocks of 32 vectors keep the recurrence in cache on wide requests
+    twice_a = (h - c * sparse.identity(h.shape[0], format="csr")) * (2.0 / r)
+    phase = np.exp(-1j * x * c)
+    out = np.empty_like(vecs)
+    for start in range(0, vecs.shape[1], 32):
+        block = slice(start, start + 32)
+        prev = vecs[:, block]
+        cur = 0.5 * (twice_a @ prev)
+        acc = coef[0] * prev + coef[1] * cur
+        for ck in coef[2:]:
+            nxt = twice_a @ cur
+            nxt -= prev
+            prev, cur = cur, nxt
+            acc += ck * cur
+        out[:, block] = phase * acc
+    return out
 
 
 def symplectic_to_unitary(op, cutoff=DEFAULT_CUTOFF, cols=None):
@@ -690,14 +762,14 @@ def symplectic_to_unitary(op, cutoff=DEFAULT_CUTOFF, cols=None):
     with cols (distinct indices) only the columns U[:, cols].
 
     S = O·P splits into a passive rotation O and a positive symplectic P;
-    the displacement is applied last, to the requested columns alone, and
-    every exponential goes through eigenpairs.  One mode: O = R(φ) and
-    P = R(ψ)·diag(e^{−r}, e^{r})·R(ψ)ᵀ, and rotations are diagonal in the
-    box, so U = R(φ+ψ)·S(r)·R(−ψ) with S(r) from the squeezer's cached
-    eigenbasis, the same matrix as the exponential of P's truncated
-    generator.  Two modes: the passive U is exponentiated per total-photon
-    sector, and P's truncated generator, which changes n₁+n₂ by 0 or ±2, per
-    photon-parity block, each only where it holds a requested column.
+    the displacement is applied last, to the requested columns alone.  One
+    mode: O = R(φ) and P = R(ψ)·diag(e^{−r}, e^{r})·R(ψ)ᵀ, and rotations
+    are diagonal in the box, so U = R(φ+ψ)·S(r)·R(−ψ) with S(r) from the
+    squeezer's cached eigenbasis, the same matrix as the exponential of P's
+    truncated generator.  Two modes: the requested unit columns go through
+    exp(−ih/4), for P's truncated generator h as a sparse matrix (skipped
+    when P = I), and then through the passive U one total-photon sector at
+    a time; no d²×d² matrix is formed unless every column is requested.
 
     :raises ValueError: three or more modes, or above _MAX_DENSE_DIM
         dimensions.
@@ -726,25 +798,13 @@ def symplectic_to_unitary(op, cutoff=DEFAULT_CUTOFF, cols=None):
         levels = np.arange(cutoff)
         out = _from_eigenbasis("squeeze", 0.5 * np.log(w[1] / w[0]), cutoff, cols)
         out = np.exp(-1j * (phi + psi) * levels)[:, None] * out * np.exp(1j * psi * cols)
-    elif np.max(np.abs(pos - np.eye(4))) <= 1e-12:
-        out = _expm_passive(theta, cutoff, cols)
     else:
-        u = _expm_passive(theta, cutoff, np.arange(dim))
-        K = -symplectic_form(2) @ (v * np.log(w)) @ v.T
-        K = 0.5 * (K + K.T).real
-        h = _quadratic_generator(K, 2, cutoff)
-        # the passive part preserves photon number, so U_pass·exp(−ih/4)
-        # is block-diagonal in parity too
         out = np.zeros((dim, cols.size), dtype=complex)
-        parity = np.add.outer(np.arange(cutoff), np.arange(cutoff)).reshape(-1) % 2
-        for p in (0, 1):
-            block = np.flatnonzero(parity == p)
-            held = np.flatnonzero(parity[cols] == p)
-            if held.size == 0:
-                continue
-            ix = np.ix_(block, block)
-            active = _eigen_exp(*np.linalg.eigh(h[ix]), 0.25, np.searchsorted(block, cols[held]))
-            out[np.ix_(block, held)] = u[ix] @ active
+        out[cols, np.arange(cols.size)] = 1.0
+        if np.max(np.abs(pos - np.eye(4))) > 1e-12:
+            K = -symplectic_form(2) @ (v * np.log(w)) @ v.T
+            out = _expm_action(_quadratic_generator(0.5 * (K + K.T).real, cutoff), 0.25, out)
+        out = _apply_passive(theta, cutoff, out)
 
     if np.max(np.abs(op.delta_x)) > 0:
         cols_as_rows = out.T
@@ -804,12 +864,18 @@ def delta_g(state):
 
 
 def delta_g_relent(state):
-    """Diagnostic route δ_G(ρ) = S(ρ ‖ λ_G(ρ)).
+    """Diagnostic route δ_G(ρ) = S(ρ ‖ λ_G(ρ)) for a single-mode state.
 
     Uses the factored form of λ_G(ρ) from the Williamson route, so log σ is
     evaluated on the exact geometric spectrum; an eigensolver on the assembled
     σ would drown its tiny eigenvalues in floating-point noise.
+
+    :raises ValueError: two or more modes.  There the truncated lift of the
+        Williamson symplectic depends on the arbitrary rotation of each of
+        its modes, and so would the value.
     """
+    if state.n_modes != 1:
+        raise ValueError(f"delta_g_relent takes a single-mode state, got {state.n_modes} modes")
     g = gaussify(state)
     _, q, op = _williamson_frame(g, state.cutoff)
     u = symplectic_to_unitary(op, state.cutoff)
@@ -873,11 +939,15 @@ def gaussian_cutoff(gstate, moment_tol, above):
 
 
 def number_distribution(state, mode=0):
-    """Photon-number probabilities of one mode (marginal for densities)."""
+    """Photon-number probabilities of one mode (marginal for densities).
+    A ket or a branch density is read as Σ |ψ|² over every other axis of
+    its tensor or of its rows, so no ρ is formed."""
     if state.kind == "ket":
-        psi = state.data
-        axes = tuple(m for m in range(state.n_modes) if m != mode)
-        p = np.abs(psi) ** 2
-        return p.sum(axis=axes) if axes else p
-    reduced = partial_trace(state, (mode,))
-    return np.diag(reduced.data).real.copy()
+        p, lead = np.abs(state.data) ** 2, 0
+    elif state.branches is not None:
+        p = np.abs(state.branches.reshape((-1,) + (state.cutoff,) * state.n_modes)) ** 2
+        lead = 1
+    else:
+        return np.diag(partial_trace(state, (mode,)).data).real.copy()
+    axes = tuple(ax for ax in range(p.ndim) if ax != lead + mode)
+    return p.sum(axis=axes) if axes else p

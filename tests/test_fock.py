@@ -408,6 +408,67 @@ def test_gram_entropy_matches_the_density_spectrum():
         FockArray.from_branches(2, d, phi[:, :-1])
 
 
+def test_from_branches_forms_rho_only_when_read():
+    rng = np.random.default_rng(7)
+    d = 6
+    phi = rng.normal(size=(3, d * d)) + 1j * rng.normal(size=(3, d * d))
+    phi *= np.sqrt(1.0 - 1e-8) / np.linalg.norm(phi)
+    state = FockArray.from_branches(2, d, phi)
+    assert "data" not in vars(state)
+    assert state.trace_deficit == pytest.approx(1e-8, abs=1e-15)
+    rho = state.data
+    assert state.data is rho
+    assert_array_equal(rho, phi.T @ phi.conj())
+    with pytest.raises(ValueError):
+        rho[0, 0] = 0.0
+
+
+def test_from_branches_raises_the_constructors_errors():
+    rng = np.random.default_rng(11)
+    d = 5
+    phi = rng.normal(size=(2, d)) + 1j * rng.normal(size=(2, d))
+    phi /= np.linalg.norm(phi)
+    bad = phi.copy()
+    bad[1, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite entries"):
+        FockArray.from_branches(1, d, bad)
+    with pytest.raises(InvalidStateError, match="trace exceeds 1"):
+        FockArray.from_branches(1, d, 1.01 * phi)
+    with pytest.raises(TruncationError, match="trace deficit") as exc:
+        FockArray.from_branches(1, d, 0.99 * phi, trace_tol=1e-3)
+    assert exc.value.deficit == pytest.approx(1.0 - 0.99**2, abs=1e-14)
+    # the same checks through the density constructor
+    for rows, err in ((1.01 * phi, InvalidStateError), (0.99 * phi, TruncationError)):
+        with pytest.raises(err):
+            FockArray(1, d, "density", rows.T @ rows.conj(), trace_tol=1e-3)
+
+
+def test_partial_trace_of_rows_matches_the_density_route():
+    rng = np.random.default_rng(13)
+    d = 7
+    phi = rng.normal(size=(4, d**3)) + 1j * rng.normal(size=(4, d**3))
+    phi /= np.linalg.norm(phi)
+    branch = FockArray.from_branches(3, d, phi)
+    ket = FockArray(3, d, "ket", phi[0] / np.linalg.norm(phi[0]))
+    for state in (branch, ket):
+        plain = FockArray(3, d, "density", state.to_density().data)
+        for keep in ((0,), (2,), (1, 0), (0, 2), (2, 0, 1)):
+            got = partial_trace(state, keep)
+            want = partial_trace(plain, keep)
+            rows = 1 if state.kind == "ket" else phi.shape[0]
+            assert got.branches.shape == (rows * d ** (3 - len(keep)), d ** len(keep))
+            assert want.branches is None
+            assert_allclose(got.data, want.data, rtol=0, atol=1e-13)
+            assert got.trace_deficit == pytest.approx(want.trace_deficit, abs=1e-13)
+        for mode in range(3):
+            assert_allclose(
+                number_distribution(state, mode),
+                number_distribution(plain, mode),
+                rtol=0,
+                atol=1e-13,
+            )
+
+
 def test_relative_entropy_basics():
     rho = build_state("thermal", 0.7, cutoff=30)
     assert relative_entropy(rho, rho) == pytest.approx(0.0, abs=1e-9)
@@ -776,6 +837,18 @@ def test_symplectic_logs_match_the_logm_route(op, d):
     )
 
 
+def test_displaced_two_mode_active_lift_matches_dense_reference_at_cutoff_20():
+    rng = np.random.default_rng(71)
+    d = 20
+    op = SymplecticOp(2, random_symplectic(2, rng, scale=0.25), rng.normal(scale=0.5, size=4))
+    want = dense_symplectic_unitary(op, d)
+    assert_allclose(symplectic_to_unitary(op, d), want, rtol=0, atol=1e-12)
+    for cols in ([0], [21], [3, 40, 41, 399], np.arange(0, d * d, 7)):
+        assert_allclose(
+            symplectic_to_unitary(op, d, np.asarray(cols)), want[:, cols], rtol=0, atol=1e-12
+        )
+
+
 def test_symplectic_to_unitary_two_mode_squeeze():
     d = 14
     r = 0.4
@@ -888,6 +961,13 @@ def test_delta_g_two_routes_agree():
         build_state("cat", 1.0, cutoff=40),
     ]:
         assert delta_g_relent(st) == pytest.approx(delta_g(st), abs=2e-3)
+
+
+def test_delta_g_relent_refuses_two_modes():
+    # a two-mode value would depend on the arbitrary rotation of each
+    # Williamson mode in the truncated lift
+    with pytest.raises(ValueError, match="single-mode"):
+        delta_g_relent(build_state("tmsv", 0.1, cutoff=10))
 
 
 # ------------------------------------------------- truncation certificate

@@ -190,6 +190,15 @@ def test_apply_map_refuses_targets_outside_the_register():
         apply_map(build_state("tmsv", 0.2, d), split, targets=[1, 1])
 
 
+def test_apply_map_refuses_a_map_built_at_another_cutoff():
+    state = build_state("coherent", 0.5, 20)
+    with pytest.raises(ValueError, match="map cutoff 12 does not match the state's cutoff 20"):
+        apply_map(state, pns(12).body)
+    pair = build_state("tmsv", 0.1, 10)
+    with pytest.raises(ValueError, match="map cutoff 12 does not match the state's cutoff 10"):
+        apply_map(pair, coherent_projector(0.5, 12).body)
+
+
 def test_register_map_takes_targets_as_any_sequence():
     d = 25
     joint = _product_ket(build_state("coherent", 0.8, d), build_state("coherent", -0.3, d))
