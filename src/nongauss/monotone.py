@@ -49,6 +49,12 @@ DEFAULT_ENERGY_GRID = (1.0, 2.0, 4.0, 8.0)
 SLOPE_MIN = 0.5
 PLATEAU_TOL = 0.05
 
+# tolerances the searches report: the Fock route's (its input family is
+# certified for it), and the δ̃ simplex's on its argmax and on the value
+FOCK_MOMENT_TOL = 1e-2
+SIMPLEX_XATOL = 1e-4
+SIMPLEX_FATOL = 1e-7
+
 # deterministic multi-start lattice for the δ̃ search
 _LATTICE_ALPHA = (0.0, 0.5, 1.0, 1.5)
 _LATTICE_THETA = (0.0, np.pi / 4.0, np.pi / 2.0)
@@ -130,7 +136,7 @@ def input_family(
     backend="gaussian",
     cutoff=DEFAULT_CUTOFF,
     trace_tol=1e-3,
-    moment_tol=1e-2,
+    moment_tol=FOCK_MOMENT_TOL,
     edge_tol=None,
 ):
     """Two-mode pure state (I ⊗ D_α R_θ S_r)|ζ⟩ with TMSV occupation n_s.
@@ -143,8 +149,7 @@ def input_family(
     certified by fock.certify_edge at edge_tol, by default
     moment_tol/(EDGE_COST·cutoff²): the truncation error of its second
     moments, and of those of its image under one ladder operator, is
-    estimated to be within moment_tol.  The default moment_tol is the
-    tolerance the Fock route reports.
+    estimated to be within moment_tol.
 
     :raises TruncationError: (fock) the cutoff cannot hold the state; the
         error carries the edge weight and, unless edge_tol was given, a
@@ -372,7 +377,7 @@ def delta_tilde(desc, seed=0, cutoff=None, max_n_s=_CAP_NS):
             lambda x: -evaluate(x),
             x0,
             method="Nelder-Mead",
-            options={"xatol": 1e-4, "fatol": 1e-7, "maxfev": 120},
+            options={"xatol": SIMPLEX_XATOL, "fatol": SIMPLEX_FATOL, "maxfev": 120},
         )
     values = np.array([v for _, v in trace])
     best = int(np.argmax(values))
@@ -385,7 +390,6 @@ def delta_tilde(desc, seed=0, cutoff=None, max_n_s=_CAP_NS):
         "backend": "analytic" if analytic else "fock",
         "max_deficit": float(max(deficits)),
         "excluded": excluded[0],
-        "xatol": 1e-4,
     }
     if analytic:
         diagnostics["alpha_zero_spread"] = alpha_zero_spread(desc.name, seed=seed)

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from nongauss.cli import _correlated_coherent_mixture, main
+from nongauss.cli import main
 from nongauss.errors import TruncationError
 from nongauss.fock import (
     apply_map,
@@ -33,6 +33,7 @@ from nongauss.monotone import (
     environment_bound,
     input_family,
 )
+from nongauss.verify import correlated_coherent_mixture, projection_counterexample
 
 
 def run_cli(argv, capsys):
@@ -114,7 +115,7 @@ def test_c05_gaussification_commutes_with_loss(capsys):
 def test_c06_projection_gaussification_order():
     d = 40
     for alpha in (0.5, 1.0):
-        sigma = _correlated_coherent_mixture(alpha, d)
+        sigma = correlated_coherent_mixture(alpha, d)
         projector = coherent_projector(alpha, d)
 
         projected, _ = apply_map(sigma, projector.body)
@@ -140,19 +141,8 @@ def test_c06_projection_gaussification_order():
 
 
 def test_c07_projection_can_increase_nongaussianity():
-    d = 30
-    eps, alpha, n = 0.01, 2.5, 2
-    w = np.array([np.sqrt(eps), np.sqrt(1.0 - eps)])
-    w /= w.sum()
-    fock_n = build_state("fock", n, d).to_density().data
-    th = build_state("thermal", 1.0, d).data
-    coh_p = build_state("coherent", alpha, d).to_density().data
-    coh_m = build_state("coherent", -alpha, d).to_density().data
-    from nongauss.fock import FockArray
-
-    rho = FockArray(
-        2, d, "density", w[0] * np.kron(fock_n, coh_p) + w[1] * np.kron(th, coh_m)
-    )
+    d, alpha = 30, 2.5
+    rho, _ = projection_counterexample(0.01, alpha, 2, d)
     out, _ = apply_map(rho, coherent_projector(alpha, d).body)
     assert delta_g(out) > delta_g(rho) + 0.5
 

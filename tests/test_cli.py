@@ -248,7 +248,7 @@ def test_verify_green_suites(suite, capsys):
     assert all(check["pass"] for check in results["assertions"])
 
 
-def test_verify_counterexamples_reports_red(capsys):
+def test_verify_counterexamples_all_green_exit_zero(capsys):
     # both projection orderings agree with their references (the
     # gaussify-then-project one comes from Gaussian conditioning), so the
     # suite reports no red assertion and exits 0

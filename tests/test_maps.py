@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nongauss.cli import _correlated_coherent_mixture
 from nongauss.errors import UnsupportedMapError, ZeroProbabilityError
 from nongauss.fock import (
     ConditionalMap,
@@ -43,6 +42,7 @@ from nongauss.gaussian import (
     gaussian_unitary,
     thermal_state,
 )
+from nongauss.verify import correlated_coherent_mixture, projection_counterexample
 
 
 def _product_ket(a, b):
@@ -227,7 +227,7 @@ def test_coherent_projector_on_product_input():
 def test_correlated_mixture_covariance():
     d = 30
     alpha = 1.0
-    g = gaussify(_correlated_coherent_mixture(alpha, d))
+    g = gaussify(correlated_coherent_mixture(alpha, d))
     block = 4.0 * alpha**2
     expected = np.array(
         [
@@ -245,7 +245,7 @@ def test_projection_does_not_commute_with_gaussification():
     # the two composition orders give different <a> on the surviving mode
     d = 30
     for alpha in (0.5, 1.0):
-        sigma = _correlated_coherent_mixture(alpha, d)
+        sigma = correlated_coherent_mixture(alpha, d)
         t_map = coherent_projector(alpha, d).body
 
         direct, _ = apply_map(sigma, t_map)
@@ -267,7 +267,7 @@ def test_gaussian_conditioning_matches_fock_projection():
     # the Gaussian state that conditioning on the outcome (2α, 0) predicts
     d = 30
     for alpha in (0.5, 1.0):
-        gauss = gaussify(_correlated_coherent_mixture(alpha, d))
+        gauss = gaussify(correlated_coherent_mixture(alpha, d))
         want = condition_on_projection(gauss, [1], [2.0 * alpha, 0.0])
         assert_allclose(
             want.mean, [4.0 * alpha**3 / (1.0 + 2.0 * alpha**2), 0.0], atol=1e-9
@@ -282,19 +282,10 @@ def test_gaussian_conditioning_matches_fock_projection():
 def test_projection_can_increase_non_gaussianity():
     # two-mode input: nearly Gaussian, but the branch the projector keeps
     # carries a Fock state
-    d = 30
-    eps, alpha, n = 0.01, 2.5, 2
-    w = np.array([np.sqrt(eps), np.sqrt(1.0 - eps)])
-    w /= w.sum()
-    fock_n = build_state("fock", n, d).to_density().data
-    th = build_state("thermal", 1.0, d).data
-    coh_p = build_state("coherent", alpha, d).to_density().data
-    coh_m = build_state("coherent", -alpha, d).to_density().data
-    rho = FockArray(
-        2, d, "density", w[0] * np.kron(fock_n, coh_p) + w[1] * np.kron(th, coh_m)
-    )
+    d, alpha, n = 30, 2.5, 2
+    rho, w0 = projection_counterexample(0.01, alpha, n, d)
     out, weight = apply_map(rho, coherent_projector(alpha, d).body)
-    assert abs(weight - w[0]) < 1e-4  # only the |α> branch survives
+    assert abs(weight - w0) < 1e-4  # only the |α> branch survives
     assert out.data[n, n].real > 0.999
     assert delta_g(out) > delta_g(rho) + 0.5
 
