@@ -52,8 +52,10 @@ _MAP_CUTOFFS = {
     "bps": 60,
     "loss": 30,
     "gd": 25,
-    "talpha": 30,
 }
+# specs parse_map_spec builds that map-ng and sweep cannot evaluate, with
+# their (input, output) mode counts: both take single-mode maps
+_MULTI_MODE_MAPS = {"talpha": (2, 1), "tα": (2, 1)}
 
 def _utc_now():
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
@@ -136,10 +138,22 @@ def cmd_state_ng(args):
     return config, results
 
 
+def _single_mode_map(spec, cutoff):
+    """parse_map_spec of a single-mode map; other specs are refused before
+    any map is built."""
+    name = spec.split(":", 1)[0].strip().lower()
+    if name in _MULTI_MODE_MAPS:
+        n_in, n_out = _MULTI_MODE_MAPS[name]
+        raise UnsupportedMapError(
+            f"{spec} maps {n_in} modes to {n_out}; map-ng and sweep take single-mode maps"
+        )
+    return parse_map_spec(spec, cutoff)
+
+
 def cmd_map_ng(args):
     name = args.spec.split(":", 1)[0].strip().lower()
     cutoff = args.cutoff or _MAP_CUTOFFS.get(name, _STATE_CUTOFF)
-    desc = parse_map_spec(args.spec, cutoff)
+    desc = _single_mode_map(args.spec, cutoff)
     config = _config(args, spec=args.spec, cutoff=cutoff, bound=args.bound)
     if args.bound:
         if "environment" not in desc.metadata:
@@ -191,7 +205,7 @@ def cmd_map_ng(args):
 
 def cmd_sweep(args):
     cutoff = args.cutoff or _SWEEP_CUTOFF
-    desc = parse_map_spec(args.spec, cutoff)
+    desc = _single_mode_map(args.spec, cutoff)
     grid = tuple(float(x) for x in args.grid.split(",")) if args.grid else None
     prof = divergence_profile(desc, grid=grid, seed=args.seed)
     points = [
@@ -244,7 +258,7 @@ def build_parser():
     p.add_argument("--trace-tol", type=float, default=1e-6, dest="trace_tol")
 
     p = sub.add_parser("map-ng", parents=[common], help="monotone of a map")
-    p.add_argument("spec", help="pns | pna | bps | kerr:g | talpha:a | gd:bs<tau>,env=<state> | loss:tau | id")
+    p.add_argument("spec", help="pns | pna | bps | kerr:g | gd:bs<tau>,env=<state> | loss:tau | id")
     p.add_argument("--bound", action="store_true", help="environment upper bound (gd/loss)")
 
     p = sub.add_parser("sweep", parents=[common], help="divergence classification")

@@ -2,8 +2,9 @@
 maps as Kraus families of matrices, entropies, moment extraction, and the
 Gaussian resource-destroying map.
 
-Kets over n modes are stored as tensors of shape (D,)*n; density matrices as
-(D**n, D**n) matrices with C-ordered multi-indices (mode 0 most significant).
+Kets over n modes are stored as tensors of shape (D,)*n; a density as its
+rows Φ (r × D**n, ρ = Φᵀ Φ̄), with C-ordered multi-indices (mode 0 most
+significant) and ρ formed as a (D**n, D**n) matrix once read.
 Quadrature conventions match the phase-space module: q = a + a†, p = i(a† − a),
 so means and covariances can move freely between the two backends.
 """
@@ -73,9 +74,11 @@ class FockArray:
 
     trace_deficit records 1 − ⟨ψ|ψ⟩ (ket) or 1 − Tr ρ (density); it must not
     exceed trace_tol. States are kept unnormalized-by-truncation so the
-    deficit stays observable.  A density built by `from_branches` is its
-    branch kets, the read-only `branches` field: its `data` ρ = Φᵀ Φ̄ is
-    formed on first read, then cached read-only.
+    deficit stays observable.  A density is its rows Φ, the read-only
+    `branches` field, with ρ = Φᵀ Φ̄.  The constructor takes ρ as `data`
+    and keeps its eigen-rows √λ_i v_iᵀ (λ_i > 0), refusing an eigenvalue
+    below −1e-9; `from_branches` takes the rows and forms `data` on first
+    read, then caches it read-only.
     """
 
     n_modes: int
@@ -106,6 +109,14 @@ class FockArray:
             deficit = 1.0 - float(np.trace(data).real)
         self._settle(data, deficit)
         object.__setattr__(self, "data", data)
+        if self.kind == "density":
+            w, v = np.linalg.eigh(data)
+            if w.min() < -1e-9:
+                raise InvalidStateError(f"density eigenvalue {w.min():.3e} < 0")
+            live = w > 0
+            rows = np.sqrt(w[live])[:, None] * v[:, live].T
+            rows.setflags(write=False)
+            object.__setattr__(self, "branches", rows)
 
     def _settle(self, values, deficit):
         """Check the entries and the trace deficit, then record the deficit
@@ -145,8 +156,8 @@ class FockArray:
         return out
 
     def __getattr__(self, name):
-        # reached only when `name` is not set: for `data`, that is a branch
-        # density whose ρ has not been read yet
+        # reached only when `name` is not set: for `data`, that is a density
+        # built by `from_branches` whose ρ has not been read yet
         phi = self.__dict__.get("branches")
         if name != "data" or phi is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
@@ -156,20 +167,12 @@ class FockArray:
         return rho
 
     def to_density(self):
-        """Outer product for kets; identity on densities."""
+        """A ket as the density of its one row; identity on densities."""
         if self.kind == "density":
             return self
-        flat = self.data.reshape(-1)
-        return FockArray(
-            self.n_modes, self.cutoff, "density", np.outer(flat, flat.conj()),
-            trace_tol=self.trace_tol,
+        return FockArray.from_branches(
+            self.n_modes, self.cutoff, self.data.reshape(1, -1), trace_tol=self.trace_tol
         )
-
-    def tensor(self):
-        """Density data reshaped to 2*n_modes axes (ket indices first)."""
-        if self.kind != "density":
-            raise ValueError("tensor() is for densities; kets already are tensors")
-        return self.data.reshape((self.cutoff,) * (2 * self.n_modes))
 
 
 @dataclass(frozen=True)
@@ -239,7 +242,8 @@ def _truncation_refusal(what, deficit, cutoff, trace_tol, deficit_at):
 
 
 def _state_vector(kind, params, cutoff):
-    """Raw data and exact trace deficit for each supported state family."""
+    """Raw data (a ket, or a density's rows) and exact trace deficit for
+    each supported state family."""
     if kind == "vacuum":
         ket = np.zeros(cutoff, dtype=complex)
         ket[0] = 1.0
@@ -269,7 +273,7 @@ def _state_vector(kind, params, cutoff):
         if N < 0:
             raise ValueError(f"mean photon number must be >= 0, got {N}")
         p = _thermal_weights(N, cutoff)
-        return 1, "density", np.diag(p.astype(complex)), 1.0 - float(p.sum())
+        return 1, "density", np.diag(np.sqrt(p)), 1.0 - float(p.sum())
     if kind == "tmsv":
         c, deficit = tmsv_schmidt(params, cutoff)
         ket = np.zeros((cutoff, cutoff), dtype=complex)
@@ -316,6 +320,8 @@ def build_state(kind, params=None, cutoff=DEFAULT_CUTOFF, trace_tol=BUILD_DEFICI
             f"{kind} state", deficit, cutoff, trace_tol,
             lambda d: _state_deficit(kind, params, d),
         )
+    if arr_kind == "density":
+        return FockArray.from_branches(n_modes, cutoff, data, trace_tol=trace_tol)
     return FockArray(n_modes, cutoff, arr_kind, data, trace_tol=trace_tol)
 
 
@@ -388,15 +394,20 @@ def _infer_arity(u, cutoff):
 
 def apply_unitary(state, u, targets=None):
     """Apply a (possibly multi-mode) unitary matrix to the targeted modes:
-    apply_map of the family (u,), keeping the input's trace_tol."""
+    apply_map of the family (u,), keeping the input's trace_tol and a
+    density's rows."""
     arity = _infer_arity(u, state.cutoff)
     out, _ = apply_map(state, ConditionalMap(arity, arity, (u,), False), targets)
-    return FockArray(state.n_modes, state.cutoff, out.kind, out.data, trace_tol=state.trace_tol)
+    if out.kind == "ket":
+        return FockArray(state.n_modes, state.cutoff, "ket", out.data, trace_tol=state.trace_tol)
+    return FockArray.from_branches(
+        state.n_modes, state.cutoff, out.branches, trace_tol=state.trace_tol
+    )
 
 
 def _rows(state):
-    """The state as rows Φ with ρ = Φᵀ Φ̄: a ket is one row, a branch
-    density its branches; None for any other density."""
+    """The state as rows Φ with ρ = Φᵀ Φ̄: a ket is one row, a density its
+    branches."""
     if state.kind == "ket":
         return state.data.reshape(1, -1)
     return state.branches
@@ -426,15 +437,14 @@ def apply_map(state, cmap, targets=None, trace_tol=APPLY_DEFICIT_TOL):
     probability; channels return their raw output and report its trace
     (for a unitary, the input's weight ⟨ψ|ψ⟩ or Tr ρ).
 
-    A ket is one row ψ, and a density built by `FockArray.from_branches`
-    is its r rows Φ.  The family, stacked once in the map, acts on all the
-    rows in one product and gives the k·r branch kets [K_j φ_i] of
-    `FockArray.from_branches`; one operator keeps a ket a ket.  Every ket
-    takes this route, a branch density only while k·r ≤ D^n_out, so the
-    branches never outgrow the density they stand for.  Any other density
-    is summed as Σ_j K_j ρ K_j†, one operator at a time and through the
-    same product: K on the rows ρ eᵢ gives (Kρ)ᵀ, and K on the rows of
-    conj(Kρ) gives conj(K ρ K†).
+    A ket is one row ψ, and a density its r rows Φ.  The family, stacked
+    once in the map, acts on all the rows in one product and gives the k·r
+    branch kets [K_j φ_i] of `FockArray.from_branches`; one operator keeps
+    a ket a ket.  When a density's k·r branch kets would exceed D^n_out,
+    the output is instead ρ = Σ_c Φ_cᵀ Φ̄_c, summed over chunks of
+    operators whose branch kets Φ_c number at most D^n_out (or one
+    operator), and kept as its eigen-rows, so the rows never outgrow the
+    density they stand for and each chunk holds about D^n_out² entries.
 
     :raises ValueError: a map built at another cutoff than the state's,
         targets that repeat or leave the register, or a mode-count-changing
@@ -458,20 +468,17 @@ def apply_map(state, cmap, targets=None, trace_tol=APPLY_DEFICIT_TOL):
     dim_out = d**n_out
     out_tol = trace_tol + state.trace_deficit
     rows = _rows(state)
-    if state.kind == "density" and rows is not None and len(kraus) * rows.shape[0] > dim_out:
-        rows = None
-    if rows is not None:
+    wide = state.kind == "density" and len(kraus) * rows.shape[0] > dim_out
+    if wide:
+        rho = np.zeros((dim_out, dim_out), dtype=complex)
+        step = max(1, dim_out // rows.shape[0])
+        for start in range(0, len(kraus), step):
+            phi = _branch_kets(kraus[start : start + step], rows, targets, d, n, n_out)
+            rho += phi.T @ phi.conj()
+        prob = float(np.trace(rho).real)
+    else:
         phi = _branch_kets(kraus, rows, targets, d, n, n_out)
         prob = float(np.vdot(phi, phi).real)
-    else:
-        # accumulates conj(Σ_j K_j ρ K_j†), conjugated once at the end
-        acc = np.zeros((dim_out, dim_out), dtype=complex)
-        for j in range(len(kraus)):
-            one = kraus[j : j + 1]
-            k_rho_t = _branch_kets(one, state.data.T, targets, d, n, n_out)
-            acc += _branch_kets(one, k_rho_t.T.conj(), targets, d, n, n_out)
-        acc = acc.conj()
-        prob = float(np.trace(acc).real)
     if cmap.renormalize:
         if prob <= 1e-14:
             raise ZeroProbabilityError(f"post-selected branch has weight {prob:.3e}")
@@ -481,10 +488,10 @@ def apply_map(state, cmap, targets=None, trace_tol=APPLY_DEFICIT_TOL):
             deficit=1.0 - prob,
             suggested_cutoff=2 * d,
         )
-    if rows is None:
+    if wide:
         if cmap.renormalize:
-            acc = acc / prob
-        return FockArray(n_out, d, "density", acc, trace_tol=out_tol), prob
+            rho /= prob
+        return FockArray(n_out, d, "density", rho, trace_tol=out_tol), prob
     if cmap.renormalize:
         phi = phi / np.sqrt(prob)
     if state.kind == "ket" and len(kraus) == 1:
@@ -495,9 +502,10 @@ def apply_map(state, cmap, targets=None, trace_tol=APPLY_DEFICIT_TOL):
 def partial_trace(state, keep):
     """Reduced density on the kept modes, in the order given.
 
-    A ket or a branch density gives rows: its r rows Φ become the r·d^m
-    rows, over the kept modes, of each row and each basis state of the m
-    dropped modes, so no ρ is formed.  Any other density is traced.
+    The r rows Φ of a ket or a density become the r·d^m rows, over the
+    kept modes, of each row and each basis state of the m dropped modes;
+    when they outnumber the kept dimension, their ρ is formed and kept as
+    its eigen-rows instead, so the rows never outgrow the density.
     """
     keep = tuple(int(k) for k in keep)
     n, d = state.n_modes, state.cutoff
@@ -505,21 +513,12 @@ def partial_trace(state, keep):
         raise ValueError(f"invalid mode subset {keep} for {n} modes")
     drop = [m for m in range(n) if m not in keep]
     dim = d ** len(keep)
-    rows = _rows(state)
-    if rows is not None:
-        # axis 0 runs over the rows, so mode m is axis m + 1
-        t = rows.reshape((-1,) + (d,) * n).transpose([0] + [1 + m for m in drop + list(keep)])
-        return FockArray.from_branches(
-            len(keep), d, t.reshape(-1, dim), trace_tol=state.trace_tol
-        )
-    t = state.tensor()
-    for m in sorted(drop, reverse=True):
-        t = np.trace(t, axis1=m, axis2=t.ndim // 2 + m)
-    # surviving axes keep their relative order; reorder to the keep order
-    order = np.argsort(np.argsort(keep))
-    perm = list(order) + [len(keep) + o for o in order]
-    t = t.transpose(perm) if list(perm) != list(range(t.ndim)) else t
-    return FockArray(len(keep), d, "density", t.reshape(dim, dim), trace_tol=state.trace_tol)
+    # axis 0 runs over the rows, so mode m is axis m + 1
+    t = _rows(state).reshape((-1,) + (d,) * n)
+    t = t.transpose([0] + [1 + m for m in drop + list(keep)]).reshape(-1, dim)
+    if t.shape[0] > dim:
+        return FockArray(len(keep), d, "density", t.T @ t.conj(), trace_tol=state.trace_tol)
+    return FockArray.from_branches(len(keep), d, t, trace_tol=state.trace_tol)
 
 
 def von_neumann_entropy(state):
@@ -531,7 +530,7 @@ def von_neumann_entropy(state):
     if state.kind == "ket":
         return 0.0
     phi = state.branches
-    if phi is not None and phi.shape[0] < phi.shape[1]:
+    if phi.shape[0] < phi.shape[1]:
         w = np.linalg.eigvalsh(phi.conj() @ phi.T)
     else:
         w = np.linalg.eigvalsh(state.data)
@@ -593,44 +592,24 @@ def _ladder_ket(psi, axis):
 def moments(state):
     """All first/second ladder moments, normalized by the state's weight.
 
-    A ket, or a density carrying branches, is read from its rows φ_i as
-    ⟨X⟩ = Σ_i ⟨φ_i|X|φ_i⟩ / Σ_i ‖φ_i‖²; any other density as Tr(Xρ) / Tr ρ,
-    with the same lowering on the ket axes of its tensor, and on the bra
-    axis n + j for the a_j† of a_k ρ a_j†.
+    Read from the rows φ_i of a ket or a density as
+    ⟨X⟩ = Σ_i ⟨φ_i|X|φ_i⟩ / Σ_i ‖φ_i‖².
     """
     n, d = state.n_modes, state.cutoff
     first = np.zeros(n, dtype=complex)
     aa = np.zeros((n, n), dtype=complex)
     adag_a = np.zeros((n, n), dtype=complex)
-    rows = _rows(state)
-    if rows is not None:
-        psi = rows.reshape((-1,) + (d,) * n)
-        norm_sq = float(np.vdot(psi, psi).real)
-        # axis 0 runs over the rows, so mode j is axis j + 1
-        lowered = [_ladder_ket(psi, j + 1) for j in range(n)]
-        for j in range(n):
-            first[j] = np.vdot(psi, lowered[j])
-            for k in range(j, n):
-                aa[j, k] = aa[k, j] = np.vdot(psi, _ladder_ket(lowered[j], k + 1))
-            for k in range(n):
-                adag_a[j, k] = np.vdot(lowered[j], lowered[k])
-        first /= norm_sq
-        aa /= norm_sq
-        adag_a /= norm_sq
-    else:
-        t = state.tensor()
-        trace = float(np.trace(state.data).real)
-        lowered = [_ladder_ket(t, j) for j in range(n)]
-        for j in range(n):
-            first[j] = np.trace(lowered[j].reshape(d**n, -1))
-            for k in range(j, n):
-                aa[j, k] = aa[k, j] = np.trace(_ladder_ket(lowered[j], k).reshape(d**n, -1))
-            for k in range(n):
-                adag_a[j, k] = np.trace(_ladder_ket(lowered[k], n + j).reshape(d**n, -1))
-        first /= trace
-        aa /= trace
-        adag_a /= trace
-    return MomentRecord(n, first, aa, adag_a)
+    psi = _rows(state).reshape((-1,) + (d,) * n)
+    norm_sq = float(np.vdot(psi, psi).real)
+    # axis 0 runs over the rows, so mode j is axis j + 1
+    lowered = [_ladder_ket(psi, j + 1) for j in range(n)]
+    for j in range(n):
+        first[j] = np.vdot(psi, lowered[j])
+        for k in range(j, n):
+            aa[j, k] = aa[k, j] = np.vdot(psi, _ladder_ket(lowered[j], k + 1))
+        for k in range(n):
+            adag_a[j, k] = np.vdot(lowered[j], lowered[k])
+    return MomentRecord(n, first / norm_sq, aa / norm_sq, adag_a / norm_sq)
 
 
 def covariance_from_moments(m):
@@ -879,8 +858,8 @@ def delta_g_relent(state):
     g = gaussify(state)
     _, q, op = _williamson_frame(g, state.cutoff)
     u = symplectic_to_unitary(op, state.cutoff)
-    rho = state.to_density()
-    proj = np.einsum("ji,jk,ki->i", u.conj(), rho.data, u).real
+    # ⟨u_i|ρ|u_i⟩ = Σ_rows |(Φ ū)_i|² for ρ = Φᵀ Φ̄
+    proj = (np.abs(_rows(state) @ u.conj()) ** 2).sum(axis=0)
     live = q > 0
     if float(proj[~live].sum()) > 1e-9:
         return np.inf
@@ -939,15 +918,7 @@ def gaussian_cutoff(gstate, moment_tol, above):
 
 
 def number_distribution(state, mode=0):
-    """Photon-number probabilities of one mode (marginal for densities).
-    A ket or a branch density is read as Σ |ψ|² over every other axis of
-    its tensor or of its rows, so no ρ is formed."""
-    if state.kind == "ket":
-        p, lead = np.abs(state.data) ** 2, 0
-    elif state.branches is not None:
-        p = np.abs(state.branches.reshape((-1,) + (state.cutoff,) * state.n_modes)) ** 2
-        lead = 1
-    else:
-        return np.diag(partial_trace(state, (mode,)).data).real.copy()
-    axes = tuple(ax for ax in range(p.ndim) if ax != lead + mode)
-    return p.sum(axis=axes) if axes else p
+    """Photon-number probabilities of one mode (marginal for densities),
+    read as Σ |φ|² over the rows and every other mode, so no ρ is formed."""
+    p = np.abs(_rows(state).reshape((-1,) + (state.cutoff,) * state.n_modes)) ** 2
+    return p.sum(axis=tuple(ax for ax in range(p.ndim) if ax != 1 + mode))

@@ -1,8 +1,8 @@
 """Verification suites: seeded, named checks of the structural claims about
 δ_G and δ̃.  `SUITES` maps a suite's name to its function, which takes a
 seed and returns its checks.  Fixtures use the library's own routes: a
-product of kets is a two-mode ket, and a mixture of kets the branch
-density of its rows √w_i ψ_i.
+product of kets is a two-mode ket, a mixture of kets the density of its
+rows √w_i ψ_i, and a product of densities the product of their rows.
 """
 
 import numpy as np
@@ -19,6 +19,7 @@ from .fock import (
     gaussian_to_fock,
     gaussify,
     moments,
+    number_distribution,
     partial_trace,
     relative_entropy,
 )
@@ -60,9 +61,9 @@ def _mixture(weighted_kets):
 
 
 def _product_density(a, b):
-    """ρ_a ⊗ ρ_b of two single-mode densities."""
-    return FockArray(
-        2, a.cutoff, "density", np.kron(a.data, b.data), trace_tol=a.trace_tol + b.trace_tol
+    """ρ_a ⊗ ρ_b of two single-mode densities, as the rows Φ_a ⊗ Φ_b."""
+    return FockArray.from_branches(
+        2, a.cutoff, np.kron(a.branches, b.branches), trace_tol=a.trace_tol + b.trace_tol
     )
 
 
@@ -82,7 +83,7 @@ def projection_counterexample(eps, alpha, n, d):
     w = np.array([np.sqrt(eps), np.sqrt(1.0 - eps)])
     w /= w.sum()
     minus = build_state("coherent", -alpha, d)
-    thermal = build_state("thermal", 1.0, d).data.diagonal().real
+    thermal = number_distribution(build_state("thermal", 1.0, d))
     plus = _product_ket(build_state("fock", n, d), build_state("coherent", alpha, d))
     weighted = [(w[0], plus)] + [
         (w[1] * p, _product_ket(build_state("fock", k, d), minus)) for k, p in enumerate(thermal)

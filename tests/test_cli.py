@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import nongauss.cli
 from nongauss.cli import main
 
 
@@ -211,6 +212,17 @@ def test_usage_unsupported_map_monotone(capsys):
     code, _, err = run_cli(["map-ng", "talpha:0.5"], capsys)
     assert code == 2
     assert "single-mode" in err
+
+
+@pytest.mark.parametrize("command", ["map-ng", "sweep"])
+def test_two_mode_map_spec_is_refused_before_it_is_built(command, capsys, monkeypatch):
+    def build(spec, cutoff):
+        raise AssertionError(f"{spec} was built")
+
+    monkeypatch.setattr(nongauss.cli, "parse_map_spec", build)
+    code, _, err = run_cli([command, "talpha:0.5"], capsys)
+    assert code == 2
+    assert "talpha:0.5 maps 2 modes to 1" in err
 
 
 def test_usage_bound_without_environment(capsys):

@@ -37,6 +37,7 @@ from nongauss.fock import (
     symplectic_to_unitary,
     von_neumann_entropy,
 )
+from nongauss.maps import loss
 from nongauss.gaussian import (
     GaussianState,
     SymplecticOp,
@@ -403,7 +404,11 @@ def test_gram_entropy_matches_the_density_spectrum():
     # branches cannot be passed alongside data that they might not match
     with pytest.raises(TypeError):
         FockArray(2, d, "density", rho, branches=phi)
-    assert FockArray(2, d, "density", rho).branches is None
+    from_matrix = FockArray(2, d, "density", rho)
+    assert_allclose(from_matrix.branches.T @ from_matrix.branches.conj(), rho, atol=1e-15)
+    assert von_neumann_entropy(from_matrix) == pytest.approx(
+        float(-(w @ np.log2(w))), abs=1e-12
+    )
     with pytest.raises(ValueError):
         FockArray.from_branches(2, d, phi[:, :-1])
 
@@ -443,6 +448,17 @@ def test_from_branches_raises_the_constructors_errors():
             FockArray(1, d, "density", rows.T @ rows.conj(), trace_tol=1e-3)
 
 
+def _dense_partial_trace(rho, n, d, keep):
+    """Tr over the modes not in keep of an n-mode density matrix, by
+    np.trace, with the kept modes in the order given."""
+    t = rho.reshape((d,) * (2 * n))
+    for m in sorted(set(range(n)) - set(keep), reverse=True):
+        t = np.trace(t, axis1=m, axis2=t.ndim // 2 + m)
+    order = list(np.argsort(np.argsort(keep)))
+    t = t.transpose(order + [len(keep) + o for o in order])
+    return t.reshape(d ** len(keep), d ** len(keep))
+
+
 def test_partial_trace_of_rows_matches_the_density_route():
     rng = np.random.default_rng(13)
     d = 7
@@ -451,22 +467,76 @@ def test_partial_trace_of_rows_matches_the_density_route():
     branch = FockArray.from_branches(3, d, phi)
     ket = FockArray(3, d, "ket", phi[0] / np.linalg.norm(phi[0]))
     for state in (branch, ket):
-        plain = FockArray(3, d, "density", state.to_density().data)
+        rho = state.to_density().data
         for keep in ((0,), (2,), (1, 0), (0, 2), (2, 0, 1)):
             got = partial_trace(state, keep)
-            want = partial_trace(plain, keep)
-            rows = 1 if state.kind == "ket" else phi.shape[0]
-            assert got.branches.shape == (rows * d ** (3 - len(keep)), d ** len(keep))
-            assert want.branches is None
-            assert_allclose(got.data, want.data, rtol=0, atol=1e-13)
-            assert got.trace_deficit == pytest.approx(want.trace_deficit, abs=1e-13)
+            want = _dense_partial_trace(rho, 3, d, keep)
+            rows = (1 if state.kind == "ket" else phi.shape[0]) * d ** (3 - len(keep))
+            # the rows of the traced modes, or the eigen-rows once they
+            # would outnumber the kept dimension
+            assert got.branches.shape == (min(rows, d ** len(keep)), d ** len(keep))
+            assert_allclose(got.data, want, rtol=0, atol=1e-13)
+            assert got.trace_deficit == pytest.approx(
+                1.0 - float(np.trace(want).real), abs=1e-13
+            )
         for mode in range(3):
             assert_allclose(
                 number_distribution(state, mode),
-                number_distribution(plain, mode),
+                np.diag(_dense_partial_trace(rho, 3, d, (mode,))).real,
                 rtol=0,
                 atol=1e-13,
             )
+
+
+def test_every_density_route_carries_at_most_d_rows():
+    d = 12
+    rng = np.random.default_rng(17)
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    mixed = a @ a.conj().T
+    mixed /= np.trace(mixed).real
+    psi = build_state("coherent", 0.7 + 0.2j, d)
+    p = (0.5 / 1.5) ** np.arange(d) / 1.5
+    thermal = build_state("thermal", 0.5, d, trace_tol=1e-5)
+    # d³ rows of the product over the kept mode, so they are refactored
+    pair = FockArray.from_branches(
+        2, d, np.kron(thermal.branches, thermal.branches), trace_tol=1e-5
+    )
+    body = loss(0.7, d).body
+    lossy = sum(k @ np.diag(p) @ k.conj().T for k in body.kraus)
+    routes = {
+        "constructor": (FockArray(1, d, "density", mixed), mixed),
+        "thermal": (thermal, np.diag(p)),
+        "to_density": (psi.to_density(), np.outer(psi.data, psi.data.conj())),
+        "partial_trace": (partial_trace(pair, (1,)), np.diag(p) * p.sum()),
+        # d operators on d thermal rows: k·r = d² > d
+        "over-wide apply_map": (apply_map(thermal, body)[0], lossy),
+    }
+    for name, (state, rho) in routes.items():
+        phi = state.branches
+        assert phi.shape[0] <= d, name
+        assert_allclose(phi.T @ phi.conj(), rho, rtol=0, atol=1e-13, err_msg=name)
+
+
+def test_density_constructor_refuses_a_negative_eigenvalue():
+    # Hermitian with unit trace, but not positive semidefinite
+    rho = np.diag([0.7, 0.4, -0.1, 0.0]).astype(complex)
+    with pytest.raises(InvalidStateError, match="eigenvalue"):
+        FockArray(1, 4, "density", rho)
+
+
+def test_apply_unitary_keeps_a_density_s_rows():
+    rng = np.random.default_rng(19)
+    d = 8
+    phi = rng.normal(size=(3, d * d)) + 1j * rng.normal(size=(3, d * d))
+    phi /= np.linalg.norm(phi)
+    state = FockArray.from_branches(2, d, phi, trace_tol=1e-4)
+    u = build_unitary("beamsplitter", 0.4, d)
+    out = apply_unitary(state, u)
+    assert out.branches.shape == phi.shape
+    assert "data" not in vars(out)
+    assert out.trace_tol == 1e-4
+    rho = phi.T @ phi.conj()
+    assert_allclose(out.data, u @ rho @ u.conj().T, rtol=0, atol=1e-13)
 
 
 def test_relative_entropy_basics():
