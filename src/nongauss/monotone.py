@@ -235,18 +235,34 @@ def _ordered_moments(mu, g, words):
     shorter word.  By the Isserlis (Wick) theorem, with raw second moments
     S = g + μμᵀ, ⟨ξ₁ξ₂ξ₃ξ₄⟩ = S₁₂S₃₄ + S₁₃S₂₄ + S₁₄S₂₃ − 2μ₁μ₂μ₃μ₄.
     """
+    return _isserlis(mu, g, _contractions(words, len(mu) + 1))
+
+
+def _contractions(words, size):
+    """Gather indices of the Isserlis sum for words of shape (k, 4).
+
+    Over a table of `size` symbols (the unit last): the flat indices into
+    S of the pairs (12), (34), (13), (24), (14), (23), and the four
+    symbols.  Built once per word list, not once per input point.
+    """
+    w1, w2, w3, w4 = np.asarray(words).T
+    pairs = ((w1, w2), (w3, w4), (w1, w3), (w2, w4), (w1, w4), (w2, w3))
+    return np.array([i * size + j for i, j in pairs]), np.array([w1, w2, w3, w4])
+
+
+def _isserlis(mu, g, contractions):
+    # _ordered_moments on the gather indices of _contractions
+    pairs, symbols = contractions
     n = len(mu)
-    mu = np.append(mu, 1.0)
+    unit_mu = np.empty(n + 1, dtype=complex)
+    unit_mu[:n] = mu
+    unit_mu[n] = 1.0
     s = np.zeros((n + 1, n + 1), dtype=complex)
     s[:n, :n] = g
-    s += np.outer(mu, mu)
-    w1, w2, w3, w4 = np.asarray(words).T
-    return (
-        s[w1, w2] * s[w3, w4]
-        + s[w1, w3] * s[w2, w4]
-        + s[w1, w4] * s[w2, w3]
-        - 2.0 * mu[w1] * mu[w2] * mu[w3] * mu[w4]
-    )
+    s += unit_mu[:, None] * unit_mu
+    c = s.ravel().take(pairs)
+    f = unit_mu.take(symbols)
+    return c[0] * c[1] + c[2] * c[3] + c[4] * c[5] - 2.0 * f[0] * f[1] * f[2] * f[3]
 
 
 # symbols of _ladder_moments, then the unit
@@ -257,10 +273,11 @@ _X_WORDS = (
     (_A, _ONE), (_B, _ONE), (_A, _B), (_A, _A), (_B, _B),
     (_ADAG, _A), (_ADAG, _B), (_BDAG, _A), (_BDAG, _B),
 )
-# the words K† X K, with K = b for subtraction and b† for addition
+# the words K† X K, with K = b for subtraction and b† for addition, as
+# _contractions gathers them
 _WORDS = {
-    "pns": np.array([(_BDAG, *x, _B) for x in _X_WORDS]),
-    "pna": np.array([(_B, *x, _BDAG) for x in _X_WORDS]),
+    "pns": _contractions([(_BDAG, *x, _B) for x in _X_WORDS], _ONE + 1),
+    "pna": _contractions([(_B, *x, _BDAG) for x in _X_WORDS], _ONE + 1),
 }
 
 
@@ -278,7 +295,7 @@ def analytic_output_covariance(p, which):
         norm = normalization_pns(abs(p.alpha), p.r, p.n_s)
     else:
         norm = normalization_pna(abs(p.alpha), p.r, p.n_s)
-    m = (norm * norm) * _ordered_moments(*_ladder_moments(p), _WORDS[which])
+    m = (norm * norm) * _isserlis(*_ladder_moments(p), _WORDS[which])
     aa = np.array([[m[3], m[2]], [m[2], m[4]]])
     return covariance_from_moments(MomentRecord(2, m[:2], aa, m[5:].reshape(2, 2)))
 
@@ -286,8 +303,8 @@ def analytic_output_covariance(p, which):
 def _clamp(x, n_s_cap):
     return InputParams(
         complex(min(abs(float(x[0])), _CAP_ALPHA)),
-        float(np.clip(x[1], -_CAP_THETA, _CAP_THETA)),
-        float(np.clip(x[2], -_CAP_R, _CAP_R)),
+        min(max(float(x[1]), -_CAP_THETA), _CAP_THETA),
+        min(max(float(x[2]), -_CAP_R), _CAP_R),
         float(min(abs(float(x[3])), n_s_cap)),
     )
 
@@ -307,7 +324,7 @@ def alpha_zero_spread(which, seed=0, count=10):
     return float(max(vals) - min(vals))
 
 
-def delta_tilde(desc, seed=0, cutoff=None, max_n_s=_CAP_NS):
+def delta_tilde(desc, seed=0, cutoff=None, max_n_s=_CAP_NS, *, _values=None):
     """Maximize joint-output non-Gaussianity over the input family.
 
     The returned value is the running maximum over every evaluation
@@ -317,6 +334,13 @@ def delta_tilde(desc, seed=0, cutoff=None, max_n_s=_CAP_NS):
     are excluded from the search rather than evaluated with inflated
     truncation error.  Raises UnsupportedMapError for anything that is
     not a conditional unitary map.
+
+    _values is set by divergence_profile alone, for the analytic maps,
+    whose objective records nothing but its value: a dict from clamped
+    point to unrounded value that the searches of one sweep share, so each
+    distinct point is evaluated once.  Every evaluation still enters the
+    trace.  A search handed one skips alpha_zero_spread, which the sweep
+    does not read.
     """
     body = desc.body
     if not body.conditional_unitary:
@@ -332,21 +356,28 @@ def delta_tilde(desc, seed=0, cutoff=None, max_n_s=_CAP_NS):
     excluded = [0]
     trace = []
 
-    def evaluate(x):
-        p = _clamp(x, max_n_s)
+    def objective(p):
         try:
             if analytic:
-                val = gaussian_entropy(analytic_output_covariance(p, desc.name))
-            else:
-                ket = input_family(p, "fock", cutoff=d, edge_tol=_EDGE_TOL)
-                deficits.append(ket.trace_deficit)
-                out, _ = apply_map(ket, body, targets=[1], trace_tol=1e-2)
-                val = delta_g(certify_edge(out, _EDGE_TOL))
+                return gaussian_entropy(analytic_output_covariance(p, desc.name))
+            ket = input_family(p, "fock", cutoff=d, edge_tol=_EDGE_TOL)
+            deficits.append(ket.trace_deficit)
+            out, _ = apply_map(ket, body, targets=[1], trace_tol=1e-2)
+            return delta_g(certify_edge(out, _EDGE_TOL))
         except ZeroProbabilityError:
-            val = -np.inf
+            return -np.inf
         except TruncationError:
             excluded[0] += 1
-            val = -np.inf
+            return -np.inf
+
+    def evaluate(x):
+        p = _clamp(x, max_n_s)
+        if _values is None:
+            val = objective(p)
+        elif p in _values:
+            val = _values[p]
+        else:
+            val = _values[p] = objective(p)
         trace.append((p, val))
         return round(val, _RANK_DECIMALS) if np.isfinite(val) else _PENALTY
 
@@ -391,7 +422,7 @@ def delta_tilde(desc, seed=0, cutoff=None, max_n_s=_CAP_NS):
         "max_deficit": float(max(deficits)),
         "excluded": excluded[0],
     }
-    if analytic:
+    if analytic and _values is None:
         diagnostics["alpha_zero_spread"] = alpha_zero_spread(desc.name, seed=seed)
     return MonotoneResult(
         "delta_tilde",
@@ -517,12 +548,15 @@ def divergence_profile(desc, grid=None, seed=0, cutoff=None):
     """Classify growth of the best available lower bound against energy.
 
     Maps with the analytic input-family backend (pns, pna) route through
-    delta_tilde with the family's N_S capped at each grid value; all other
-    maps route through d_g_bound with the grid value as the input energy
-    budget.  Slope is fitted over the top half of the grid; the label is
-    'finite' on a plateau (within PLATEAU_TOL), 'diverging' on a monotone
-    rise with slope ≥ SLOPE_MIN, 'inconclusive' otherwise.  d_g_bound
-    draws three squeezed-thermal samples at each energy.
+    delta_tilde with the family's N_S capped at each grid value; the
+    searches share one table of values, so a point that several of them
+    reach is evaluated once, and each value equals that of an independent
+    search at its cap.  All other maps route through d_g_bound with the
+    grid value as the input energy budget.  Slope is fitted over the top
+    half of the grid; the label is 'finite' on a plateau (within
+    PLATEAU_TOL), 'diverging' on a monotone rise with slope ≥ SLOPE_MIN,
+    'inconclusive' otherwise.  d_g_bound draws three squeezed-thermal
+    samples at each energy.
     """
     via_family = desc.name in ("pns", "pna")
     if grid is None:
@@ -531,9 +565,12 @@ def divergence_profile(desc, grid=None, seed=0, cutoff=None):
     if len(grid) < 4:
         raise ValueError("grid needs at least 4 points")
     deltas = []
+    table = {}
     for e in grid:
         if via_family:
-            res = delta_tilde(desc, seed=seed, cutoff=cutoff, max_n_s=e)
+            res = delta_tilde(
+                desc, seed=seed, cutoff=cutoff, max_n_s=e, _values=table
+            )
         else:
             res = d_g_bound(desc, energy=e, seed=seed, cutoff=cutoff, count=3)
         deltas.append(res.value)

@@ -425,6 +425,41 @@ def test_divergence_profile_kerr_grows():
     assert prof.slope >= 0.5
 
 
+def _count_objective_points(monkeypatch):
+    points = []
+    exact = monotone.analytic_output_covariance
+
+    def counted(p, which):
+        points.append(p)
+        return exact(p, which)
+
+    monkeypatch.setattr(monotone, "analytic_output_covariance", counted)
+    return points
+
+
+@pytest.mark.parametrize("make", [pns, pna])
+def test_divergence_profile_evaluates_each_point_once(monkeypatch, make):
+    points = _count_objective_points(monkeypatch)
+    divergence_profile(make(), seed=3)
+    assert len(points) > 100
+    assert len(points) == len(set(points))
+
+
+@pytest.mark.parametrize("make", [pns, pna])
+def test_divergence_profile_matches_independent_searches(monkeypatch, make):
+    desc = make()
+    grid = monotone.DEFAULT_NS_GRID
+    want = tuple(delta_tilde(desc, seed=3, max_n_s=e).value for e in grid)
+    points = _count_objective_points(monkeypatch)
+    first = divergence_profile(desc, seed=3)
+    calls = len(points)
+    second = divergence_profile(desc, seed=3)
+    assert first.deltas == want
+    assert second.deltas == want
+    # nothing is kept between sweeps: the second one evaluates afresh
+    assert len(points) == 2 * calls
+
+
 def test_divergence_profile_validation():
     with pytest.raises(ValueError):
         divergence_profile(pns(), grid=(1.0, 2.0, 4.0))
