@@ -75,10 +75,11 @@ class FockArray:
     trace_deficit records 1 − ⟨ψ|ψ⟩ (ket) or 1 − Tr ρ (density); it must not
     exceed trace_tol. States are kept unnormalized-by-truncation so the
     deficit stays observable.  A density is its rows Φ, the read-only
-    `branches` field, with ρ = Φᵀ Φ̄.  The constructor takes ρ as `data`
-    and keeps its eigen-rows √λ_i v_iᵀ (λ_i > 0), refusing an eigenvalue
-    below −1e-9; `from_branches` takes the rows and forms `data` on first
-    read, then caches it read-only.
+    `branches` field, with ρ = Φᵀ Φ̄, and its spectrum the read-only
+    `eigenvalues`.  The constructor takes ρ as `data` and keeps its one
+    `eigh`: the λ_i and the eigen-rows √λ_i v_iᵀ (λ_i > 0), refusing an
+    eigenvalue below −1e-9; `from_branches` takes the rows and forms
+    `data` and `eigenvalues` on first read, then caches them read-only.
     """
 
     n_modes: int
@@ -88,6 +89,7 @@ class FockArray:
     trace_tol: float = APPLY_DEFICIT_TOL
     trace_deficit: float = field(init=False)
     branches: np.ndarray = field(default=None, init=False, compare=False, repr=False)
+    eigenvalues: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n, d = self.n_modes, self.cutoff
@@ -116,7 +118,9 @@ class FockArray:
             live = w > 0
             rows = np.sqrt(w[live])[:, None] * v[:, live].T
             rows.setflags(write=False)
+            w.setflags(write=False)
             object.__setattr__(self, "branches", rows)
+            object.__setattr__(self, "eigenvalues", w)
 
     def _settle(self, values, deficit):
         """Check the entries and the trace deficit, then record the deficit
@@ -156,15 +160,21 @@ class FockArray:
         return out
 
     def __getattr__(self, name):
-        # reached only when `name` is not set: for `data`, that is a density
-        # built by `from_branches` whose ρ has not been read yet
+        # reached only when `name` is not set: for `data` or `eigenvalues`,
+        # that is a density built by `from_branches` that has not read it yet
         phi = self.__dict__.get("branches")
-        if name != "data" or phi is None:
+        if name not in ("data", "eigenvalues") or phi is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        rho = phi.T @ phi.conj()
-        rho.setflags(write=False)
-        object.__setattr__(self, "data", rho)
-        return rho
+        if name == "data":
+            value = phi.T @ phi.conj()
+        elif phi.shape[0] < phi.shape[1]:
+            # the r × r Gram matrix Φ̄ Φᵀ has the nonzero eigenvalues of ρ
+            value = np.linalg.eigvalsh(phi.conj() @ phi.T)
+        else:
+            value = np.linalg.eigvalsh(self.data)
+        value.setflags(write=False)
+        object.__setattr__(self, name, value)
+        return value
 
     def to_density(self):
         """A ket as the density of its one row; identity on densities."""
@@ -522,18 +532,11 @@ def partial_trace(state, keep):
 
 
 def von_neumann_entropy(state):
-    """S(ρ) = −Σ λ log₂ λ; exactly 0 for kets.
-
-    A density carrying r < Dⁿ branches Φ takes its spectrum from the r × r
-    Gram matrix Φ̄ Φᵀ, whose eigenvalues are the nonzero ones of ρ = Φᵀ Φ̄.
-    """
+    """S(ρ) = −Σ λ log₂ λ over the density's stored eigenvalues; exactly 0
+    for kets."""
     if state.kind == "ket":
         return 0.0
-    phi = state.branches
-    if phi.shape[0] < phi.shape[1]:
-        w = np.linalg.eigvalsh(phi.conj() @ phi.T)
-    else:
-        w = np.linalg.eigvalsh(state.data)
+    w = state.eigenvalues
     if w.min() < -1e-9:
         raise InvalidStateError(f"density eigenvalue {w.min():.3e} < 0")
     w = w[w > ENTROPY_CLAMP]

@@ -1,11 +1,12 @@
 """Exact phase-space engine: symplectic algebra, Gaussian states and unitaries,
-Williamson spectra, entropies and conditioning.
+Williamson spectra (solved once per state, on construction, as its
+physicality check, and read by its entropy), entropies and conditioning.
 
 Conventions: hbar = 2, so the vacuum covariance matrix is the identity, and
 quadratures are ordered (q1, p1, ..., qn, pn) with a = (q + ip)/2 per mode.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -14,7 +15,6 @@ from scipy import linalg
 from .errors import InvalidStateError
 
 SYMMETRY_TOL = 1e-10
-PHYSICALITY_TOL = 1e-9
 MU_CLAMP_TOL = 1e-9
 
 _Y = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -40,16 +40,32 @@ def _frozen(a):
 
 
 @dataclass(frozen=True)
+class WilliamsonSpectrum:
+    """Symplectic eigenvalues mu_k >= 1, sorted descending."""
+
+    mu: np.ndarray
+
+    def __post_init__(self):
+        mu = _frozen(self.mu)
+        if mu.min() < 1.0 - MU_CLAMP_TOL:
+            raise InvalidStateError(f"symplectic eigenvalue {mu.min():.12f} < 1")
+        object.__setattr__(self, "mu", mu)
+
+
+@dataclass(frozen=True)
 class GaussianState:
     """Mean vector and covariance matrix of an n-mode bosonic state.
 
-    Invariants checked on construction: cov symmetric, and cov + i*Omega
-    positive semidefinite (all symplectic eigenvalues >= 1 up to tolerance).
+    Checked on construction: cov symmetric and > 0, with Cholesky factor L,
+    and every symplectic eigenvalue mu_k >= 1 - MU_CLAMP_TOL, which is
+    cov + i*Omega >= 0.  The mu_k, kept as `spectrum`, are the positive
+    eigenvalues of the Hermitian i*L^T Omega L (one solve).
     """
 
     n_modes: int
     mean: np.ndarray
     cov: np.ndarray
+    spectrum: WilliamsonSpectrum = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.n_modes
@@ -65,11 +81,12 @@ class GaussianState:
             raise ValueError("non-finite entries in mean or covariance")
         if np.max(np.abs(cov - cov.T)) > SYMMETRY_TOL:
             raise InvalidStateError("covariance matrix is not symmetric")
-        load = np.linalg.eigvalsh(cov + 1j * symplectic_form(n))
-        if load.min() < -PHYSICALITY_TOL:
-            raise InvalidStateError(
-                f"cov + i*Omega has eigenvalue {load.min():.3e} < 0: unphysical"
-            )
+        try:
+            low = np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            raise InvalidStateError("covariance matrix is not positive definite") from None
+        w = np.linalg.eigvalsh(1j * (low.T @ symplectic_form(n) @ low))
+        object.__setattr__(self, "spectrum", WilliamsonSpectrum(w[::-1][:n]))
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
@@ -93,19 +110,6 @@ class SymplecticOp:
             raise ValueError("matrix is not symplectic")
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "delta_x", dx)
-
-
-@dataclass(frozen=True)
-class WilliamsonSpectrum:
-    """Symplectic eigenvalues mu_k >= 1, sorted descending."""
-
-    mu: np.ndarray
-
-    def __post_init__(self):
-        mu = _frozen(self.mu)
-        if mu.min() < 1.0 - MU_CLAMP_TOL:
-            raise InvalidStateError(f"symplectic eigenvalue {mu.min():.12f} < 1")
-        object.__setattr__(self, "mu", mu)
 
 
 def vacuum_state(n_modes=1):
@@ -142,18 +146,8 @@ def tmsv_state(N_S):
 
 
 def symplectic_eigenvalues(state):
-    """Williamson spectrum of a state: positive eigenvalues of i*Omega*cov."""
-    cov = np.asarray(state.cov, dtype=float)
-    if not np.all(np.isfinite(cov)):
-        raise ValueError("non-finite covariance")
-    w = np.linalg.eigvals(1j * symplectic_form(state.n_modes) @ cov)
-    if np.max(np.abs(w.imag)) > 1e-8:
-        raise InvalidStateError(
-            f"eigenvalues of i*Omega*cov not real (residue {np.max(np.abs(w.imag)):.2e})"
-        )
-    # Eigenvalues come in +/- pairs; keep one of each.
-    mu = np.sort(np.abs(w.real))[::-1][::2]
-    return WilliamsonSpectrum(mu)
+    """Williamson spectrum of a state, solved once by its constructor."""
+    return state.spectrum
 
 
 def thermal_entropy(N):

@@ -13,6 +13,8 @@ search aggregates them in a fixed order, so results are deterministic for
 a given seed.
 """
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,8 +82,8 @@ class InputParams:
     def __post_init__(self):
         if self.n_s < 0.0:
             raise ValueError("n_s must be nonnegative")
-        vals = np.array([self.alpha, self.theta, self.r, self.n_s], dtype=complex)
-        if not np.all(np.isfinite(vals)):
+        reals = (self.theta, self.r, self.n_s)
+        if not (cmath.isfinite(self.alpha) and all(map(math.isfinite, reals))):
             raise ValueError("parameters must be finite")
 
 
@@ -107,6 +109,17 @@ class MonotoneResult:
             raise ValueError("result value below its own evaluation trace")
 
 
+def _check_grid(grid):
+    """Refuse a sweep grid unless it has at least 4 finite, nonnegative,
+    strictly increasing points."""
+    if len(grid) < 4:
+        raise ValueError(f"grid {grid} needs at least 4 points")
+    if not all(math.isfinite(e) and e >= 0.0 for e in grid):
+        raise ValueError(f"grid {grid} must be finite and nonnegative")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"grid {grid} must be strictly increasing")
+
+
 @dataclass(frozen=True)
 class DivergenceProfile:
     """δ values along an energy grid plus the fitted growth rate.
@@ -122,11 +135,7 @@ class DivergenceProfile:
     quantity: str
 
     def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        if g.size < 4:
-            raise ValueError("grid needs at least 4 points")
-        if np.any(np.diff(g) <= 0.0):
-            raise ValueError("grid must be strictly increasing")
+        _check_grid(self.grid)
         if min(self.deltas) < -1e-6:
             raise ValueError("negative delta in profile")
 
@@ -557,13 +566,15 @@ def divergence_profile(desc, grid=None, seed=0, cutoff=None):
     PLATEAU_TOL), 'diverging' on a monotone rise with slope ≥ SLOPE_MIN,
     'inconclusive' otherwise.  d_g_bound draws three squeezed-thermal
     samples at each energy.
+
+    :raises ValueError: before any search, a grid of fewer than 4 points
+        or one that is not finite, nonnegative and strictly increasing.
     """
     via_family = desc.name in ("pns", "pna")
     if grid is None:
         grid = DEFAULT_NS_GRID if via_family else DEFAULT_ENERGY_GRID
     grid = tuple(float(e) for e in grid)
-    if len(grid) < 4:
-        raise ValueError("grid needs at least 4 points")
+    _check_grid(grid)
     deltas = []
     table = {}
     for e in grid:

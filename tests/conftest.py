@@ -20,3 +20,17 @@ def random_gaussian_state(n_modes, rng, max_thermal=1.5):
     cov = s @ np.diag(np.repeat(mu, 2)) @ s.T
     mean = rng.normal(scale=1.0, size=2 * n_modes)
     return GaussianState(n_modes, mean, 0.5 * (cov + cov.T))
+
+
+def count_eigensolves(monkeypatch):
+    """Names of the numpy eigensolvers called from now on, in call order."""
+    calls = []
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        solve = getattr(np.linalg, name)
+
+        def counted(*args, _solve=solve, _name=name, **kwargs):
+            calls.append(_name)
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls

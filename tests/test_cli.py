@@ -5,6 +5,7 @@ import json
 import pytest
 
 import nongauss.cli
+import nongauss.monotone
 from nongauss.cli import main
 
 
@@ -223,6 +224,17 @@ def test_two_mode_map_spec_is_refused_before_it_is_built(command, capsys, monkey
     code, _, err = run_cli([command, "talpha:0.5"], capsys)
     assert code == 2
     assert "talpha:0.5 maps 2 modes to 1" in err
+
+
+@pytest.mark.parametrize("grid", ["4,2,1,8", "1,2,4,nan", "1,2,4,inf", "-1,1,2,4"])
+def test_sweep_refuses_a_bad_grid_before_searching(grid, capsys, monkeypatch):
+    def search(*args, **kwargs):
+        raise AssertionError("searched a refused grid")
+
+    monkeypatch.setattr(nongauss.monotone, "delta_tilde", search)
+    code, _, err = run_cli(["sweep", "pns", f"--grid={grid}"], capsys)
+    assert code == 2
+    assert "grid" in err
 
 
 def test_usage_bound_without_environment(capsys):

@@ -50,7 +50,7 @@ from nongauss.gaussian import (
     williamson,
 )
 
-from conftest import random_gaussian_state, random_symplectic
+from conftest import count_eigensolves, random_gaussian_state, random_symplectic
 
 Z = np.diag([1.0, -1.0])
 
@@ -411,6 +411,38 @@ def test_gram_entropy_matches_the_density_spectrum():
     )
     with pytest.raises(ValueError):
         FockArray.from_branches(2, d, phi[:, :-1])
+
+
+def test_constructor_density_entropy_reads_its_solve(monkeypatch):
+    rng = np.random.default_rng(5)
+    phi = rng.normal(size=(3, 16)) + 1j * rng.normal(size=(3, 16))
+    phi /= np.linalg.norm(phi)
+    rho = FockArray(2, 4, "density", phi.T @ phi.conj())
+    calls = count_eigensolves(monkeypatch)
+    s = von_neumann_entropy(rho)
+    assert calls == []
+    w = rho.eigenvalues[rho.eigenvalues > 1e-12]
+    assert s == float(-(w @ np.log2(w)))
+    with pytest.raises(ValueError):
+        rho.eigenvalues[0] = 0.0
+
+
+@pytest.mark.parametrize("rows", [3, 40])
+def test_branch_density_solves_once_on_first_entropy_read(monkeypatch, rows):
+    # 3 rows < 36 go through the Gram matrix, 40 rows through ρ
+    rng = np.random.default_rng(9)
+    phi = rng.normal(size=(rows, 36)) + 1j * rng.normal(size=(rows, 36))
+    phi /= np.linalg.norm(phi)
+    state = FockArray.from_branches(2, 6, phi)
+    calls = count_eigensolves(monkeypatch)
+    assert "eigenvalues" not in vars(state)
+    first = von_neumann_entropy(state)
+    assert len(calls) == 1
+    assert von_neumann_entropy(state) == first
+    assert len(calls) == 1
+    w = np.linalg.eigvalsh(phi.T @ phi.conj())
+    w = w[w > 1e-12]
+    assert first == pytest.approx(float(-(w @ np.log2(w))), abs=1e-12)
 
 
 def test_from_branches_forms_rho_only_when_read():

@@ -22,7 +22,7 @@ from nongauss.gaussian import (
     williamson,
 )
 
-from conftest import random_gaussian_state, random_symplectic
+from conftest import count_eigensolves, random_gaussian_state, random_symplectic
 
 Z = np.diag([1.0, -1.0])
 
@@ -65,6 +65,8 @@ def test_state_validation_rejects_unphysical():
         GaussianState(1, np.zeros(2), 0.5 * np.eye(2))
     with pytest.raises(InvalidStateError):
         GaussianState(1, np.zeros(2), np.array([[1.0, 0.2], [0.0, 1.0]]))
+    with pytest.raises(InvalidStateError):
+        GaussianState(1, np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(ValueError):
         GaussianState(1, np.zeros(3), np.eye(2))
 
@@ -103,6 +105,17 @@ def test_symplectic_eigenvalues_invariant_under_symplectics():
             np.sort(symplectic_eigenvalues(state).mu),
             atol=1e-8,
         )
+
+
+def test_state_solves_its_spectrum_once(monkeypatch):
+    tms = gaussian_unitary("two_mode_squeeze", 0.4)
+    thermal = thermal_state(1.0, 2)
+    calls = count_eigensolves(monkeypatch)
+    state = apply_symplectic(thermal, tms)
+    assert calls == ["eigvalsh"]
+    assert gaussian_entropy(state) == pytest.approx(4.0, abs=1e-12)
+    assert calls == ["eigvalsh"]
+    assert symplectic_eigenvalues(state) is state.spectrum
 
 
 def test_gaussian_entropy_matches_thermal():

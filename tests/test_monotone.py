@@ -65,6 +65,15 @@ def test_input_params_rejects_bad_values():
         InputParams(complex(np.inf), 0.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", range(4))
+def test_input_params_rejects_non_finite_fields(field, bad):
+    values = [0.5 + 0.1j, 0.3, 0.2, 1.0]
+    values[field] = complex(bad, 0.0) if field == 0 else bad
+    with pytest.raises(ValueError, match="finite"):
+        InputParams(*values)
+
+
 def test_input_family_backends_agree():
     p = InputParams(0.4 + 0.2j, 0.9, 0.3, 0.8)
     exact = input_family(p, "gaussian")
@@ -465,6 +474,27 @@ def test_divergence_profile_validation():
         divergence_profile(pns(), grid=(1.0, 2.0, 4.0))
     with pytest.raises(ValueError):
         DivergenceProfile((1.0, 2.0, 2.0, 4.0), (0.0,) * 4, 0.0, "finite", "delta_tilde")
+
+
+@pytest.mark.parametrize("make", [pns, lambda: bps(8)], ids=["pns", "bps"])
+@pytest.mark.parametrize(
+    "grid",
+    [
+        (4.0, 2.0, 1.0, 8.0),
+        (1.0, 2.0, 4.0, np.nan),
+        (1.0, 2.0, 4.0, np.inf),
+        (-1.0, 1.0, 2.0, 4.0),
+        (1.0, 2.0, 4.0),
+    ],
+)
+def test_divergence_profile_refuses_a_bad_grid_before_searching(monkeypatch, make, grid):
+    def search(*args, **kwargs):
+        raise AssertionError("searched a refused grid")
+
+    monkeypatch.setattr(monotone, "delta_tilde", search)
+    monkeypatch.setattr(monotone, "d_g_bound", search)
+    with pytest.raises(ValueError, match="grid"):
+        divergence_profile(make(), grid=grid)
 
 
 def test_mixed_unitary_bounds_oracle():
