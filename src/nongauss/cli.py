@@ -104,7 +104,7 @@ def _config(args, **extra):
     return cfg
 
 
-def _argmax_fields(p, tolerance, analytic):
+def _argmax_fields(p, tolerance, backend):
     fields = {
         "alpha_re": float(np.real(p.alpha)),
         "alpha_im": float(np.imag(p.alpha)),
@@ -113,10 +113,13 @@ def _argmax_fields(p, tolerance, analytic):
         "n_s": float(p.n_s),
         "tolerance": float(tolerance),
     }
-    if analytic:
+    if backend == "analytic":
         # the analytic δ̃ of pns/pna is flat on the α = 0 manifold its
         # maximum lies on, so there θ, r and n_s are rounding artefacts
         fields.update(theta=None, r=None, n_s=None)
+    elif backend == "phase-space":
+        # a Gaussian unitary's δ̃ is 0 at every member: no coordinate counts
+        fields.update(alpha_re=None, alpha_im=None, theta=None, r=None, n_s=None)
     return fields
 
 
@@ -171,18 +174,18 @@ def cmd_map_ng(args):
         return config, results
     if desc.body.conditional_unitary:
         res = delta_tilde(desc, seed=args.seed)
-        analytic = res.diagnostics["backend"] == "analytic"
+        backend = res.diagnostics["backend"]
         results = {
             "method": "delta_tilde",
             "value": _measured(
                 res.value,
-                tolerance=SIMPLEX_FATOL if analytic else FOCK_MOMENT_TOL,
+                tolerance=SIMPLEX_FATOL if backend == "analytic" else FOCK_MOMENT_TOL,
                 deficit=res.diagnostics["max_deficit"],
             ),
-            "argmax": _argmax_fields(res.argmax, SIMPLEX_XATOL, analytic),
+            "argmax": _argmax_fields(res.argmax, SIMPLEX_XATOL, backend),
             "evaluations": res.evaluations,
             "excluded": res.diagnostics["excluded"],
-            "backend": res.diagnostics["backend"],
+            "backend": backend,
         }
         if "alpha_zero_spread" in res.diagnostics:
             results["alpha_zero_spread"] = _measured(

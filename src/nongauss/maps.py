@@ -3,8 +3,10 @@
 Each constructor returns a MapDescriptor whose body is a ConditionalMap on
 Fock tensors truncated at the given cutoff, given by its Kraus family: a
 unitary is (U,), a unitary mixture (√p_j U_j), and composition multiplies
-Kraus operators pairwise.  Descriptors are immutable and safe to share
-between threads.
+Kraus operators pairwise.  A Gaussian channel (id, loss, and gd with a
+Gaussian environment) also carries its Gaussian form, which acts on
+Gaussian inputs in phase space.  Descriptors are immutable and safe to
+share between threads.
 """
 
 import dataclasses
@@ -22,14 +24,20 @@ from .fock import (
     ladder,
     symplectic_to_unitary,
 )
-from .gaussian import SymplecticOp, gaussian_unitary
+from .gaussian import GaussianState, SymplecticOp, gaussian_unitary, vacuum_state
 
 DEFAULT_KERR_GAMMA = 0.5
 
 
 @dataclass(frozen=True)
 class MapDescriptor:
-    """A named conditional map with analytic metadata."""
+    """A named conditional map with analytic metadata.
+
+    metadata["gaussian_form"], present on Gaussian channels only, is the
+    pair (sym, env) of gaussian.gaussian_channel: the dilation's
+    SymplecticOp and the environment as a GaussianState (None for a
+    unitary).  The body is built from the same sym.
+    """
 
     name: str
     body: ConditionalMap
@@ -94,7 +102,8 @@ def kerr(gamma=DEFAULT_KERR_GAMMA, cutoff=DEFAULT_CUTOFF):
 def identity_map(cutoff=DEFAULT_CUTOFF):
     """The single-mode identity channel."""
     body = ConditionalMap(1, 1, (np.eye(cutoff, dtype=complex),), renormalize=False)
-    return MapDescriptor("id", body, cutoff)
+    form = (SymplecticOp(1, np.eye(2), np.zeros(2)), None)
+    return MapDescriptor("id", body, cutoff, {"gaussian_form": form})
 
 
 def coherent_projector(alpha, cutoff=DEFAULT_CUTOFF):
@@ -146,7 +155,7 @@ def loss(tau, cutoff=DEFAULT_CUTOFF):
     sym = gaussian_unitary("beamsplitter", tau, n_modes=2)
     env = build_state("vacuum", None, cutoff)
     desc = gaussian_dilatable(sym, env, cutoff)
-    meta = dict(desc.metadata, tau=float(tau))
+    meta = dict(desc.metadata, tau=float(tau), gaussian_form=(sym, vacuum_state(1)))
     return dataclasses.replace(desc, name="loss", metadata=meta)
 
 
@@ -183,9 +192,7 @@ def parse_state_spec(spec, cutoff, trace_tol=1e-6):
         if name == "fock":
             return build_state("fock", int(arg), cutoff, trace_tol=trace_tol)
         if name == "coherent":
-            parts = [float(x) for x in arg.split(",")]
-            alpha = complex(parts[0], parts[1] if len(parts) > 1 else 0.0)
-            return build_state("coherent", alpha, cutoff, trace_tol=trace_tol)
+            return build_state("coherent", _amplitude(arg), cutoff, trace_tol=trace_tol)
         if name == "thermal":
             return build_state("thermal", float(arg), cutoff, trace_tol=trace_tol)
         if name == "tmsv":
@@ -195,6 +202,25 @@ def parse_state_spec(spec, cutoff, trace_tol=1e-6):
     except ValueError as exc:
         raise ValueError(f"bad state spec {spec!r}: {exc}") from exc
     raise ValueError(f"unknown state spec {spec!r}")
+
+
+def _amplitude(arg):
+    # re[,im] of a state or map spec
+    parts = [float(x) for x in arg.split(",")]
+    return complex(parts[0], parts[1] if len(parts) > 1 else 0.0)
+
+
+def _gaussian_environment(spec):
+    # a parsed environment spec as a GaussianState when its state is one
+    # (vacuum, fock:0, coherent), else None
+    name, _, arg = spec.partition(":")
+    name = name.strip().lower()
+    if name == "vacuum" or (name == "fock" and int(arg) == 0):
+        return vacuum_state(1)
+    if name == "coherent":
+        beta = _amplitude(arg)
+        return GaussianState(1, np.array([2.0 * beta.real, 2.0 * beta.imag]), np.eye(2))
+    return None
 
 
 def _parse_gd(arg, cutoff):
@@ -216,7 +242,12 @@ def _parse_gd(arg, cutoff):
             "beamsplitter dilation takes a single-mode pure environment"
         )
     sym = gaussian_unitary("beamsplitter", tau, n_modes=2)
-    return gaussian_dilatable(sym, env, cutoff)
+    desc = gaussian_dilatable(sym, env, cutoff)
+    g_env = _gaussian_environment(env_spec)
+    if g_env is None:
+        return desc
+    meta = dict(desc.metadata, gaussian_form=(sym, g_env))
+    return dataclasses.replace(desc, metadata=meta)
 
 
 def parse_map_spec(spec, cutoff):
@@ -240,9 +271,7 @@ def parse_map_spec(spec, cutoff):
     if name in ("talpha", "tα"):
         if not arg:
             raise ValueError("talpha needs an amplitude, e.g. talpha:1.0")
-        parts = [float(x) for x in arg.split(",")]
-        alpha = complex(parts[0], parts[1] if len(parts) > 1 else 0.0)
-        return coherent_projector(alpha, cutoff)
+        return coherent_projector(_amplitude(arg), cutoff)
     if name == "gd":
         return _parse_gd(arg, cutoff)
     if name == "loss":

@@ -5,8 +5,11 @@ parameter entangled input family D_α R_θ S_r |ζ⟩; d_g_bound evaluates the
 unentangled lower bound on Gaussian inputs.  Photon subtraction and
 addition get an exact closed-form Gaussian-moment (Isserlis) backend: the
 output moments are ordered ladder words whose expectations on the Gaussian
-input follow from its means and pair contractions alone.  Everything else
-runs on the truncated Fock backend.
+input follow from its means and pair contractions alone.  A Gaussian
+channel (a descriptor carrying a Gaussian form: id, loss, gd with a
+Gaussian environment) sends Gaussian inputs through in phase space, where
+their outputs are Gaussian and δ_G is exactly 0.  Everything else runs on
+the truncated Fock backend.
 
 Objective evaluations at distinct parameter points are independent; the
 search aggregates them in a fixed order, so results are deterministic for
@@ -38,6 +41,7 @@ from .fock import (
 from .gaussian import (
     GaussianState,
     apply_symplectic,
+    gaussian_channel,
     gaussian_entropy,
     gaussian_unitary,
     thermal_entropy,
@@ -344,6 +348,12 @@ def delta_tilde(desc, seed=0, cutoff=None, max_n_s=_CAP_NS, *, _values=None):
     truncation error.  Raises UnsupportedMapError for anything that is
     not a conditional unitary map.
 
+    Routes: pns and pna run on the closed-form (analytic) backend; a
+    Gaussian unitary (a descriptor with a Gaussian form, today only id)
+    keeps every member Gaussian, so one member is pushed through in phase
+    space and the value is 0 (backend 'phase-space', one evaluation);
+    every other map searches on the truncated Fock backend.
+
     _values is set by divergence_profile alone, for the analytic maps,
     whose objective records nothing but its value: a dict from clamped
     point to unrounded value that the searches of one sweep share, so each
@@ -359,6 +369,12 @@ def delta_tilde(desc, seed=0, cutoff=None, max_n_s=_CAP_NS, *, _values=None):
         )
     if body.n_in != 1:
         raise UnsupportedMapError("the input family covers single-mode maps only")
+    form = desc.metadata.get("gaussian_form")
+    if form is not None:
+        p = _clamp(np.array([0.0, 0.0, 0.0, _LATTICE_NS[0]]), max_n_s)
+        gaussian_channel(input_family(p), *form, mode=1)
+        diagnostics = {"backend": "phase-space", "max_deficit": 0.0, "excluded": 0}
+        return MonotoneResult("delta_tilde", 0.0, p, 1, ((p, 0.0),), diagnostics)
     analytic = desc.name in ("pns", "pna")
     d = desc.cutoff if cutoff is None else cutoff
     deficits = [0.0]
@@ -499,8 +515,15 @@ def d_g_bound(desc, inputs=None, energy=None, seed=0, cutoff=None, count=4):
     With no explicit inputs, evaluates a coherent grid, a displaced
     squeezed state, and seeded squeezed-thermal samples, all within the
     energy budget when one is given.  inputs may be a list of
-    GaussianState or (label, GaussianState) pairs.  Inputs the cutoff
-    cannot hold are skipped, keeping the value a faithful lower bound.
+    GaussianState or (label, GaussianState) pairs.
+
+    On a Gaussian channel (a descriptor with a Gaussian form) each input
+    goes through in phase space, gaussian.gaussian_channel, and its output
+    is Gaussian, so its value is exactly 0 (backend 'phase-space'; nothing
+    is lifted or excluded).  Otherwise each input is lifted to the cutoff
+    and pushed through the Kraus family (backend 'fock'); inputs the
+    cutoff cannot hold are skipped, keeping the value a faithful lower
+    bound.
     """
     body = desc.body
     if body.n_in != 1:
@@ -516,10 +539,15 @@ def d_g_bound(desc, inputs=None, energy=None, seed=0, cutoff=None, count=4):
     if not supplied:
         raise ValueError("no Gaussian inputs supplied")
     d = desc.cutoff if cutoff is None else cutoff
+    form = desc.metadata.get("gaussian_form")
     trace = []
     deficits = [0.0]
     excluded = 0
     for label, g in supplied:
+        if form is not None:
+            gaussian_channel(g, *form)
+            trace.append((label, 0.0))
+            continue
         try:
             rho = gaussian_to_fock(g, d, trace_tol=1e-5)
             deficits.append(rho.trace_deficit)
@@ -538,7 +566,7 @@ def d_g_bound(desc, inputs=None, energy=None, seed=0, cutoff=None, count=4):
         )
     best = int(np.argmax(values))
     diagnostics = {
-        "backend": "fock",
+        "backend": "fock" if form is None else "phase-space",
         "max_deficit": float(max(deficits)),
         "excluded": excluded,
         "energy": energy,
@@ -561,11 +589,13 @@ def divergence_profile(desc, grid=None, seed=0, cutoff=None):
     searches share one table of values, so a point that several of them
     reach is evaluated once, and each value equals that of an independent
     search at its cap.  All other maps route through d_g_bound with the
-    grid value as the input energy budget.  Slope is fitted over the top
-    half of the grid; the label is 'finite' on a plateau (within
-    PLATEAU_TOL), 'diverging' on a monotone rise with slope ≥ SLOPE_MIN,
-    'inconclusive' otherwise.  d_g_bound draws three squeezed-thermal
-    samples at each energy.
+    grid value as the input energy budget: its phase-space route on a
+    Gaussian channel (id, loss, gd with a Gaussian environment), which
+    gives 0 at every point, and its Fock route on any other map.  Slope is
+    fitted over the top half of the grid; the label is 'finite' on a
+    plateau (within PLATEAU_TOL), 'diverging' on a monotone rise with
+    slope ≥ SLOPE_MIN, 'inconclusive' otherwise.  d_g_bound draws three
+    squeezed-thermal samples at each energy.
 
     :raises ValueError: before any search, a grid of fewer than 4 points
         or one that is not finite, nonnegative and strictly increasing.
@@ -653,7 +683,9 @@ def environment_bound(desc, seed=0, samples=4):
     env = desc.metadata.get("environment")
     if env is None:
         raise UnsupportedMapError("descriptor carries no environment state")
-    bound = delta_g(env)
+    # a Gaussian environment (the descriptor carries a Gaussian form) has
+    # δ_G = 0 exactly; only another environment is read on its Fock ket
+    bound = 0.0 if "gaussian_form" in desc.metadata else delta_g(env)
     rng = np.random.default_rng(seed)
     worst, checked, refusals = 0.0, 0, []
     draws = _DRAWS_PER_SAMPLE * samples

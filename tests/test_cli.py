@@ -281,3 +281,38 @@ def test_verify_counterexamples_all_green_exit_zero(capsys):
     results = load_report(out)["results"]
     assert results["failed"] == 0
     assert all(check["pass"] for check in results["assertions"])
+
+
+@pytest.mark.parametrize("spec", ["id", "loss:0.7"])
+def test_sweep_of_a_gaussian_channel_is_finite(spec, capsys):
+    code, out, _ = run_cli(["sweep", spec], capsys)
+    assert code == 0
+    results = load_report(out)["results"]
+    assert results["classification"] == "finite"
+    assert len(results["points"]) == 4
+    for point in results["points"]:
+        assert point["delta"]["value"] <= point["delta"]["tolerance"]
+
+
+def test_map_ng_identity_reads_zero_in_phase_space(capsys):
+    code, out, _ = run_cli(["map-ng", "id"], capsys)
+    assert code == 0
+    results = load_report(out)["results"]
+    assert results["method"] == "delta_tilde"
+    assert results["backend"] == "phase-space"
+    assert results["value"]["value"] == 0.0
+    assert (results["evaluations"], results["excluded"]) == (1, 0)
+    # δ̃ of a Gaussian unitary is 0 at every member: no argmax coordinate
+    assert {k for k, v in results["argmax"].items() if v is not None} == {"tolerance"}
+
+
+@pytest.mark.parametrize("spec", ["loss:0.7", "gd:bs0.5,env=vacuum"])
+def test_map_ng_gaussian_channel_reads_zero_within_its_bound(spec, capsys):
+    code, out, _ = run_cli(["map-ng", spec], capsys)
+    assert code == 0
+    results = load_report(out)["results"]
+    assert results["backend"] == "phase-space"
+    assert results["value"]["value"] == 0.0
+    code, out, _ = run_cli(["map-ng", spec, "--bound"], capsys)
+    assert code == 0
+    assert load_report(out)["results"]["upper_bound"]["value"] == 0.0

@@ -22,6 +22,7 @@ from nongauss.fock import (
     von_neumann_entropy,
 )
 from nongauss.maps import (
+    _gaussian_environment,
     bps,
     coherent_projector,
     compose,
@@ -40,6 +41,7 @@ from nongauss.gaussian import (
     GaussianState,
     apply_symplectic,
     condition_on_projection,
+    gaussian_channel,
     gaussian_unitary,
     thermal_state,
 )
@@ -552,3 +554,60 @@ def test_pure_inputs_stay_pure_under_pns_and_pna():
             out, _ = apply_map(FockArray(1, d, "ket", vec), desc.body)
             assert out.kind == "ket"  # single Kraus keeps kets kets
             assert abs(np.linalg.norm(out.data) - 1.0) < 1e-9
+
+
+def test_gaussian_channels_carry_their_gaussian_form():
+    d = 12
+    sym, env = identity_map(d).metadata["gaussian_form"]
+    assert env is None
+    assert_allclose(sym.S, np.eye(2))
+    assert_allclose(sym.delta_x, np.zeros(2))
+    beamsplitter = gaussian_unitary("beamsplitter", 0.4, 2).S
+    cases = (
+        (loss(0.4, d), [0.0, 0.0]),
+        (parse_map_spec("gd:bs0.4,env=vacuum", d), [0.0, 0.0]),
+        (parse_map_spec("gd:bs0.4,env=fock:0", d), [0.0, 0.0]),
+        (parse_map_spec("gd:bs0.4,env=coherent:0.5", d), [1.0, 0.0]),
+    )
+    for desc, mean in cases:
+        sym, env = desc.metadata["gaussian_form"]
+        assert_allclose(sym.S, beamsplitter)
+        assert_allclose(env.mean, mean)
+        assert_allclose(env.cov, np.eye(2))
+    for spec in ("gd:bs0.4,env=fock:1", "gd:bs0.4,env=cat:1.0", "pns", "bps", "kerr"):
+        assert "gaussian_form" not in parse_map_spec(spec, d).metadata, spec
+
+
+@pytest.mark.parametrize("spec", ["vacuum", "fock:0", "coherent:0.5", "coherent:0.3,-0.2"])
+def test_gaussian_environment_matches_its_ket(spec):
+    want = gaussify(parse_state_spec(spec, 20))
+    got = _gaussian_environment(spec)
+    assert_allclose(got.mean, want.mean, rtol=0, atol=1e-12)
+    assert_allclose(got.cov, want.cov, rtol=0, atol=1e-12)
+
+
+def _squeezed_thermal(n_th, r, theta):
+    state = apply_symplectic(thermal_state(n_th), gaussian_unitary("squeeze", r, 1))
+    return apply_symplectic(state, gaussian_unitary("rotation", theta, 1))
+
+
+@pytest.mark.parametrize(
+    "spec, d", [("loss:0.7", 30), ("gd:bs0.4,env=coherent:0.3", 25)], ids=["loss", "gd"]
+)
+@pytest.mark.parametrize(
+    "state",
+    [
+        GaussianState(1, np.array([1.2, -0.6]), np.eye(2)),
+        _squeezed_thermal(0.2, 0.2, 0.7),
+    ],
+    ids=["coherent", "squeezed-thermal"],
+)
+def test_gaussian_form_agrees_with_its_kraus_family(spec, d, state):
+    # the phase-space route and the Fock route of one descriptor: a sign
+    # or transmissivity convention that differs between them shows here
+    desc = parse_map_spec(spec, d)
+    want = gaussian_channel(state, *desc.metadata["gaussian_form"])
+    out, _ = apply_map(gaussian_to_fock(state, d, trace_tol=1e-5), desc.body)
+    got = gaussify(out)
+    assert_allclose(got.mean, want.mean, rtol=0, atol=1e-6)
+    assert_allclose(got.cov, want.cov, rtol=0, atol=1e-6)

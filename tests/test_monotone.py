@@ -26,6 +26,7 @@ from nongauss.gaussian import (
     thermal_entropy,
     thermal_state,
     tmsv_state,
+    vacuum_state,
 )
 from nongauss.maps import (
     MapDescriptor,
@@ -36,6 +37,7 @@ from nongauss.maps import (
     identity_map,
     kerr,
     loss,
+    parse_map_spec,
     pna,
     pns,
 )
@@ -577,3 +579,64 @@ def test_energy_ceiling_caps_cat_state():
     cat = build_state("cat", 1.5, cutoff=40)
     n_bar = float(np.real(np.trace(moments(cat).adag_a)))
     assert delta_g(cat) <= energy_ceiling(n_bar) + 1e-9
+
+
+def _refuse_fock_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Gaussian channel's Gaussian input went to Fock space")
+
+    monkeypatch.setattr(monotone, "gaussian_to_fock", refuse)
+    monkeypatch.setattr(monotone, "apply_map", refuse)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: loss(0.7, 30), lambda: identity_map(60)], ids=["loss", "id"]
+)
+def test_gaussian_channel_bound_is_exact_in_phase_space(make, monkeypatch):
+    desc = make()
+    _refuse_fock_work(monkeypatch)
+    res = d_g_bound(desc, seed=0)
+    assert res.value == 0.0
+    assert all(v == 0.0 for _, v in res.trace)
+    assert res.evaluations == 10
+    assert res.diagnostics["backend"] == "phase-space"
+    assert res.diagnostics["excluded"] == 0
+    assert res.diagnostics["max_deficit"] == 0.0
+
+
+def test_gaussian_channel_profile_is_finite_at_zero(monkeypatch):
+    desc = parse_map_spec("gd:bs0.5,env=coherent:0.5", 16)
+    _refuse_fock_work(monkeypatch)
+    prof = divergence_profile(desc)
+    assert prof.classification == "finite"
+    assert prof.deltas == (0.0, 0.0, 0.0, 0.0)
+
+
+def test_identity_delta_tilde_is_one_phase_space_member(monkeypatch):
+    _refuse_fock_work(monkeypatch)
+    monkeypatch.setattr(monotone, "build_unitary", None)
+    res = delta_tilde(identity_map(32))
+    assert res.value == 0.0
+    assert res.evaluations == 1
+    assert res.diagnostics == {"backend": "phase-space", "max_deficit": 0.0, "excluded": 0}
+    # the conditional-unitary refusal still comes first
+    with pytest.raises(UnsupportedMapError):
+        delta_tilde(loss(0.7, 12))
+
+
+def test_gaussian_environment_bound_is_read_without_a_lift(monkeypatch):
+    desc = parse_map_spec("gd:bs0.5,env=coherent:0.5", 16)
+    monkeypatch.setattr(monotone, "delta_g", None)
+    assert environment_bound(desc, samples=0).bound == 0.0
+
+
+def test_non_gaussian_environment_and_compositions_stay_on_fock():
+    d = 12
+    coherent = GaussianState(1, np.array([0.6, 0.0]), np.eye(2))
+    fock_env = parse_map_spec("gd:bs0.5,env=fock:1", d)
+    res = d_g_bound(fock_env, inputs=[vacuum_state(1), coherent])
+    assert res.diagnostics["backend"] == "fock"
+    assert res.value > 0.1
+    lossy = MapDescriptor("lossy_subtract", compose(loss(0.6, d).body, pns(d).body), d)
+    res = d_g_bound(lossy, inputs=[coherent])
+    assert res.diagnostics["backend"] == "fock"
