@@ -53,6 +53,9 @@ _MAP_CUTOFFS = {
     "loss": 30,
     "gd": 25,
 }
+# the tolerance a value earns on its backend: exact in phase space, the
+# simplex's on a closed form, the input certificate's on the Fock route
+_TOLERANCE = {"phase-space": 0.0, "analytic": SIMPLEX_FATOL, "fock": FOCK_MOMENT_TOL}
 # specs parse_map_spec builds that map-ng and sweep cannot evaluate, with
 # their (input, output) mode counts: both take single-mode maps
 _MULTI_MODE_MAPS = {"talpha": (2, 1), "tα": (2, 1)}
@@ -104,7 +107,7 @@ def _config(args, **extra):
     return cfg
 
 
-def _argmax_fields(p, tolerance, backend):
+def _argmax_fields(p, tolerance, backend, name):
     fields = {
         "alpha_re": float(np.real(p.alpha)),
         "alpha_im": float(np.imag(p.alpha)),
@@ -113,7 +116,7 @@ def _argmax_fields(p, tolerance, backend):
         "n_s": float(p.n_s),
         "tolerance": float(tolerance),
     }
-    if backend == "analytic":
+    if name in ("pns", "pna"):
         # the analytic δ̃ of pns/pna is flat on the α = 0 manifold its
         # maximum lies on, so there θ, r and n_s are rounding artefacts
         fields.update(theta=None, r=None, n_s=None)
@@ -179,10 +182,10 @@ def cmd_map_ng(args):
             "method": "delta_tilde",
             "value": _measured(
                 res.value,
-                tolerance=SIMPLEX_FATOL if backend == "analytic" else FOCK_MOMENT_TOL,
+                tolerance=_TOLERANCE[backend],
                 deficit=res.diagnostics["max_deficit"],
             ),
-            "argmax": _argmax_fields(res.argmax, SIMPLEX_XATOL, backend),
+            "argmax": _argmax_fields(res.argmax, SIMPLEX_XATOL, backend, desc.name),
             "evaluations": res.evaluations,
             "excluded": res.diagnostics["excluded"],
             "backend": backend,
@@ -193,15 +196,18 @@ def cmd_map_ng(args):
             )
     else:
         res = d_g_bound(desc, seed=args.seed)
+        backend = res.diagnostics["backend"]
         results = {
             "method": "d_g_lower_bound",
             "value": _measured(
-                res.value, tolerance=FOCK_MOMENT_TOL, deficit=res.diagnostics["max_deficit"]
+                res.value,
+                tolerance=_TOLERANCE[backend],
+                deficit=res.diagnostics["max_deficit"],
             ),
             "argmax_input": list(res.argmax),
             "evaluations": res.evaluations,
             "excluded": res.diagnostics["excluded"],
-            "backend": res.diagnostics["backend"],
+            "backend": backend,
         }
     return config, results
 
@@ -212,11 +218,12 @@ def cmd_sweep(args):
     grid = tuple(float(x) for x in args.grid.split(",")) if args.grid else None
     prof = divergence_profile(desc, grid=grid, seed=args.seed)
     points = [
-        {"energy": float(e), "delta": _measured(v, tolerance=FOCK_MOMENT_TOL)}
+        {"energy": float(e), "delta": _measured(v, tolerance=_TOLERANCE[prof.backend])}
         for e, v in zip(prof.grid, prof.deltas)
     ]
     results = {
         "quantity": prof.quantity,
+        "backend": prof.backend,
         "classification": prof.classification,
         "slope_fit": _measured(prof.slope, tolerance=0.05),
         "points": points,

@@ -224,14 +224,18 @@ def _gaussian_environment(spec):
 
 
 def _parse_gd(arg, cutoff):
-    # grammar: bs<tau>,env=<state spec>, e.g. gd:bs0.5,env=fock:1
+    # grammar: bs<tau>,env=<state spec>, e.g. gd:bs0.5,env=fock:1 or
+    # gd:bs0.5,env=coherent:0.3,-0.2, whose field after coherent:re is im
     tau = None
     env_spec = None
-    for piece in (p.strip() for p in arg.split(",") if p.strip()):
+    pieces = [p.strip() for p in arg.split(",") if p.strip()]
+    for i, piece in enumerate(pieces):
         if piece.startswith("env="):
             env_spec = piece[4:]
         elif piece.startswith("bs"):
             tau = float(piece[2:])
+        elif i and pieces[i - 1].lower().startswith("env=coherent:"):
+            env_spec += "," + piece
         else:
             raise ValueError(f"unknown gd field {piece!r}")
     if tau is None or env_spec is None:

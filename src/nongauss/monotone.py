@@ -5,11 +5,14 @@ parameter entangled input family D_α R_θ S_r |ζ⟩; d_g_bound evaluates the
 unentangled lower bound on Gaussian inputs.  Photon subtraction and
 addition get an exact closed-form Gaussian-moment (Isserlis) backend: the
 output moments are ordered ladder words whose expectations on the Gaussian
-input follow from its means and pair contractions alone.  A Gaussian
-channel (a descriptor carrying a Gaussian form: id, loss, gd with a
-Gaussian environment) sends Gaussian inputs through in phase space, where
-their outputs are Gaussian and δ_G is exactly 0.  Everything else runs on
-the truncated Fock backend.
+input follow from its means and pair contractions alone.  The self-Kerr
+map gets one too: its output moments are Gaussian expectations of a phase
+rotation times a ladder monomial, transition integrals between two pure
+Gaussians (kerr_output_moments), for δ̃ and for d_g_bound's inputs alike.
+A Gaussian channel (a descriptor carrying a Gaussian form: id, loss, gd
+with a Gaussian environment) sends Gaussian inputs through in phase
+space, where their outputs are Gaussian and δ_G is exactly 0.  Everything
+else runs on the truncated Fock backend.
 
 Objective evaluations at distinct parameter points are independent; the
 search aggregates them in a fixed order, so results are deterministic for
@@ -44,6 +47,7 @@ from .gaussian import (
     gaussian_channel,
     gaussian_entropy,
     gaussian_unitary,
+    partial_trace_gaussian,
     thermal_entropy,
     thermal_state,
     tmsv_state,
@@ -130,6 +134,7 @@ class DivergenceProfile:
 
     The profile is a diagnostic of the constrained bound, not a monotone;
     slope is fitted against log₂(energy) over the top half of the grid.
+    backend is that of the searches behind the deltas.
     """
 
     grid: tuple
@@ -137,6 +142,7 @@ class DivergenceProfile:
     slope: float
     classification: str
     quantity: str
+    backend: str
 
     def __post_init__(self):
         _check_grid(self.grid)
@@ -196,9 +202,10 @@ def input_family(
     raise ValueError(f"unknown backend {backend!r}")
 
 
-# The search admits edge weight up to 1e-6 on its input and its output at
-# every cutoff.  The kerr and id searches at cutoff 32 are pinned to this
-# exact value: hundreds of their points lie within 1% of it.
+# The Fock search admits edge weight up to 1e-6 on its input and its output
+# at every cutoff.  The Fock route's kerr search at cutoff 32 (a descriptor
+# renamed off the closed form) is pinned to this exact value: hundreds of
+# its points lie within 1% of it.
 _EDGE_TOL = 1e-6
 
 # finite stand-in for excluded points so the simplex comparisons stay quiet
@@ -313,6 +320,97 @@ def analytic_output_covariance(p, which):
     return covariance_from_moments(MomentRecord(2, m[:2], aa, m[5:].reshape(2, 2)))
 
 
+def _rotated_moments(a, beta, z):
+    """Moments of ⟨ψ|e^{−iφ n_b} · |ψ⟩, z = e^{−iφ}, over the modes (a, b).
+
+    ψ ∝ exp(½ a†ᵀ A a† + βᵀ a†)|0⟩ is a normalised pure Gaussian state,
+    with A symmetric (given as A₀₀, A₀₁, A₁₁) and ‖A‖ < 1.  ⟨ψ|e^{−iφ n_b}
+    is the bra of the Gaussian with (PAP, Pβ), P = diag(1, e^{iφ}), so with
+    B = conj(PAP), c = conj(Pβ) and W = (I − AB)⁻¹ each transition moment
+    is a Gaussian integral (Balian & Brézin, Nuovo Cimento B 64, 37
+    (1969)): ⟨a⟩ = W(Ac + β) =: m, ⟨a aᵀ⟩ = WA + m mᵀ and
+    ⟨a† aᵀ⟩ = B⟨a aᵀ⟩ + c mᵀ, each relative to the overlap
+    det(I − AB)^{−1/2} e^E, E = ½(cᵀm + cᵀWβ + βᵀBWβ), which is returned
+    as its log.  Both eigenvalues of I − AB lie in the disc of radius ‖A‖²
+    about 1, so the principal log of its determinant is the branch that
+    is continuous in φ from φ = 0.  Returns (log overlap, ⟨b⟩, ⟨ab⟩, ⟨b²⟩,
+    ⟨a†b⟩).
+    """
+    a0, a1, a2 = a
+    beta0, beta1 = beta
+    b0, b1, b2 = a0.conjugate(), z * a1.conjugate(), z * z * a2.conjugate()
+    c0, c1 = beta0.conjugate(), z * beta1.conjugate()
+    x00, x01 = 1.0 - a0 * b0 - a1 * b1, -(a0 * b1 + a1 * b2)
+    x10, x11 = -(a1 * b0 + a2 * b1), 1.0 - a1 * b1 - a2 * b2
+    det = x00 * x11 - x01 * x10
+    w00, w01, w10, w11 = x11 / det, -x01 / det, -x10 / det, x00 / det
+    v0, v1 = a0 * c0 + a1 * c1 + beta0, a1 * c0 + a2 * c1 + beta1
+    m0, m1 = w00 * v0 + w01 * v1, w10 * v0 + w11 * v1
+    wb0, wb1 = w00 * beta0 + w01 * beta1, w10 * beta0 + w11 * beta1
+    e = 0.5 * (
+        c0 * (m0 + wb0)
+        + c1 * (m1 + wb1)
+        + beta0 * (b0 * wb0 + b1 * wb1)
+        + beta1 * (b1 * wb0 + b2 * wb1)
+    )
+    s01 = w00 * a1 + w01 * a2 + m0 * m1
+    s11 = w10 * a1 + w11 * a2 + m1 * m1
+    return e - 0.5 * cmath.log(det), m1, s01, s11, b0 * s01 + b1 * s11 + c0 * m1
+
+
+def kerr_output_moments(p, gamma):
+    """Ladder moments of the self-Kerr map exp(−iγ n_b²) on member p.
+
+    Since b f(n) = f(n+1) b, U†bU = e^{−iγ(2n+1)} b and U†b²U =
+    e^{−iγ(4n+4)} b², so ⟨b⟩, ⟨ab⟩ and ⟨a†b⟩ of the output are
+    e^{−iγ}⟨e^{−2iγ n_b} X⟩ and ⟨b²⟩ is e^{−4iγ}⟨e^{−4iγ n_b} b²⟩ on the
+    input (_rotated_moments); ⟨a⟩, ⟨a²⟩, ⟨a†a⟩ and ⟨b†b⟩ are the input's.
+    The pure input is exp(½zᵀAz + βᵀz) with A = M Q⁻ᵀ and β = μ − Aμ̄,
+    from the blocks M = ⟨δa δa⟩ and Q = ⟨δa δa†⟩ of _ladder_moments
+    (on the family ⟨a⟩ = 0, so μ = (0, α)).
+    """
+    mu, g = _ladder_moments(p)
+    g = g.tolist()
+    (m00, m01), (m10, m11) = (g[_A][_A], g[_A][_B]), (g[_B][_A], g[_B][_B])
+    (q00, q01), (q10, q11) = (g[_A][_ADAG], g[_A][_BDAG]), (g[_B][_ADAG], g[_B][_BDAG])
+    det_q = q00 * q11 - q01 * q10
+    a01 = 0.5 * (m01 * q00 - m00 * q10 + m10 * q11 - m11 * q01) / det_q
+    a = ((m00 * q11 - m01 * q01) / det_q, a01, (m11 * q00 - m10 * q10) / det_q)
+    alpha = complex(p.alpha)
+    beta = (-a01 * alpha.conjugate(), alpha - a[2] * alpha.conjugate())
+    log_norm = _rotated_moments(a, beta, 1.0)[0]
+    turn = cmath.exp(-1j * gamma)
+    log_2, b, ab, _, adag_b = _rotated_moments(a, beta, turn**2)
+    log_4, _, _, bb, _ = _rotated_moments(a, beta, turn**4)
+    scale_2 = turn * cmath.exp(log_2 - log_norm)
+    ab, adag_b = scale_2 * ab, scale_2 * adag_b
+    bb *= turn**4 * cmath.exp(log_4 - log_norm)
+    return MomentRecord(
+        2,
+        np.array([0.0, scale_2 * b]),
+        np.array([[g[_A][_A], ab], [ab, bb]]),
+        np.array(
+            [[g[_ADAG][_A], adag_b], [adag_b.conjugate(), g[_BDAG][_B] + abs(alpha) ** 2]]
+        ),
+    )
+
+
+def kerr_output_covariance(p, gamma):
+    """Exact joint mean and covariance of the self-Kerr output on member p."""
+    return covariance_from_moments(kerr_output_moments(p, gamma))
+
+
+def _analytic_objective(desc):
+    """The closed-form δ̃ objective of a named map (pns, pna, kerr), else
+    None: on a pure input the output is pure, so δ̃ is its S_G."""
+    if desc.name in _WORDS:
+        return lambda p: gaussian_entropy(analytic_output_covariance(p, desc.name))
+    if desc.name == "kerr":
+        gamma = desc.metadata["gamma"]
+        return lambda p: gaussian_entropy(kerr_output_covariance(p, gamma))
+    return None
+
+
 def _clamp(x, n_s_cap):
     return InputParams(
         complex(min(abs(float(x[0])), _CAP_ALPHA)),
@@ -348,18 +446,19 @@ def delta_tilde(desc, seed=0, cutoff=None, max_n_s=_CAP_NS, *, _values=None):
     truncation error.  Raises UnsupportedMapError for anything that is
     not a conditional unitary map.
 
-    Routes: pns and pna run on the closed-form (analytic) backend; a
+    Routes: pns, pna and kerr run on the closed-form (analytic) backend,
+    which needs no cutoff and excludes nothing; a
     Gaussian unitary (a descriptor with a Gaussian form, today only id)
     keeps every member Gaussian, so one member is pushed through in phase
     space and the value is 0 (backend 'phase-space', one evaluation);
     every other map searches on the truncated Fock backend.
 
-    _values is set by divergence_profile alone, for the analytic maps,
-    whose objective records nothing but its value: a dict from clamped
+    _values is set by divergence_profile alone, for pns and pna, whose
+    objective records nothing but its value: a dict from clamped
     point to unrounded value that the searches of one sweep share, so each
     distinct point is evaluated once.  Every evaluation still enters the
-    trace.  A search handed one skips alpha_zero_spread, which the sweep
-    does not read.
+    trace.  A search handed one skips alpha_zero_spread, a pns/pna
+    diagnostic the sweep does not read.
     """
     body = desc.body
     if not body.conditional_unitary:
@@ -375,7 +474,7 @@ def delta_tilde(desc, seed=0, cutoff=None, max_n_s=_CAP_NS, *, _values=None):
         gaussian_channel(input_family(p), *form, mode=1)
         diagnostics = {"backend": "phase-space", "max_deficit": 0.0, "excluded": 0}
         return MonotoneResult("delta_tilde", 0.0, p, 1, ((p, 0.0),), diagnostics)
-    analytic = desc.name in ("pns", "pna")
+    analytic = _analytic_objective(desc)
     d = desc.cutoff if cutoff is None else cutoff
     deficits = [0.0]
     excluded = [0]
@@ -383,8 +482,8 @@ def delta_tilde(desc, seed=0, cutoff=None, max_n_s=_CAP_NS, *, _values=None):
 
     def objective(p):
         try:
-            if analytic:
-                return gaussian_entropy(analytic_output_covariance(p, desc.name))
+            if analytic is not None:
+                return analytic(p)
             ket = input_family(p, "fock", cutoff=d, edge_tol=_EDGE_TOL)
             deficits.append(ket.trace_deficit)
             out, _ = apply_map(ket, body, targets=[1], trace_tol=1e-2)
@@ -443,11 +542,11 @@ def delta_tilde(desc, seed=0, cutoff=None, max_n_s=_CAP_NS, *, _values=None):
             suggested_cutoff=2 * d,
         )
     diagnostics = {
-        "backend": "analytic" if analytic else "fock",
+        "backend": "fock" if analytic is None else "analytic",
         "max_deficit": float(max(deficits)),
         "excluded": excluded[0],
     }
-    if analytic and _values is None:
+    if desc.name in _WORDS and _values is None:
         diagnostics["alpha_zero_spread"] = alpha_zero_spread(desc.name, seed=seed)
     return MonotoneResult(
         "delta_tilde",
@@ -481,6 +580,25 @@ def _squeezed_thermal_input(energy_cap, rng):
     state = apply_symplectic(state, gaussian_unitary("squeeze", r, 1))
     theta = float(rng.uniform(0.0, np.pi))
     return apply_symplectic(state, gaussian_unitary("rotation", theta, 1))
+
+
+def _family_member(state):
+    """Input-family member whose consumed mode has this single-mode state.
+
+    D_α R_θ S_r on a thermal state of n photons, as _ladder_moments maps b,
+    has ⟨δb δb⟩ = −e^{−2iθ}(2n+1) sinh(2r)/2 and ⟨δb†δb⟩ =
+    ((2n+1) cosh(2r) − 1)/2, with 2n+1 = √det V; the member's TMSV
+    occupation is n, so its b marginal is the state.
+    """
+    (vqq, vqp), (_, vpp) = state.cov
+    sq = complex(vqq - vpp, 2.0 * vqp) / 4.0
+    nu = math.sqrt(max(vqq * vpp - vqp * vqp, 1.0))
+    return InputParams(
+        complex(state.mean[0], state.mean[1]) / 2.0,
+        -0.5 * cmath.phase(-sq),
+        0.5 * math.asinh(2.0 * abs(sq) / nu),
+        (nu - 1.0) / 2.0,
+    )
 
 
 def gaussian_mean_photons(state):
@@ -520,10 +638,13 @@ def d_g_bound(desc, inputs=None, energy=None, seed=0, cutoff=None, count=4):
     On a Gaussian channel (a descriptor with a Gaussian form) each input
     goes through in phase space, gaussian.gaussian_channel, and its output
     is Gaussian, so its value is exactly 0 (backend 'phase-space'; nothing
-    is lifted or excluded).  Otherwise each input is lifted to the cutoff
-    and pushed through the Kraus family (backend 'fock'); inputs the
-    cutoff cannot hold are skipped, keeping the value a faithful lower
-    bound.
+    is lifted or excluded).  On kerr each input is the consumed-mode
+    marginal of an input-family member (_family_member), whose output
+    moments have a closed form (kerr_output_moments), and since the map is
+    unitary S(out) = S(in), so δ_G = S_G(out) − S_G(in) (backend
+    'analytic').  Otherwise each input is lifted to the cutoff and pushed
+    through the Kraus family (backend 'fock'); inputs the cutoff cannot
+    hold are skipped, keeping the value a faithful lower bound.
     """
     body = desc.body
     if body.n_in != 1:
@@ -540,6 +661,7 @@ def d_g_bound(desc, inputs=None, energy=None, seed=0, cutoff=None, count=4):
         raise ValueError("no Gaussian inputs supplied")
     d = desc.cutoff if cutoff is None else cutoff
     form = desc.metadata.get("gaussian_form")
+    gamma = desc.metadata["gamma"] if desc.name == "kerr" else None
     trace = []
     deficits = [0.0]
     excluded = 0
@@ -547,6 +669,11 @@ def d_g_bound(desc, inputs=None, energy=None, seed=0, cutoff=None, count=4):
         if form is not None:
             gaussian_channel(g, *form)
             trace.append((label, 0.0))
+            continue
+        if gamma is not None:
+            out = kerr_output_covariance(_family_member(g), gamma)
+            s_out = gaussian_entropy(partial_trace_gaussian(out, [1]))
+            trace.append((label, s_out - gaussian_entropy(g)))
             continue
         try:
             rho = gaussian_to_fock(g, d, trace_tol=1e-5)
@@ -565,8 +692,12 @@ def d_g_bound(desc, inputs=None, energy=None, seed=0, cutoff=None, count=4):
             "no Gaussian input fits the cutoff", deficit=float(max(deficits))
         )
     best = int(np.argmax(values))
+    if form is not None:
+        backend = "phase-space"
+    else:
+        backend = "fock" if gamma is None else "analytic"
     diagnostics = {
-        "backend": "fock" if form is None else "phase-space",
+        "backend": backend,
         "max_deficit": float(max(deficits)),
         "excluded": excluded,
         "energy": energy,
@@ -591,7 +722,8 @@ def divergence_profile(desc, grid=None, seed=0, cutoff=None):
     search at its cap.  All other maps route through d_g_bound with the
     grid value as the input energy budget: its phase-space route on a
     Gaussian channel (id, loss, gd with a Gaussian environment), which
-    gives 0 at every point, and its Fock route on any other map.  Slope is
+    gives 0 at every point, its closed form on kerr, and its Fock route on
+    any other map.  Slope is
     fitted over the top half of the grid; the label is 'finite' on a
     plateau (within PLATEAU_TOL), 'diverging' on a monotone rise with
     slope ≥ SLOPE_MIN, 'inconclusive' otherwise.  d_g_bound draws three
@@ -600,7 +732,7 @@ def divergence_profile(desc, grid=None, seed=0, cutoff=None):
     :raises ValueError: before any search, a grid of fewer than 4 points
         or one that is not finite, nonnegative and strictly increasing.
     """
-    via_family = desc.name in ("pns", "pna")
+    via_family = desc.name in _WORDS
     if grid is None:
         grid = DEFAULT_NS_GRID if via_family else DEFAULT_ENERGY_GRID
     grid = tuple(float(e) for e in grid)
@@ -615,6 +747,7 @@ def divergence_profile(desc, grid=None, seed=0, cutoff=None):
         else:
             res = d_g_bound(desc, energy=e, seed=seed, cutoff=cutoff, count=3)
         deltas.append(res.value)
+        backend = res.diagnostics["backend"]
     half = len(grid) // 2
     top_x = np.log2(np.asarray(grid[half:]))
     top_d = np.asarray(deltas[half:])
@@ -628,7 +761,7 @@ def divergence_profile(desc, grid=None, seed=0, cutoff=None):
     else:
         label = "inconclusive"
     quantity = "delta_tilde" if via_family else "d_g_lower_bound"
-    return DivergenceProfile(grid, tuple(deltas), slope, label, quantity)
+    return DivergenceProfile(grid, tuple(deltas), slope, label, quantity, backend)
 
 
 def mixed_unitary_bounds(probabilities, s_g_max):

@@ -103,15 +103,58 @@ def test_map_ng_pns_analytic(capsys):
     assert results["excluded"] == 0
 
 
-def test_map_ng_fock_backend_reports_full_argmax(capsys):
+def test_map_ng_kerr_reports_full_analytic_argmax(capsys):
     code, out, _ = run_cli(["map-ng", "kerr:0.5"], capsys)
     assert code == 0
     results = load_report(out)["results"]
-    assert results["backend"] == "fock"
+    assert results["backend"] == "analytic"
+    # only pns/pna are flat on α = 0; the Kerr maximum is a point
     for key in ("alpha_re", "alpha_im", "theta", "r", "n_s"):
         assert isinstance(results["argmax"][key], float), key
     assert results["evaluations"] == 744
-    assert results["excluded"] == 224
+    assert results["excluded"] == 0
+    assert results["value"]["tolerance"] == nongauss.monotone.SIMPLEX_FATOL
+    assert "alpha_zero_spread" not in results
+
+
+def test_sweep_kerr_is_diverging_on_the_closed_form(capsys):
+    code, out, _ = run_cli(["sweep", "kerr:0.5", "--grid=1,4,16,64"], capsys)
+    assert code == 0
+    results = load_report(out)["results"]
+    assert results["backend"] == "analytic"
+    assert results["classification"] == "diverging"
+    values = [point["delta"]["value"] for point in results["points"]]
+    assert all(b > a for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize(
+    "argv, backend",
+    [
+        (["map-ng", "id"], "phase-space"),
+        (["map-ng", "loss:0.7"], "phase-space"),
+        (["map-ng", "kerr:0.5"], "analytic"),
+        (["map-ng", "bps"], "fock"),
+        (["sweep", "id"], "phase-space"),
+        (["sweep", "kerr:0.5"], "analytic"),
+    ],
+    ids=lambda x: "-".join(x) if isinstance(x, list) else x,
+)
+def test_values_carry_the_tolerance_of_their_backend(argv, backend, capsys):
+    # exact in phase space, the simplex's on a closed form, the input
+    # certificate's on the Fock route
+    want = {
+        "phase-space": 0.0,
+        "analytic": nongauss.monotone.SIMPLEX_FATOL,
+        "fock": nongauss.monotone.FOCK_MOMENT_TOL,
+    }[backend]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    results = load_report(out)["results"]
+    assert results["backend"] == backend
+    values = [p["delta"] for p in results["points"]] if "points" in results else [
+        results["value"]
+    ]
+    assert [v["tolerance"] for v in values] == [want] * len(values)
 
 
 def test_map_ng_loss_routes_to_lower_bound(capsys):

@@ -4,24 +4,30 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import nongauss.fock
 import nongauss.monotone as monotone
 from nongauss.errors import TruncationError, UnsupportedMapError
 from nongauss.fock import (
+    EDGE_COST,
     ConditionalMap,
     FockArray,
     apply_map,
     apply_unitary,
     build_state,
     build_unitary,
+    certify_edge,
     delta_g,
+    gaussian_to_fock,
     gaussify,
     ladder,
     moments,
 )
 from nongauss.gaussian import (
     GaussianState,
+    apply_symplectic,
     gaussian_entropy,
     gaussian_unitary,
+    partial_trace_gaussian,
     symplectic_form,
     thermal_entropy,
     thermal_state,
@@ -45,6 +51,7 @@ from nongauss.monotone import (
     DivergenceProfile,
     InputParams,
     MonotoneResult,
+    _family_member,
     _ladder_moments,
     _ordered_moments,
     alpha_zero_spread,
@@ -56,6 +63,7 @@ from nongauss.monotone import (
     environment_bound,
     gaussian_mean_photons,
     input_family,
+    kerr_output_covariance,
     mixed_unitary_bounds,
 )
 
@@ -317,10 +325,16 @@ def test_delta_tilde_fock_route_agrees():
     assert res.diagnostics["excluded"] > 0
 
 
+def _kerr_on_fock(gamma=0.5, d=32):
+    # renaming the descriptor forces the truncated backend
+    return MapDescriptor("kerr-fock", kerr(gamma, d).body, d)
+
+
 def test_delta_tilde_fock_search_pins():
     # the input certificate lives in input_family; the search still admits
     # exactly the points it admitted when it checked the edge itself
-    res = delta_tilde(kerr(0.5, 32), seed=0)
+    res = delta_tilde(_kerr_on_fock(), seed=0)
+    assert res.diagnostics["backend"] == "fock"
     assert res.evaluations == 744
     assert res.diagnostics["excluded"] == 224
     assert_allclose(res.value, 5.667567367933926, rtol=1e-12)
@@ -329,7 +343,7 @@ def test_delta_tilde_fock_search_pins():
 def test_delta_tilde_ignores_rounding_noise(monkeypatch):
     # a 1e-13 relative wobble, alternating in sign, breaks the exact ties
     # the search meets; neither its starts nor its simplex steps may move
-    plain = delta_tilde(kerr(0.5, 32), seed=0)
+    plain = delta_tilde(_kerr_on_fock(), seed=0)
     for sign in (1.0, -1.0):
         calls = []
 
@@ -338,7 +352,7 @@ def test_delta_tilde_ignores_rounding_noise(monkeypatch):
             return delta_g(state) * (1.0 + sign * 1e-13 * (-1) ** len(calls))
 
         monkeypatch.setattr(monotone, "delta_g", wobbled)
-        noisy = delta_tilde(kerr(0.5, 32), seed=0)
+        noisy = delta_tilde(_kerr_on_fock(), seed=0)
         assert calls
         assert noisy.argmax == plain.argmax
         assert noisy.evaluations == plain.evaluations
@@ -434,6 +448,94 @@ def test_divergence_profile_kerr_grows():
     prof = divergence_profile(kerr(0.5, 60))
     assert prof.classification == "diverging"
     assert prof.slope >= 0.5
+    assert prof.backend == "analytic"
+
+
+def _certified_ket(p, moment_tol=1e-6):
+    # the smallest cutoff of a 1.5x ladder whose certificate admits p
+    d = 48
+    while True:
+        try:
+            return input_family(p, "fock", cutoff=d, moment_tol=moment_tol)
+        except TruncationError:
+            d = int(1.5 * d)
+
+
+def test_kerr_closed_form_matches_the_fock_route():
+    # the same seeded members for each γ; γ = 1 puts 4γ past π, where the
+    # overlap's square root must stay on its continuous branch
+    rng = np.random.default_rng(2026)
+    members = [
+        InputParams(
+            complex(rng.uniform(0.0, 1.5) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))),
+            float(rng.uniform(-np.pi, np.pi)),
+            float(rng.uniform(-0.6, 0.6)),
+            float(rng.uniform(0.0, 1.5)),
+        )
+        for _ in range(19)
+    ]
+    members.append(InputParams(2.5, 1.0, 1.0, 3.0))  # near the search caps
+    for p in members:
+        ket = _certified_ket(p)
+        for gamma in (0.3, 0.5, 1.0):
+            out, _ = apply_map(ket, kerr(gamma, ket.cutoff).body, targets=[1])
+            want = gaussify(out)
+            got = kerr_output_covariance(p, gamma)
+            assert_allclose(got.mean, want.mean, rtol=0, atol=1e-9)
+            assert_allclose(got.cov, want.cov, rtol=0, atol=1e-9)
+            assert abs(gaussian_entropy(got) - delta_g(out)) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "n_th, r, theta", [(0.0, 0.0, 0.0), (0.3, 0.0, 0.0), (0.1, 0.4, 0.7), (0.4, 0.25, 2.5)]
+)
+def test_kerr_gaussian_input_bound_matches_a_certified_lift(n_th, r, theta):
+    state = apply_symplectic(thermal_state(n_th), gaussian_unitary("squeeze", r, 1))
+    state = apply_symplectic(state, gaussian_unitary("rotation", theta, 1))
+    state = apply_symplectic(state, gaussian_unitary("displacement", 0.8 - 0.3j, 1))
+    member = partial_trace_gaussian(input_family(_family_member(state)), [1])
+    assert_allclose(member.mean, state.mean, rtol=0, atol=1e-12)
+    assert_allclose(member.cov, state.cov, rtol=0, atol=1e-12)
+    d = 96
+    rho = certify_edge(gaussian_to_fock(state, d, trace_tol=1e-12), 1e-8 / (EDGE_COST * d**2))
+    out, _ = apply_map(rho, kerr(0.45, d).body)
+    res = d_g_bound(kerr(0.45, 8), inputs=[state])
+    assert res.diagnostics == {
+        "backend": "analytic", "max_deficit": 0.0, "excluded": 0, "energy": None
+    }
+    assert abs(res.value - delta_g(out)) <= 1e-9
+
+
+def test_kerr_search_stays_below_the_energy_ceiling():
+    # Kerr keeps photon numbers, so the output's Gaussian entropy is at most
+    # that of two thermal modes sharing the input's energy
+    res = delta_tilde(kerr(0.5, 32), seed=0)
+    assert res.diagnostics == {"backend": "analytic", "max_deficit": 0.0, "excluded": 0}
+    assert res.value > 10.0
+    for p, value in res.trace:
+        energy = gaussian_mean_photons(input_family(p))
+        assert value <= energy_ceiling(energy, 2) + 1e-9
+
+
+def test_kerr_runs_without_building_a_fock_state(monkeypatch):
+    desc = kerr(0.5, 32)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Kerr closed form built a Fock object")
+
+    for module, name in (
+        (monotone, "apply_map"),
+        (monotone, "build_unitary"),
+        (monotone, "gaussian_to_fock"),
+        (monotone, "FockArray"),
+        (nongauss.fock, "build_unitary"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    res = delta_tilde(desc, seed=0)
+    assert (res.evaluations, res.diagnostics["excluded"]) == (744, 0)
+    prof = divergence_profile(desc, grid=(1.0, 4.0, 16.0, 64.0))
+    assert prof.classification == "diverging"
+    assert prof.backend == "analytic"
 
 
 def _count_objective_points(monkeypatch):
@@ -475,7 +577,9 @@ def test_divergence_profile_validation():
     with pytest.raises(ValueError):
         divergence_profile(pns(), grid=(1.0, 2.0, 4.0))
     with pytest.raises(ValueError):
-        DivergenceProfile((1.0, 2.0, 2.0, 4.0), (0.0,) * 4, 0.0, "finite", "delta_tilde")
+        DivergenceProfile(
+            (1.0, 2.0, 2.0, 4.0), (0.0,) * 4, 0.0, "finite", "delta_tilde", "analytic"
+        )
 
 
 @pytest.mark.parametrize("make", [pns, lambda: bps(8)], ids=["pns", "bps"])
@@ -610,6 +714,18 @@ def test_gaussian_channel_profile_is_finite_at_zero(monkeypatch):
     prof = divergence_profile(desc)
     assert prof.classification == "finite"
     assert prof.deltas == (0.0, 0.0, 0.0, 0.0)
+
+
+def test_gd_spec_takes_a_complex_coherent_environment(monkeypatch):
+    desc = parse_map_spec("gd:bs0.4,env=coherent:0.3,-0.2", 25)
+    _, env = desc.metadata["gaussian_form"]
+    assert_allclose(env.mean, [0.6, -0.4], rtol=0, atol=1e-15)
+    want = build_state("coherent", 0.3 - 0.2j, 25)
+    assert_allclose(desc.metadata["environment"].data, want.data, rtol=0, atol=1e-15)
+    _refuse_fock_work(monkeypatch)
+    res = d_g_bound(desc, seed=0)
+    assert res.value == 0.0
+    assert res.diagnostics["backend"] == "phase-space"
 
 
 def test_identity_delta_tilde_is_one_phase_space_member(monkeypatch):
