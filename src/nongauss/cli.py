@@ -54,7 +54,10 @@ _MAP_CUTOFFS = {
     "gd": 25,
 }
 # the tolerance a value earns on its backend: exact in phase space, the
-# simplex's on a closed form, the input certificate's on the Fock route
+# input certificate's on the Fock route, and the simplex's on a closed
+# form.  That last one is what a δ̃ search earns; a closed-form d_g_bound
+# value (kerr, on fixed inputs) is exact up to rounding and carries it as
+# a conservative bound
 _TOLERANCE = {"phase-space": 0.0, "analytic": SIMPLEX_FATOL, "fock": FOCK_MOMENT_TOL}
 # specs parse_map_spec builds that map-ng and sweep cannot evaluate, with
 # their (input, output) mode counts: both take single-mode maps

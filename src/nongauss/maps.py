@@ -36,7 +36,9 @@ class MapDescriptor:
     metadata["gaussian_form"], present on Gaussian channels only, is the
     pair (sym, env) of gaussian.gaussian_channel: the dilation's
     SymplecticOp and the environment as a GaussianState (None for a
-    unitary).  The body is built from the same sym.
+    unitary).  The body is built from the same sym.  metadata["gamma"],
+    present on kerr only, sends delta_tilde and d_g_bound to the Kerr
+    closed form; a descriptor without it takes the Fock route.
     """
 
     name: str

@@ -400,15 +400,26 @@ def kerr_output_covariance(p, gamma):
     return covariance_from_moments(kerr_output_moments(p, gamma))
 
 
+def _unitary_output_covariance(desc):
+    """p ↦ exact output covariance of a unitary with a closed form on the
+    input family, else None.  Today that is the self-Kerr map, whose
+    descriptor carries metadata["gamma"]; δ̃ and d_g_bound both route on
+    this one test."""
+    gamma = desc.metadata.get("gamma")
+    if gamma is None:
+        return None
+    return lambda p: kerr_output_covariance(p, gamma)
+
+
 def _analytic_objective(desc):
     """The closed-form δ̃ objective of a named map (pns, pna, kerr), else
     None: on a pure input the output is pure, so δ̃ is its S_G."""
     if desc.name in _WORDS:
         return lambda p: gaussian_entropy(analytic_output_covariance(p, desc.name))
-    if desc.name == "kerr":
-        gamma = desc.metadata["gamma"]
-        return lambda p: gaussian_entropy(kerr_output_covariance(p, gamma))
-    return None
+    unitary = _unitary_output_covariance(desc)
+    if unitary is None:
+        return None
+    return lambda p: gaussian_entropy(unitary(p))
 
 
 def _clamp(x, n_s_cap):
@@ -446,9 +457,9 @@ def delta_tilde(desc, seed=0, cutoff=None, max_n_s=_CAP_NS, *, _values=None):
     truncation error.  Raises UnsupportedMapError for anything that is
     not a conditional unitary map.
 
-    Routes: pns, pna and kerr run on the closed-form (analytic) backend,
-    which needs no cutoff and excludes nothing; a
-    Gaussian unitary (a descriptor with a Gaussian form, today only id)
+    Routes: pns, pna and kerr (by metadata["gamma"]) run on the
+    closed-form (analytic) backend, which needs no cutoff and excludes
+    nothing; a Gaussian unitary (a descriptor with a Gaussian form, today only id)
     keeps every member Gaussian, so one member is pushed through in phase
     space and the value is 0 (backend 'phase-space', one evaluation);
     every other map searches on the truncated Fock backend.
@@ -638,11 +649,11 @@ def d_g_bound(desc, inputs=None, energy=None, seed=0, cutoff=None, count=4):
     On a Gaussian channel (a descriptor with a Gaussian form) each input
     goes through in phase space, gaussian.gaussian_channel, and its output
     is Gaussian, so its value is exactly 0 (backend 'phase-space'; nothing
-    is lifted or excluded).  On kerr each input is the consumed-mode
-    marginal of an input-family member (_family_member), whose output
-    moments have a closed form (kerr_output_moments), and since the map is
-    unitary S(out) = S(in), so δ_G = S_G(out) − S_G(in) (backend
-    'analytic').  Otherwise each input is lifted to the cutoff and pushed
+    is lifted or excluded).  On kerr (a descriptor carrying
+    metadata["gamma"]) each input is the consumed-mode marginal of an
+    input-family member (_family_member), whose output moments have a
+    closed form (kerr_output_moments), and since the map is unitary
+    S(out) = S(in), so δ_G = S_G(out) − S_G(in) (backend 'analytic').  Otherwise each input is lifted to the cutoff and pushed
     through the Kraus family (backend 'fock'); inputs the cutoff cannot
     hold are skipped, keeping the value a faithful lower bound.
     """
@@ -661,7 +672,7 @@ def d_g_bound(desc, inputs=None, energy=None, seed=0, cutoff=None, count=4):
         raise ValueError("no Gaussian inputs supplied")
     d = desc.cutoff if cutoff is None else cutoff
     form = desc.metadata.get("gaussian_form")
-    gamma = desc.metadata["gamma"] if desc.name == "kerr" else None
+    unitary = _unitary_output_covariance(desc)
     trace = []
     deficits = [0.0]
     excluded = 0
@@ -670,8 +681,8 @@ def d_g_bound(desc, inputs=None, energy=None, seed=0, cutoff=None, count=4):
             gaussian_channel(g, *form)
             trace.append((label, 0.0))
             continue
-        if gamma is not None:
-            out = kerr_output_covariance(_family_member(g), gamma)
+        if unitary is not None:
+            out = unitary(_family_member(g))
             s_out = gaussian_entropy(partial_trace_gaussian(out, [1]))
             trace.append((label, s_out - gaussian_entropy(g)))
             continue
@@ -695,7 +706,7 @@ def d_g_bound(desc, inputs=None, energy=None, seed=0, cutoff=None, count=4):
     if form is not None:
         backend = "phase-space"
     else:
-        backend = "fock" if gamma is None else "analytic"
+        backend = "fock" if unitary is None else "analytic"
     diagnostics = {
         "backend": backend,
         "max_deficit": float(max(deficits)),

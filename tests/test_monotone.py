@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -326,7 +328,7 @@ def test_delta_tilde_fock_route_agrees():
 
 
 def _kerr_on_fock(gamma=0.5, d=32):
-    # renaming the descriptor forces the truncated backend
+    # without metadata["gamma"] the descriptor takes the truncated backend
     return MapDescriptor("kerr-fock", kerr(gamma, d).body, d)
 
 
@@ -536,6 +538,14 @@ def test_kerr_runs_without_building_a_fock_state(monkeypatch):
     prof = divergence_profile(desc, grid=(1.0, 4.0, 16.0, 64.0))
     assert prof.classification == "diverging"
     assert prof.backend == "analytic"
+
+
+def test_kerr_route_follows_the_metadata_not_the_name():
+    renamed = dataclasses.replace(kerr(0.5, 32), name="kerr-renamed")
+    assert delta_tilde(renamed, seed=0).diagnostics["backend"] == "analytic"
+    assert d_g_bound(renamed).diagnostics["backend"] == "analytic"
+    stripped = MapDescriptor("kerr", kerr(0.5, 8).body, 8)
+    assert d_g_bound(stripped, inputs=[vacuum_state(1)]).diagnostics["backend"] == "fock"
 
 
 def _count_objective_points(monkeypatch):
