@@ -110,7 +110,8 @@ def _config(args, **extra):
     return cfg
 
 
-def _argmax_fields(p, tolerance, backend, name):
+def _argmax_fields(res, tolerance):
+    p = res.argmax
     fields = {
         "alpha_re": float(np.real(p.alpha)),
         "alpha_im": float(np.imag(p.alpha)),
@@ -119,11 +120,11 @@ def _argmax_fields(p, tolerance, backend, name):
         "n_s": float(p.n_s),
         "tolerance": float(tolerance),
     }
-    if name in ("pns", "pna"):
+    if "alpha_zero_spread" in res.diagnostics:
         # the analytic δ̃ of pns/pna is flat on the α = 0 manifold its
         # maximum lies on, so there θ, r and n_s are rounding artefacts
         fields.update(theta=None, r=None, n_s=None)
-    elif backend == "phase-space":
+    elif res.diagnostics["backend"] == "phase-space":
         # a Gaussian unitary's δ̃ is 0 at every member: no coordinate counts
         fields.update(alpha_re=None, alpha_im=None, theta=None, r=None, n_s=None)
     return fields
@@ -188,7 +189,7 @@ def cmd_map_ng(args):
                 tolerance=_TOLERANCE[backend],
                 deficit=res.diagnostics["max_deficit"],
             ),
-            "argmax": _argmax_fields(res.argmax, SIMPLEX_XATOL, backend, desc.name),
+            "argmax": _argmax_fields(res, SIMPLEX_XATOL),
             "evaluations": res.evaluations,
             "excluded": res.diagnostics["excluded"],
             "backend": backend,

@@ -36,9 +36,10 @@ class MapDescriptor:
     metadata["gaussian_form"], present on Gaussian channels only, is the
     pair (sym, env) of gaussian.gaussian_channel: the dilation's
     SymplecticOp and the environment as a GaussianState (None for a
-    unitary).  The body is built from the same sym.  metadata["gamma"],
-    present on kerr only, sends delta_tilde and d_g_bound to the Kerr
-    closed form; a descriptor without it takes the Fock route.
+    unitary).  The body is built from the same sym.  metadata["ladder"]
+    ("pns" or "pna", on those two only) sends the monotones to the
+    Isserlis closed form, metadata["gamma"] (kerr only) to the Kerr one.
+    They route on these keys, never the name: without them, on Fock.
     """
 
     name: str
@@ -52,7 +53,7 @@ def pns(cutoff=DEFAULT_CUTOFF):
     if cutoff < 3:
         raise ValueError("cutoff must be at least 3")
     body = ConditionalMap(1, 1, (ladder(cutoff),), renormalize=True)
-    return MapDescriptor("pns", body, cutoff)
+    return MapDescriptor("pns", body, cutoff, {"ladder": "pns"})
 
 
 def pna(cutoff=DEFAULT_CUTOFF):
@@ -61,7 +62,7 @@ def pna(cutoff=DEFAULT_CUTOFF):
         raise ValueError("cutoff must be at least 3")
     adag = ladder(cutoff).conj().T
     body = ConditionalMap(1, 1, (adag,), renormalize=True)
-    return MapDescriptor("pna", body, cutoff)
+    return MapDescriptor("pna", body, cutoff, {"ladder": "pna"})
 
 
 def _arm_photon_number(alpha, r, n_s):

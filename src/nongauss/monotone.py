@@ -400,26 +400,21 @@ def kerr_output_covariance(p, gamma):
     return covariance_from_moments(kerr_output_moments(p, gamma))
 
 
-def _unitary_output_covariance(desc):
-    """p ↦ exact output covariance of a unitary with a closed form on the
-    input family, else None.  Today that is the self-Kerr map, whose
-    descriptor carries metadata["gamma"]; δ̃ and d_g_bound both route on
-    this one test."""
+def _route(desc):
+    """The backend of every monotone on desc, read from its metadata, never
+    its name: ('phase-space', (sym, env)) by "gaussian_form"; ('analytic',
+    p ↦ the member's exact joint output covariance) by "ladder" (pns, pna)
+    or "gamma" (kerr); else ('fock', None)."""
+    form = desc.metadata.get("gaussian_form")
+    if form is not None:
+        return "phase-space", form
+    ladder = desc.metadata.get("ladder")
+    if ladder is not None:
+        return "analytic", lambda p: analytic_output_covariance(p, ladder)
     gamma = desc.metadata.get("gamma")
-    if gamma is None:
-        return None
-    return lambda p: kerr_output_covariance(p, gamma)
-
-
-def _analytic_objective(desc):
-    """The closed-form δ̃ objective of a named map (pns, pna, kerr), else
-    None: on a pure input the output is pure, so δ̃ is its S_G."""
-    if desc.name in _WORDS:
-        return lambda p: gaussian_entropy(analytic_output_covariance(p, desc.name))
-    unitary = _unitary_output_covariance(desc)
-    if unitary is None:
-        return None
-    return lambda p: gaussian_entropy(unitary(p))
+    if gamma is not None:
+        return "analytic", lambda p: kerr_output_covariance(p, gamma)
+    return "fock", None
 
 
 def _clamp(x, n_s_cap):
@@ -446,7 +441,7 @@ def alpha_zero_spread(which, seed=0, count=10):
     return float(max(vals) - min(vals))
 
 
-def delta_tilde(desc, seed=0, cutoff=None, max_n_s=_CAP_NS, *, _values=None):
+def delta_tilde(desc, seed=0, max_n_s=_CAP_NS, *, _values=None):
     """Maximize joint-output non-Gaussianity over the input family.
 
     The returned value is the running maximum over every evaluation
@@ -457,19 +452,19 @@ def delta_tilde(desc, seed=0, cutoff=None, max_n_s=_CAP_NS, *, _values=None):
     truncation error.  Raises UnsupportedMapError for anything that is
     not a conditional unitary map.
 
-    Routes: pns, pna and kerr (by metadata["gamma"]) run on the
-    closed-form (analytic) backend, which needs no cutoff and excludes
-    nothing; a Gaussian unitary (a descriptor with a Gaussian form, today only id)
-    keeps every member Gaussian, so one member is pushed through in phase
-    space and the value is 0 (backend 'phase-space', one evaluation);
-    every other map searches on the truncated Fock backend.
+    Routes (_route): pns, pna and kerr run on the closed-form (analytic)
+    backend, which needs no cutoff and excludes nothing; a Gaussian
+    unitary (today only id) keeps every member Gaussian, so one member is
+    pushed through in phase space and the value is 0 (backend
+    'phase-space', one evaluation); every other map searches on the
+    truncated Fock backend at desc.cutoff.
 
-    _values is set by divergence_profile alone, for pns and pna, whose
-    objective records nothing but its value: a dict from clamped
-    point to unrounded value that the searches of one sweep share, so each
-    distinct point is evaluated once.  Every evaluation still enters the
-    trace.  A search handed one skips alpha_zero_spread, a pns/pna
-    diagnostic the sweep does not read.
+    Each distinct clamped point is evaluated once, through a table from
+    point to unrounded value: its own, or _values, which divergence_profile
+    shares among the closed-form searches of one sweep.  Every evaluation
+    enters the trace, and `excluded` counts the entries on points the
+    cutoff refused.  A search handed a table skips alpha_zero_spread, a
+    pns/pna diagnostic the sweep does not read.
     """
     body = desc.body
     if not body.conditional_unitary:
@@ -479,40 +474,36 @@ def delta_tilde(desc, seed=0, cutoff=None, max_n_s=_CAP_NS, *, _values=None):
         )
     if body.n_in != 1:
         raise UnsupportedMapError("the input family covers single-mode maps only")
-    form = desc.metadata.get("gaussian_form")
-    if form is not None:
+    backend, route = _route(desc)
+    if backend == "phase-space":
         p = _clamp(np.array([0.0, 0.0, 0.0, _LATTICE_NS[0]]), max_n_s)
-        gaussian_channel(input_family(p), *form, mode=1)
+        gaussian_channel(input_family(p), *route, mode=1)
         diagnostics = {"backend": "phase-space", "max_deficit": 0.0, "excluded": 0}
         return MonotoneResult("delta_tilde", 0.0, p, 1, ((p, 0.0),), diagnostics)
-    analytic = _analytic_objective(desc)
-    d = desc.cutoff if cutoff is None else cutoff
+    table = {} if _values is None else _values
     deficits = [0.0]
-    excluded = [0]
+    refused = set()
     trace = []
 
     def objective(p):
         try:
-            if analytic is not None:
-                return analytic(p)
-            ket = input_family(p, "fock", cutoff=d, edge_tol=_EDGE_TOL)
+            if route is not None:
+                return gaussian_entropy(route(p))
+            ket = input_family(p, "fock", cutoff=desc.cutoff, edge_tol=_EDGE_TOL)
             deficits.append(ket.trace_deficit)
             out, _ = apply_map(ket, body, targets=[1], trace_tol=1e-2)
             return delta_g(certify_edge(out, _EDGE_TOL))
         except ZeroProbabilityError:
             return -np.inf
         except TruncationError:
-            excluded[0] += 1
+            refused.add(p)
             return -np.inf
 
     def evaluate(x):
         p = _clamp(x, max_n_s)
-        if _values is None:
-            val = objective(p)
-        elif p in _values:
-            val = _values[p]
-        else:
-            val = _values[p] = objective(p)
+        if p not in table:
+            table[p] = objective(p)
+        val = table[p]
         trace.append((p, val))
         return round(val, _RANK_DECIMALS) if np.isfinite(val) else _PENALTY
 
@@ -550,15 +541,16 @@ def delta_tilde(desc, seed=0, cutoff=None, max_n_s=_CAP_NS, *, _values=None):
     if not np.isfinite(values[best]):
         raise TruncationError(
             "every probe point spills over the cutoff; raise it",
-            suggested_cutoff=2 * d,
+            suggested_cutoff=2 * desc.cutoff,
         )
     diagnostics = {
-        "backend": "fock" if analytic is None else "analytic",
+        "backend": backend,
         "max_deficit": float(max(deficits)),
-        "excluded": excluded[0],
+        "excluded": sum(p in refused for p, _ in trace),
     }
-    if desc.name in _WORDS and _values is None:
-        diagnostics["alpha_zero_spread"] = alpha_zero_spread(desc.name, seed=seed)
+    ladder = desc.metadata.get("ladder")
+    if ladder is not None and _values is None:
+        diagnostics["alpha_zero_spread"] = alpha_zero_spread(ladder, seed=seed)
     return MonotoneResult(
         "delta_tilde",
         float(values[best]),
@@ -638,7 +630,7 @@ def _default_gaussian_inputs(energy, rng, count):
     return inputs
 
 
-def d_g_bound(desc, inputs=None, energy=None, seed=0, cutoff=None, count=4):
+def d_g_bound(desc, inputs=None, energy=None, seed=0, count=4):
     """Lower bound on δ̃ from unentangled Gaussian inputs.
 
     With no explicit inputs, evaluates a coherent grid, a displaced
@@ -646,16 +638,19 @@ def d_g_bound(desc, inputs=None, energy=None, seed=0, cutoff=None, count=4):
     energy budget when one is given.  inputs may be a list of
     GaussianState or (label, GaussianState) pairs.
 
-    On a Gaussian channel (a descriptor with a Gaussian form) each input
-    goes through in phase space, gaussian.gaussian_channel, and its output
-    is Gaussian, so its value is exactly 0 (backend 'phase-space'; nothing
-    is lifted or excluded).  On kerr (a descriptor carrying
-    metadata["gamma"]) each input is the consumed-mode marginal of an
-    input-family member (_family_member), whose output moments have a
-    closed form (kerr_output_moments), and since the map is unitary
-    S(out) = S(in), so δ_G = S_G(out) − S_G(in) (backend 'analytic').  Otherwise each input is lifted to the cutoff and pushed
-    through the Kraus family (backend 'fock'); inputs the cutoff cannot
-    hold are skipped, keeping the value a faithful lower bound.
+    Routes (_route): on a Gaussian channel each input goes through in
+    phase space, gaussian.gaussian_channel, and its output is Gaussian, so
+    its value is exactly 0 (backend 'phase-space').  On a closed form that
+    does not renormalize (kerr) each input is the consumed-mode marginal
+    of an input-family member (_family_member), and since the map is
+    unitary S(out) = S(in), so δ_G = S_G(out) − S_G(in) (backend
+    'analytic').  Otherwise, pns and pna included, each input is lifted to
+    desc.cutoff and pushed through the Kraus family (backend 'fock');
+    inputs the cutoff cannot hold are skipped, keeping the value a
+    faithful lower bound.
+
+    :raises ValueError: before any route runs, no inputs, or one that is
+        not a single-mode GaussianState.
     """
     body = desc.body
     if body.n_in != 1:
@@ -670,32 +665,35 @@ def d_g_bound(desc, inputs=None, energy=None, seed=0, cutoff=None, count=4):
         ]
     if not supplied:
         raise ValueError("no Gaussian inputs supplied")
-    d = desc.cutoff if cutoff is None else cutoff
-    form = desc.metadata.get("gaussian_form")
-    unitary = _unitary_output_covariance(desc)
+    for label, g in supplied:
+        if not isinstance(g, GaussianState) or g.n_modes != 1:
+            kind = f"{getattr(g, 'n_modes', '?')}-mode {type(g).__name__}"
+            raise ValueError(f"d_g_bound takes single-mode inputs; input {label} is a {kind}")
+    backend, route = _route(desc)
+    if backend == "analytic" and body.renormalize:
+        # S(out) = S(in) needs a unitary
+        backend, route = "fock", None
     trace = []
     deficits = [0.0]
     excluded = 0
     for label, g in supplied:
-        if form is not None:
-            gaussian_channel(g, *form)
-            trace.append((label, 0.0))
-            continue
-        if unitary is not None:
-            out = unitary(_family_member(g))
-            s_out = gaussian_entropy(partial_trace_gaussian(out, [1]))
-            trace.append((label, s_out - gaussian_entropy(g)))
-            continue
-        try:
-            rho = gaussian_to_fock(g, d, trace_tol=1e-5)
-            deficits.append(rho.trace_deficit)
-            out, _ = apply_map(rho, body, trace_tol=1e-2)
-            val = delta_g(out)
-        except ZeroProbabilityError:
-            val = -np.inf
-        except TruncationError:
-            excluded += 1
-            val = -np.inf
+        if backend == "phase-space":
+            gaussian_channel(g, *route)
+            val = 0.0
+        elif backend == "analytic":
+            out = route(_family_member(g))
+            val = gaussian_entropy(partial_trace_gaussian(out, [1])) - gaussian_entropy(g)
+        else:
+            try:
+                rho = gaussian_to_fock(g, desc.cutoff, trace_tol=1e-5)
+                deficits.append(rho.trace_deficit)
+                out, _ = apply_map(rho, body, trace_tol=1e-2)
+                val = delta_g(out)
+            except ZeroProbabilityError:
+                val = -np.inf
+            except TruncationError:
+                excluded += 1
+                val = -np.inf
         trace.append((label, val))
     values = np.array([v for _, v in trace])
     if not np.any(np.isfinite(values)):
@@ -703,10 +701,6 @@ def d_g_bound(desc, inputs=None, energy=None, seed=0, cutoff=None, count=4):
             "no Gaussian input fits the cutoff", deficit=float(max(deficits))
         )
     best = int(np.argmax(values))
-    if form is not None:
-        backend = "phase-space"
-    else:
-        backend = "fock" if unitary is None else "analytic"
     diagnostics = {
         "backend": backend,
         "max_deficit": float(max(deficits)),
@@ -723,18 +717,17 @@ def d_g_bound(desc, inputs=None, energy=None, seed=0, cutoff=None, count=4):
     )
 
 
-def divergence_profile(desc, grid=None, seed=0, cutoff=None):
+def divergence_profile(desc, grid=None, seed=0):
     """Classify growth of the best available lower bound against energy.
 
-    Maps with the analytic input-family backend (pns, pna) route through
-    delta_tilde with the family's N_S capped at each grid value; the
-    searches share one table of values, so a point that several of them
-    reach is evaluated once, and each value equals that of an independent
-    search at its cap.  All other maps route through d_g_bound with the
-    grid value as the input energy budget: its phase-space route on a
-    Gaussian channel (id, loss, gd with a Gaussian environment), which
-    gives 0 at every point, its closed form on kerr, and its Fock route on
-    any other map.  Slope is
+    A renormalizing map with a closed-form δ̃ (pns, pna: d_g_bound has
+    none for it) routes through delta_tilde with the family's N_S capped
+    at each grid value; the searches share one table of values, so a
+    point that several of them reach is evaluated once, and each value
+    equals that of an independent search at its cap.  All other maps route
+    through d_g_bound with the grid value as the input energy budget, on
+    its phase-space route on a Gaussian channel (0 at every point), its
+    closed form on kerr, and its Fock route on any other map.  Slope is
     fitted over the top half of the grid; the label is 'finite' on a
     plateau (within PLATEAU_TOL), 'diverging' on a monotone rise with
     slope ≥ SLOPE_MIN, 'inconclusive' otherwise.  d_g_bound draws three
@@ -743,7 +736,7 @@ def divergence_profile(desc, grid=None, seed=0, cutoff=None):
     :raises ValueError: before any search, a grid of fewer than 4 points
         or one that is not finite, nonnegative and strictly increasing.
     """
-    via_family = desc.name in _WORDS
+    via_family = _route(desc)[0] == "analytic" and desc.body.renormalize
     if grid is None:
         grid = DEFAULT_NS_GRID if via_family else DEFAULT_ENERGY_GRID
     grid = tuple(float(e) for e in grid)
@@ -752,11 +745,9 @@ def divergence_profile(desc, grid=None, seed=0, cutoff=None):
     table = {}
     for e in grid:
         if via_family:
-            res = delta_tilde(
-                desc, seed=seed, cutoff=cutoff, max_n_s=e, _values=table
-            )
+            res = delta_tilde(desc, seed=seed, max_n_s=e, _values=table)
         else:
-            res = d_g_bound(desc, energy=e, seed=seed, cutoff=cutoff, count=3)
+            res = d_g_bound(desc, energy=e, seed=seed, count=3)
         deltas.append(res.value)
         backend = res.diagnostics["backend"]
     half = len(grid) // 2

@@ -117,6 +117,26 @@ def test_map_ng_kerr_reports_full_analytic_argmax(capsys):
     assert "alpha_zero_spread" not in results
 
 
+@pytest.mark.parametrize(
+    "diagnostics, nulled",
+    [
+        ({"backend": "analytic", "alpha_zero_spread": 0.0}, {"theta", "r", "n_s"}),
+        ({"backend": "analytic"}, set()),
+        ({"backend": "phase-space"}, {"alpha_re", "alpha_im", "theta", "r", "n_s"}),
+    ],
+    ids=["alpha-zero-spread", "analytic", "phase-space"],
+)
+def test_argmax_fields_read_the_result(diagnostics, nulled):
+    # which coordinates are reported follows the result, not the map's name
+    p = nongauss.monotone.InputParams(0.5 + 0.25j, 0.1, 0.2, 1.0)
+    res = nongauss.monotone.MonotoneResult(
+        "delta_tilde", 1.0, p, 1, ((p, 1.0),), diagnostics
+    )
+    fields = nongauss.cli._argmax_fields(res, 1e-4)
+    assert {key for key, value in fields.items() if value is None} == nulled
+    assert fields["tolerance"] == 1e-4
+
+
 def test_sweep_kerr_is_diverging_on_the_closed_form(capsys):
     code, out, _ = run_cli(["sweep", "kerr:0.5", "--grid=1,4,16,64"], capsys)
     assert code == 0

@@ -319,7 +319,7 @@ def test_delta_tilde_seed_stability():
 
 
 def test_delta_tilde_fock_route_agrees():
-    # renaming the descriptor forces the truncated backend
+    # a descriptor without metadata["ladder"] takes the truncated backend
     d = 32
     res = delta_tilde(MapDescriptor("subtract", pns(d).body, d))
     assert res.diagnostics["backend"] == "fock"
@@ -546,6 +546,57 @@ def test_kerr_route_follows_the_metadata_not_the_name():
     assert d_g_bound(renamed).diagnostics["backend"] == "analytic"
     stripped = MapDescriptor("kerr", kerr(0.5, 8).body, 8)
     assert d_g_bound(stripped, inputs=[vacuum_state(1)]).diagnostics["backend"] == "fock"
+
+
+def test_ladder_route_follows_the_metadata_not_the_name():
+    renamed = dataclasses.replace(pns(), name="renamed")
+    res = delta_tilde(renamed, seed=0)
+    assert res.diagnostics["backend"] == "analytic"
+    assert res.value == delta_tilde(pns(), seed=0).value
+    assert "alpha_zero_spread" in res.diagnostics
+    prof = divergence_profile(renamed, seed=0)
+    assert (prof.quantity, prof.backend) == ("delta_tilde", "analytic")
+    # named pns, but without the metadata: the truncated backend
+    d = 32
+    stripped = delta_tilde(MapDescriptor("pns", pns(d).body, d), seed=0)
+    assert stripped.diagnostics["backend"] == "fock"
+    assert "alpha_zero_spread" not in stripped.diagnostics
+
+
+def test_kerr_search_evaluates_each_distinct_point_once(monkeypatch):
+    # the simplex clamps many vertices beyond the caps onto one member;
+    # each distinct member costs one closed-form point
+    points = []
+    exact = monotone.kerr_output_covariance
+
+    def counted(p, gamma):
+        points.append(p)
+        return exact(p, gamma)
+
+    monkeypatch.setattr(monotone, "kerr_output_covariance", counted)
+    res = delta_tilde(kerr(0.5, 32), seed=937)
+    assert res.evaluations == 744
+    assert len(points) == len(set(points)) == 561
+    assert set(points) == {p for p, _ in res.trace}
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: kerr(0.5, 8), lambda: bps(8), lambda: loss(0.7, 8)],
+    ids=["analytic", "fock", "phase-space"],
+)
+def test_d_g_bound_refuses_an_input_that_is_not_single_mode_gaussian(monkeypatch, make):
+    desc = make()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a route ran before the inputs were checked")
+
+    for name in ("kerr_output_covariance", "gaussian_channel", "gaussian_to_fock"):
+        monkeypatch.setattr(monotone, name, refuse)
+    good = vacuum_state(1)
+    with pytest.raises(ValueError, match=r"input \('input', 1\) is a 2-mode GaussianState"):
+        d_g_bound(desc, inputs=[good, tmsv_state(0.5)])
+    with pytest.raises(ValueError, match="is a 1-mode FockArray"):
+        d_g_bound(desc, inputs=[good, build_state("vacuum", None, 8)])
 
 
 def _count_objective_points(monkeypatch):
