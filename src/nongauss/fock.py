@@ -569,7 +569,8 @@ def relative_entropy(rho, sigma):
 @dataclass(frozen=True)
 class MomentRecord:
     """First and second ladder moments: first[j] = ⟨a_j⟩, aa[j,k] = ⟨a_j a_k⟩
-    (diagonal ⟨a_j²⟩), adag_a[j,k] = ⟨a_j† a_k⟩."""
+    (diagonal ⟨a_j²⟩), adag_a[j,k] = ⟨a_j† a_k⟩.  Leading axes, if any, run
+    over a stack of states, each checked."""
 
     n_modes: int
     first: np.ndarray
@@ -577,8 +578,8 @@ class MomentRecord:
     adag_a: np.ndarray
 
     def __post_init__(self):
-        occ = np.diag(self.adag_a)
-        if np.max(np.abs(occ.imag)) > 1e-9 or occ.real.min() < -1e-9:
+        occ = np.diagonal(self.adag_a, axis1=-2, axis2=-1)
+        if np.abs(occ.imag).max() > 1e-9 or occ.real.min() < -1e-9:
             raise InvalidStateError("⟨a†a⟩ must be real and nonnegative")
 
 
@@ -616,39 +617,43 @@ def moments(state):
 
 
 def covariance_from_moments(m):
-    """Gaussian state with the covariance/mean implied by ladder moments.
+    """Gaussian state with the covariance/mean implied by ladder moments."""
+    return GaussianState(m.n_modes, *mean_and_covariance(m))
+
+
+def mean_and_covariance(m):
+    """Quadrature mean (..., 2n) and covariance (..., 2n, 2n) of a record.
 
     Uses the quadrature identities q = a + a†, p = i(a† − a); each block is
-    assembled from ⟨a⟩, ⟨a²⟩, ⟨a†a⟩ and, across modes, ⟨a_j a_k⟩, ⟨a_j† a_k⟩.
+    assembled from ⟨a⟩, ⟨a²⟩, ⟨a†a⟩ and, across modes, ⟨a_j a_k⟩, ⟨a_j† a_k⟩,
+    elementwise over the record's stack axes.
     """
     n = m.n_modes
-    mean = np.zeros(2 * n)
-    cov = np.zeros((2 * n, 2 * n))
+    lead = np.shape(m.first)[:-1]
+    mean = np.empty(lead + (2 * n,))
+    cov = np.empty(lead + (2 * n, 2 * n))
+    mean[..., 0::2] = q = 2.0 * m.first.real
+    mean[..., 1::2] = p = 2.0 * m.first.imag
     for j in range(n):
-        mean[2 * j] = 2.0 * m.first[j].real
-        mean[2 * j + 1] = 2.0 * m.first[j].imag
-    for j in range(n):
-        sq = m.aa[j, j]
-        occ = m.adag_a[j, j].real
-        q, p = mean[2 * j], mean[2 * j + 1]
-        cov[2 * j, 2 * j] = 2.0 * sq.real + 2.0 * occ + 1.0 - q * q
-        cov[2 * j + 1, 2 * j + 1] = -2.0 * sq.real + 2.0 * occ + 1.0 - p * p
-        cov[2 * j, 2 * j + 1] = cov[2 * j + 1, 2 * j] = 2.0 * sq.imag - q * p
-    for j in range(n):
+        sq = m.aa[..., j, j]
+        occ = m.adag_a[..., j, j].real
+        qj, pj = q[..., j], p[..., j]
+        cov[..., 2 * j, 2 * j] = 2.0 * sq.real + 2.0 * occ + 1.0 - qj * qj
+        cov[..., 2 * j + 1, 2 * j + 1] = -2.0 * sq.real + 2.0 * occ + 1.0 - pj * pj
+        cov[..., 2 * j, 2 * j + 1] = cov[..., 2 * j + 1, 2 * j] = 2.0 * sq.imag - qj * pj
         for k in range(j + 1, n):
-            ab = m.aa[j, k]
-            adb = m.adag_a[j, k]
-            qj, pj = mean[2 * j], mean[2 * j + 1]
-            qk, pk = mean[2 * k], mean[2 * k + 1]
-            block = np.array(
-                [
-                    [2.0 * (ab + adb).real - qj * qk, 2.0 * (adb + ab).imag - qj * pk],
-                    [2.0 * (ab - adb).imag - pj * qk, 2.0 * (adb - ab).real - pj * pk],
-                ]
+            ab = m.aa[..., j, k]
+            adb = m.adag_a[..., j, k]
+            qk, pk = q[..., k], p[..., k]
+            block = (
+                (2 * j, 2 * k, 2.0 * (ab + adb).real - qj * qk),
+                (2 * j, 2 * k + 1, 2.0 * (adb + ab).imag - qj * pk),
+                (2 * j + 1, 2 * k, 2.0 * (ab - adb).imag - pj * qk),
+                (2 * j + 1, 2 * k + 1, 2.0 * (adb - ab).real - pj * pk),
             )
-            cov[2 * j : 2 * j + 2, 2 * k : 2 * k + 2] = block
-            cov[2 * k : 2 * k + 2, 2 * j : 2 * j + 2] = block.T
-    return GaussianState(n, mean, cov)
+            for row, col, value in block:
+                cov[..., row, col] = cov[..., col, row] = value
+    return mean, cov
 
 
 def gaussify(state):

@@ -42,7 +42,8 @@ def _frozen(a):
 
 @dataclass(frozen=True)
 class WilliamsonSpectrum:
-    """Symplectic eigenvalues mu_k >= 1, sorted descending."""
+    """Symplectic eigenvalues mu_k >= 1, sorted descending along the last
+    axis; leading axes, if any, run over a stack of states."""
 
     mu: np.ndarray
 
@@ -60,10 +61,8 @@ class WilliamsonSpectrum:
 class GaussianState:
     """Mean vector and covariance matrix of an n-mode bosonic state.
 
-    Checked on construction: cov symmetric and > 0, with Cholesky factor L,
-    and every symplectic eigenvalue mu_k >= 1 - MU_CLAMP_TOL, which is
-    cov + i*Omega >= 0.  The mu_k, kept as `spectrum`, are the positive
-    eigenvalues of the Hermitian i*L^T Omega L (one solve).
+    Checked on construction by williamson_spectrum, whose spectrum it keeps
+    as `spectrum`.
     """
 
     n_modes: int
@@ -81,20 +80,35 @@ class GaussianState:
             raise ValueError(
                 f"shape mismatch for {n} modes: mean {mean.shape}, cov {cov.shape}"
             )
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-            raise ValueError("non-finite entries in mean or covariance")
-        if np.max(np.abs(cov - cov.T)) > SYMMETRY_TOL:
-            raise InvalidStateError("covariance matrix is not symmetric")
-        try:
-            low = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            raise InvalidStateError("covariance matrix is not positive definite") from None
-        # the n largest, descending; handed over frozen, so not copied again
-        mu = np.linalg.eigvalsh(1j * (low.T @ symplectic_form(n) @ low))[n:][::-1]
-        mu.setflags(write=False)
-        object.__setattr__(self, "spectrum", WilliamsonSpectrum(mu))
+        object.__setattr__(self, "spectrum", williamson_spectrum(mean, cov))
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
+
+
+def williamson_spectrum(mean, cov):
+    """Checked Williamson spectrum of one Gaussian state or a stack of them.
+
+    mean has shape (..., 2n) and cov (..., 2n, 2n).  Every member must be
+    finite, with cov symmetric and > 0 (Cholesky factor L) and every
+    symplectic eigenvalue mu_k >= 1 - MU_CLAMP_TOL, which is
+    cov + i*Omega >= 0; the mu_k are the positive eigenvalues of the
+    Hermitian i*L^T Omega L (one solve per member).  Any member that fails
+    raises InvalidStateError: a stack refuses what a single state refuses.
+    """
+    n = cov.shape[-1] // 2
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise InvalidStateError("non-finite entries in mean or covariance")
+    if np.abs(cov - cov.swapaxes(-1, -2)).max() > SYMMETRY_TOL:
+        raise InvalidStateError("covariance matrix is not symmetric")
+    try:
+        low = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise InvalidStateError("covariance matrix is not positive definite") from None
+    omega = symplectic_form(n)
+    # the n largest, descending; handed over frozen, so not copied again
+    mu = np.linalg.eigvalsh(1j * (low.swapaxes(-1, -2) @ omega @ low))[..., n:][..., ::-1]
+    mu.setflags(write=False)
+    return WilliamsonSpectrum(mu)
 
 
 @dataclass(frozen=True)
@@ -172,6 +186,19 @@ def gaussian_entropy(state):
     # Eigen-solver noise can leave mu marginally below 1; clamp before g().
     mu = np.maximum(mu, 1.0)
     return float(sum(thermal_entropy((m - 1.0) / 2.0) for m in mu))
+
+
+def gaussian_entropies(mean, cov):
+    """Von Neumann entropies of a stack of Gaussian states, one per member.
+
+    mean (..., 2n) and cov (..., 2n, 2n) are checked as williamson_spectrum
+    checks them; returns an array of shape (...), each entry the sum
+    gaussian_entropy takes, elementwise (on one state gaussian_entropy's
+    Python scalars are the faster route).
+    """
+    n = (np.maximum(williamson_spectrum(mean, cov).mu, 1.0) - 1.0) / 2.0
+    g = (n + 1.0) * np.log2(n + 1.0) - n * np.log2(np.where(n > 0.0, n, 1.0))
+    return g.sum(axis=-1)
 
 
 def _local_symplectic(kind, params):

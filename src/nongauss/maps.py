@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UnsupportedMapError, ZeroProbabilityError
+from .errors import UnsupportedMapError
 from .fock import (
     DEFAULT_CUTOFF,
     ConditionalMap,
@@ -65,26 +65,12 @@ def pna(cutoff=DEFAULT_CUTOFF):
     return MapDescriptor("pna", body, cutoff, {"ladder": "pna"})
 
 
-def _arm_photon_number(alpha, r, n_s):
-    # <a†a> of one arm of a TMSV after squeezing by r and displacing by α;
-    # the rotation angle drops out.
+def arm_photon_number(alpha, r, n_s):
+    """⟨a†a⟩ of one arm of a TMSV after squeezing by r and displacing by α
+    (the rotation angle drops out), elementwise over arrays: the weight
+    ⟨K†K⟩ of subtraction K = a on that arm, and one less than that of
+    addition K = a†."""
     return abs(alpha) ** 2 + ((1.0 + 2.0 * n_s) * np.cosh(2.0 * r) - 1.0) / 2.0
-
-
-def normalization_pns(alpha, r, n_s):
-    """Normalization factor of a|ψ⟩ on a displaced squeezed TMSV arm."""
-    w = _arm_photon_number(alpha, r, n_s)
-    if w <= 0.0:
-        raise ZeroProbabilityError("subtraction weight vanishes on the vacuum arm")
-    return float(w) ** -0.5
-
-
-def normalization_pna(alpha, r, n_s):
-    """Normalization factor of a†|ψ⟩ on a displaced squeezed TMSV arm."""
-    w = _arm_photon_number(alpha, r, n_s) + 1.0
-    if w <= 0.0:
-        raise ZeroProbabilityError("addition weight vanishes")
-    return float(w) ** -0.5
 
 
 def bps(cutoff=DEFAULT_CUTOFF):

@@ -8,23 +8,27 @@ output moments are ordered ladder words whose expectations on the Gaussian
 input follow from its means and pair contractions alone.  The self-Kerr
 map gets one too: its output moments are Gaussian expectations of a phase
 rotation times a ladder monomial, transition integrals between two pure
-Gaussians (kerr_output_moments), for δ̃ and for d_g_bound's inputs alike.
+Gaussians (_kerr_outputs), for δ̃ and for d_g_bound's inputs alike.
 A Gaussian channel (a descriptor carrying a Gaussian form: id, loss, gd
 with a Gaussian environment) sends Gaussian inputs through in phase
 space, where their outputs are Gaussian and δ_G is exactly 0.  Everything
 else runs on the truncated Fock backend.
 
-Objective evaluations at distinct parameter points are independent; the
-search aggregates them in a fixed order, so results are deterministic for
-a given seed.
+The closed forms take one member or a stack of them and evaluate a stack
+in one vectorised pass, moments, covariances, physicality checks and
+spectra alike.  The δ̃ search evaluates its lattice as one batch, then
+advances its five simplex restarts in lock-step, one batch of new points
+per round; each restart keeps its own trace and the traces are joined in
+restart order, so a result is deterministic for a given seed and equals
+that of the restarts run one after another.
 """
 
 import cmath
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import TruncationError, UnsupportedMapError, ZeroProbabilityError
 from .fock import (
@@ -39,20 +43,22 @@ from .fock import (
     delta_g,
     gaussian_cutoff,
     gaussian_to_fock,
+    mean_and_covariance,
     tmsv_schmidt,
 )
 from .gaussian import (
     GaussianState,
     apply_symplectic,
     gaussian_channel,
+    gaussian_entropies,
     gaussian_entropy,
     gaussian_unitary,
-    partial_trace_gaussian,
     thermal_entropy,
     thermal_state,
     tmsv_state,
+    williamson_spectrum,
 )
-from .maps import normalization_pna, normalization_pns
+from .maps import arm_photon_number
 
 DEFAULT_NS_GRID = (0.5, 1.0, 2.0, 4.0)
 DEFAULT_ENERGY_GRID = (1.0, 2.0, 4.0, 8.0)
@@ -218,6 +224,14 @@ _PENALTY = -1e9
 _RANK_DECIMALS = 9
 
 
+# a stack of input-family members: InputParams' fields as arrays over them
+_Members = namedtuple("_Members", "alpha theta r n_s")
+
+
+def _members(points):
+    return _Members(*map(np.array, zip(*((p.alpha, p.theta, p.r, p.n_s) for p in points))))
+
+
 def _ladder_moments(p):
     """Ladder means and ordered fluctuations of the input family.
 
@@ -225,25 +239,25 @@ def _ladder_moments(p):
     and G_ij = ⟨δξ_i δξ_j⟩ = L G_ζ Lᵀ, where G_ζ holds the TMSV's ordered
     pair contractions (⟨a a†⟩ = n_s + 1, ⟨a† a⟩ = n_s, ⟨a b⟩ = ⟨a† b†⟩ =
     √(n_s(n_s+1))) and L is the Bogoliubov map of D_α R_θ S_r, under which
-    b ↦ c1 b + c2 b† + α.
+    b ↦ c1 b + c2 b† + α.  p is one member or a stack (_members), whose
+    axes lead those of μ (…, 4) and G (…, 4, 4).
     """
-    n_s = float(p.n_s)
+    n_s = np.asarray(p.n_s, dtype=float)
     c_p = np.sqrt(n_s * (n_s + 1.0))
-    g_tmsv = np.array(
-        [
-            [0.0, n_s + 1.0, c_p, 0.0],
-            [n_s, 0.0, 0.0, c_p],
-            [c_p, 0.0, 0.0, n_s + 1.0],
-            [0.0, c_p, n_s, 0.0],
-        ]
-    )
-    phase = np.exp(-1j * p.theta)
+    g_tmsv = np.zeros(n_s.shape + (4, 4))
+    g_tmsv[..., 0, 1] = g_tmsv[..., 2, 3] = n_s + 1.0
+    g_tmsv[..., 1, 0] = g_tmsv[..., 3, 2] = n_s
+    g_tmsv[..., 0, 2] = g_tmsv[..., 1, 3] = g_tmsv[..., 2, 0] = g_tmsv[..., 3, 1] = c_p
+    phase = np.exp(-1j * np.asarray(p.theta))
     c1, c2 = phase * np.cosh(p.r), -phase * np.sinh(p.r)
-    bogoliubov = np.eye(4, dtype=complex)
-    bogoliubov[2:, 2:] = [[c1, c2], [np.conj(c2), np.conj(c1)]]
-    alpha = complex(p.alpha)
-    mu = np.array([0.0, 0.0, alpha, np.conj(alpha)])
-    return mu, bogoliubov @ g_tmsv @ bogoliubov.T
+    bogoliubov = np.zeros(n_s.shape + (4, 4), dtype=complex)
+    bogoliubov[..., 0, 0] = bogoliubov[..., 1, 1] = 1.0
+    bogoliubov[..., 2, 2], bogoliubov[..., 2, 3] = c1, c2
+    bogoliubov[..., 3, 2], bogoliubov[..., 3, 3] = np.conj(c2), np.conj(c1)
+    alpha = np.asarray(p.alpha, dtype=complex)
+    mu = np.zeros(n_s.shape + (4,), dtype=complex)
+    mu[..., 2], mu[..., 3] = alpha, np.conj(alpha)
+    return mu, bogoliubov @ g_tmsv @ np.swapaxes(bogoliubov, -1, -2)
 
 
 def _ordered_moments(mu, g, words):
@@ -271,18 +285,20 @@ def _contractions(words, size):
 
 
 def _isserlis(mu, g, contractions):
-    # _ordered_moments on the gather indices of _contractions
+    # _ordered_moments on the gather indices of _contractions, over the
+    # stack axes that lead mu and g
     pairs, symbols = contractions
-    n = len(mu)
-    unit_mu = np.empty(n + 1, dtype=complex)
-    unit_mu[:n] = mu
-    unit_mu[n] = 1.0
-    s = np.zeros((n + 1, n + 1), dtype=complex)
-    s[:n, :n] = g
-    s += unit_mu[:, None] * unit_mu
-    c = s.ravel().take(pairs)
-    f = unit_mu.take(symbols)
-    return c[0] * c[1] + c[2] * c[3] + c[4] * c[5] - 2.0 * f[0] * f[1] * f[2] * f[3]
+    lead, n = mu.shape[:-1], mu.shape[-1]
+    unit_mu = np.ones(lead + (n + 1,), dtype=complex)
+    unit_mu[..., :n] = mu
+    s = np.zeros(lead + (n + 1, n + 1), dtype=complex)
+    s[..., :n, :n] = g
+    s += unit_mu[..., :, None] * unit_mu[..., None, :]
+    c = s.reshape(lead + (-1,))[..., pairs]
+    f = unit_mu[..., symbols]
+    c0, c1, c2, c3, c4, c5 = (c[..., i, :] for i in range(6))
+    f0, f1, f2, f3 = (f[..., i, :] for i in range(4))
+    return c0 * c1 + c2 * c3 + c4 * c5 - 2.0 * f0 * f1 * f2 * f3
 
 
 # symbols of _ladder_moments, then the unit
@@ -301,23 +317,28 @@ _WORDS = {
 }
 
 
-def analytic_output_covariance(p, which):
-    """Exact joint mean and covariance of the PNS/PNA output state.
+def _ladder_outputs(p, which):
+    """Branch weights and output moments of PNS/PNA on a member or a stack.
 
     Each of the nine output moments ⟨X⟩ = ⟨K†XK⟩/⟨K†K⟩ (K = b for
     subtraction, b† for addition) is an ordered word over the input's
     ladder operators, evaluated in closed form from _ladder_moments by
-    _ordered_moments; the covariance then follows from the moment table.
+    _isserlis.  Returns the weights ⟨K†K⟩ and the MomentRecord, stacked as
+    p's fields are; a member of weight 0 has no output, and its record
+    holds zeros.
     """
-    if which not in ("pns", "pna"):
+    if which not in _WORDS:
         raise UnsupportedMapError(f"no analytic backend for {which!r}")
-    if which == "pns":
-        norm = normalization_pns(abs(p.alpha), p.r, p.n_s)
-    else:
-        norm = normalization_pna(abs(p.alpha), p.r, p.n_s)
-    m = (norm * norm) * _isserlis(*_ladder_moments(p), _WORDS[which])
-    aa = np.array([[m[3], m[2]], [m[2], m[4]]])
-    return covariance_from_moments(MomentRecord(2, m[:2], aa, m[5:].reshape(2, 2)))
+    weight = np.asarray(arm_photon_number(np.abs(p.alpha), p.r, p.n_s))
+    if which == "pna":
+        weight = weight + 1.0
+    # C's pow per member, through Python floats: numpy's SIMD pow can round
+    # the last bit differently, which would move the reported values
+    norm = [w**-0.5 if w > 0.0 else 0.0 for w in weight.ravel().tolist()]
+    norm = np.reshape(norm, weight.shape)
+    m = (norm * norm)[..., None] * _isserlis(*_ladder_moments(p), _WORDS[which])
+    adag_a = m[..., 5:].reshape(m.shape[:-1] + (2, 2))
+    return weight, MomentRecord(2, m[..., :2], m[..., [[3, 2], [2, 4]]], adag_a)
 
 
 def _rotated_moments(a, beta, z):
@@ -334,7 +355,7 @@ def _rotated_moments(a, beta, z):
     as its log.  Both eigenvalues of I − AB lie in the disc of radius ‖A‖²
     about 1, so the principal log of its determinant is the branch that
     is continuous in φ from φ = 0.  Returns (log overlap, ⟨b⟩, ⟨ab⟩, ⟨b²⟩,
-    ⟨a†b⟩).
+    ⟨a†b⟩), elementwise over arrays of members.
     """
     a0, a1, a2 = a
     beta0, beta1 = beta
@@ -355,11 +376,11 @@ def _rotated_moments(a, beta, z):
     )
     s01 = w00 * a1 + w01 * a2 + m0 * m1
     s11 = w10 * a1 + w11 * a2 + m1 * m1
-    return e - 0.5 * cmath.log(det), m1, s01, s11, b0 * s01 + b1 * s11 + c0 * m1
+    return e - 0.5 * np.log(det), m1, s01, s11, b0 * s01 + b1 * s11 + c0 * m1
 
 
-def kerr_output_moments(p, gamma):
-    """Ladder moments of the self-Kerr map exp(−iγ n_b²) on member p.
+def _kerr_outputs(p, gamma):
+    """Ladder moments of the self-Kerr map exp(−iγ n_b²) on a member or a stack.
 
     Since b f(n) = f(n+1) b, U†bU = e^{−iγ(2n+1)} b and U†b²U =
     e^{−iγ(4n+4)} b², so ⟨b⟩, ⟨ab⟩ and ⟨a†b⟩ of the output are
@@ -367,53 +388,73 @@ def kerr_output_moments(p, gamma):
     input (_rotated_moments); ⟨a⟩, ⟨a²⟩, ⟨a†a⟩ and ⟨b†b⟩ are the input's.
     The pure input is exp(½zᵀAz + βᵀz) with A = M Q⁻ᵀ and β = μ − Aμ̄,
     from the blocks M = ⟨δa δa⟩ and Q = ⟨δa δa†⟩ of _ladder_moments
-    (on the family ⟨a⟩ = 0, so μ = (0, α)).
+    (on the family ⟨a⟩ = 0, so μ = (0, α)).  Returns the branch weights
+    (all 1: the map is unitary) and the MomentRecord, stacked as p's fields
+    are.
     """
-    mu, g = _ladder_moments(p)
-    g = g.tolist()
-    (m00, m01), (m10, m11) = (g[_A][_A], g[_A][_B]), (g[_B][_A], g[_B][_B])
-    (q00, q01), (q10, q11) = (g[_A][_ADAG], g[_A][_BDAG]), (g[_B][_ADAG], g[_B][_BDAG])
+    _, g = _ladder_moments(p)
+    (m00, m01), (m10, m11) = (g[..., _A, _A], g[..., _A, _B]), (g[..., _B, _A], g[..., _B, _B])
+    (q00, q01), (q10, q11) = (
+        (g[..., _A, _ADAG], g[..., _A, _BDAG]),
+        (g[..., _B, _ADAG], g[..., _B, _BDAG]),
+    )
     det_q = q00 * q11 - q01 * q10
     a01 = 0.5 * (m01 * q00 - m00 * q10 + m10 * q11 - m11 * q01) / det_q
     a = ((m00 * q11 - m01 * q01) / det_q, a01, (m11 * q00 - m10 * q10) / det_q)
-    alpha = complex(p.alpha)
+    alpha = np.asarray(p.alpha, dtype=complex)
     beta = (-a01 * alpha.conjugate(), alpha - a[2] * alpha.conjugate())
     log_norm = _rotated_moments(a, beta, 1.0)[0]
     turn = cmath.exp(-1j * gamma)
     log_2, b, ab, _, adag_b = _rotated_moments(a, beta, turn**2)
     log_4, _, _, bb, _ = _rotated_moments(a, beta, turn**4)
-    scale_2 = turn * cmath.exp(log_2 - log_norm)
+    scale_2 = turn * np.exp(log_2 - log_norm)
     ab, adag_b = scale_2 * ab, scale_2 * adag_b
-    bb *= turn**4 * cmath.exp(log_4 - log_norm)
-    return MomentRecord(
-        2,
-        np.array([0.0, scale_2 * b]),
-        np.array([[g[_A][_A], ab], [ab, bb]]),
-        np.array(
-            [[g[_ADAG][_A], adag_b], [adag_b.conjugate(), g[_BDAG][_B] + abs(alpha) ** 2]]
-        ),
-    )
+    bb = bb * (turn**4 * np.exp(log_4 - log_norm))
+    first = np.zeros(alpha.shape + (2,), dtype=complex)
+    first[..., 1] = scale_2 * b
+    aa = np.empty(alpha.shape + (2, 2), dtype=complex)
+    aa[..., 0, 0], aa[..., 1, 1] = g[..., _A, _A], bb
+    aa[..., 0, 1] = aa[..., 1, 0] = ab
+    adag_a = np.empty(alpha.shape + (2, 2), dtype=complex)
+    adag_a[..., 0, 0], adag_a[..., 0, 1] = g[..., _ADAG, _A], adag_b
+    adag_a[..., 1, 0] = adag_b.conjugate()
+    adag_a[..., 1, 1] = g[..., _BDAG, _B] + np.abs(alpha) ** 2
+    return np.ones(alpha.shape), MomentRecord(2, first, aa, adag_a)
+
+
+def _output_state(weight, m):
+    # the joint output state of one member, from its weight and record
+    if not weight > 0.0:
+        raise ZeroProbabilityError("the conditional branch vanishes on this member")
+    return covariance_from_moments(m)
+
+
+def analytic_output_covariance(p, which):
+    """Exact joint mean and covariance of the PNS/PNA output state on member
+    p: _ladder_outputs on the one member."""
+    return _output_state(*_ladder_outputs(p, which))
 
 
 def kerr_output_covariance(p, gamma):
-    """Exact joint mean and covariance of the self-Kerr output on member p."""
-    return covariance_from_moments(kerr_output_moments(p, gamma))
+    """Exact joint mean and covariance of the self-Kerr output on member p:
+    _kerr_outputs on the one member."""
+    return _output_state(*_kerr_outputs(p, gamma))
 
 
 def _route(desc):
     """The backend of every monotone on desc, read from its metadata, never
     its name: ('phase-space', (sym, env)) by "gaussian_form"; ('analytic',
-    p ↦ the member's exact joint output covariance) by "ladder" (pns, pna)
-    or "gamma" (kerr); else ('fock', None)."""
+    members ↦ their branch weights and output moments) by "ladder" (pns,
+    pna) or "gamma" (kerr); else ('fock', None)."""
     form = desc.metadata.get("gaussian_form")
     if form is not None:
         return "phase-space", form
     ladder = desc.metadata.get("ladder")
     if ladder is not None:
-        return "analytic", lambda p: analytic_output_covariance(p, ladder)
+        return "analytic", lambda p: _ladder_outputs(p, ladder)
     gamma = desc.metadata.get("gamma")
     if gamma is not None:
-        return "analytic", lambda p: kerr_output_covariance(p, gamma)
+        return "analytic", lambda p: _kerr_outputs(p, gamma)
     return "fock", None
 
 
@@ -441,6 +482,84 @@ def alpha_zero_spread(which, seed=0, count=10):
     return float(max(vals) - min(vals))
 
 
+# scipy.optimize's Nelder–Mead: reflection, expansion, contraction and
+# shrink coefficients, and the steps of its initial simplex
+_NM_RHO, _NM_CHI, _NM_PSI, _NM_SIGMA = 1, 2, 0.5, 0.5
+_NM_NONZDELT, _NM_ZDELT = 0.05, 0.00025
+# objective values each δ̃ restart may spend
+_SIMPLEX_MAXFEV = 120
+
+
+def _nelder_mead(x0, maxfev, xatol=SIMPLEX_XATOL, fatol=SIMPLEX_FATOL):
+    """scipy.optimize.minimize(f, x0, method="Nelder-Mead") as a generator.
+
+    It yields each batch of points, an array (m, n), whose values f(x) its
+    next step needs, and is sent those values in order: the initial simplex
+    and a shrink are one batch each, a reflection, an expansion or a
+    contraction one point.  It visits scipy's points in scipy's order, from
+    the same initial simplex, with the same coefficients and np.argsort
+    ordering of the vertices; it stops once the vertices lie within xatol
+    and their values within fatol of the best, or once maxfev (≥ 1) values
+    are spent, mid-step if need be, as scipy's call counter stops it.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    n = len(x0)
+    sim = np.array([x0] * (n + 1))
+    for k in range(n):
+        sim[k + 1, k] = (1 + _NM_NONZDELT) * x0[k] if x0[k] != 0 else _NM_ZDELT
+    fsim = np.full(n + 1, np.inf)
+    left = maxfev
+
+    def ask(points):
+        nonlocal left
+        points = points[:left]
+        left -= len(points)
+        return np.asarray((yield points), dtype=float)
+
+    f = yield from ask(sim)
+    fsim[: len(f)] = f
+    # scipy sorts twice here, and argsort need not be stable on ties
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    while left:
+        if (
+            np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+            and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
+        ):
+            return
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = (1 + _NM_RHO) * xbar - _NM_RHO * sim[-1]
+        (fxr,) = yield from ask(xr[None])
+        if fxr < fsim[0]:
+            if not left:
+                return
+            xe = (1 + _NM_RHO * _NM_CHI) * xbar - _NM_RHO * _NM_CHI * sim[-1]
+            (fxe,) = yield from ask(xe[None])
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if not left:
+                return
+            if fxr < fsim[-1]:
+                xc = (1 + _NM_PSI * _NM_RHO) * xbar - _NM_PSI * _NM_RHO * sim[-1]
+                (fxc,) = yield from ask(xc[None])
+                keep = fxc <= fxr
+            else:
+                xc = (1 - _NM_PSI) * xbar + _NM_PSI * sim[-1]
+                (fxc,) = yield from ask(xc[None])
+                keep = fxc < fsim[-1]
+            if keep:
+                sim[-1], fsim[-1] = xc, fxc
+            elif left:
+                shrunk = sim[0] + _NM_SIGMA * (sim[1:] - sim[0])
+                f = yield from ask(shrunk)
+                sim[1 : 1 + len(f)], fsim[1 : 1 + len(f)] = shrunk[: len(f)], f
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+
 def delta_tilde(desc, seed=0, max_n_s=_CAP_NS, *, _values=None):
     """Maximize joint-output non-Gaussianity over the input family.
 
@@ -459,12 +578,19 @@ def delta_tilde(desc, seed=0, max_n_s=_CAP_NS, *, _values=None):
     'phase-space', one evaluation); every other map searches on the
     truncated Fock backend at desc.cutoff.
 
-    Each distinct clamped point is evaluated once, through a table from
-    point to unrounded value: its own, or _values, which divergence_profile
-    shares among the closed-form searches of one sweep.  Every evaluation
-    enters the trace, and `excluded` counts the entries on points the
-    cutoff refused.  A search handed a table skips alpha_zero_spread, a
-    pns/pna diagnostic the sweep does not read.
+    The lattice is one batch; the five simplex searches (_nelder_mead,
+    scipy's Nelder–Mead) advance in lock-step, and each round is one batch
+    of the points they ask for.  A batch evaluates its distinct clamped
+    points that are not yet in the table from point to unrounded value
+    (its own, or _values, which divergence_profile shares among the
+    closed-form searches of one sweep) in one call: on the closed form one
+    vectorised pass over the stack of members, on the Fock route one
+    point after another.  Each search keeps its own trace and the traces
+    follow the lattice's in restart order, so the trace, the value and the
+    argmax are those of the five searches run one after another.  Every
+    evaluation enters the trace, and `excluded` counts the entries on
+    points the cutoff refused.  A search handed a table skips
+    alpha_zero_spread, a pns/pna diagnostic the sweep does not read.
     """
     body = desc.body
     if not body.conditional_unitary:
@@ -483,12 +609,9 @@ def delta_tilde(desc, seed=0, max_n_s=_CAP_NS, *, _values=None):
     table = {} if _values is None else _values
     deficits = [0.0]
     refused = set()
-    trace = []
 
-    def objective(p):
+    def fock_point(p):
         try:
-            if route is not None:
-                return gaussian_entropy(route(p))
             ket = input_family(p, "fock", cutoff=desc.cutoff, edge_tol=_EDGE_TOL)
             deficits.append(ket.trace_deficit)
             out, _ = apply_map(ket, body, targets=[1], trace_tol=1e-2)
@@ -499,24 +622,33 @@ def delta_tilde(desc, seed=0, max_n_s=_CAP_NS, *, _values=None):
             refused.add(p)
             return -np.inf
 
-    def evaluate(x):
-        p = _clamp(x, max_n_s)
-        if p not in table:
-            table[p] = objective(p)
-        val = table[p]
-        trace.append((p, val))
-        return round(val, _RANK_DECIMALS) if np.isfinite(val) else _PENALTY
+    def objective(points):
+        if backend == "fock":
+            return [fock_point(p) for p in points]
+        weight, m = route(_members(points))
+        values = gaussian_entropies(*mean_and_covariance(m))
+        return np.where(weight > 0.0, values, -np.inf).tolist()
+
+    def evaluate(points):
+        # one objective call for the distinct points not yet in the table
+        new = [p for p in dict.fromkeys(points) if p not in table]
+        if new:
+            table.update(zip(new, objective(new)))
+
+    def rank(value):
+        return round(value, _RANK_DECIMALS) if np.isfinite(value) else _PENALTY
 
     lattice_ns = sorted({min(n, max_n_s) for n in _LATTICE_NS})
-    for a in _LATTICE_ALPHA:
-        for t in _LATTICE_THETA:
-            for r in _LATTICE_R:
-                for n in lattice_ns:
-                    evaluate(np.array([a, t, r, n]))
-
-    order = sorted(
-        range(len(trace)), key=lambda i: (-round(trace[i][1], _RANK_DECIMALS), i)
-    )
+    lattice = [
+        _clamp(np.array([a, t, r, n]), max_n_s)
+        for a in _LATTICE_ALPHA
+        for t in _LATTICE_THETA
+        for r in _LATTICE_R
+        for n in lattice_ns
+    ]
+    evaluate(lattice)
+    trace = [(p, table[p]) for p in lattice]
+    order = sorted(range(len(trace)), key=lambda i: (-rank(trace[i][1]), i))
     starts = [trace[i][0] for i in order[:3]]
     rng = np.random.default_rng(seed)
     top = starts[0]
@@ -528,14 +660,23 @@ def delta_tilde(desc, seed=0, max_n_s=_CAP_NS, *, _values=None):
                 max_n_s,
             )
         )
-    for p0 in starts:
-        x0 = np.array([abs(p0.alpha), p0.theta, p0.r, p0.n_s])
-        optimize.minimize(
-            lambda x: -evaluate(x),
-            x0,
-            method="Nelder-Mead",
-            options={"xatol": SIMPLEX_XATOL, "fatol": SIMPLEX_FATOL, "maxfev": 120},
-        )
+    runs = [
+        _nelder_mead(np.array([abs(p.alpha), p.theta, p.r, p.n_s]), _SIMPLEX_MAXFEV)
+        for p in starts
+    ]
+    traces = [[] for _ in runs]
+    asked = {i: next(run) for i, run in enumerate(runs)}
+    while asked:
+        clamped = {i: [_clamp(x, max_n_s) for x in xs] for i, xs in asked.items()}
+        evaluate([p for points in clamped.values() for p in points])
+        for i, points in clamped.items():
+            traces[i] += [(p, table[p]) for p in points]
+            try:
+                asked[i] = runs[i].send([-rank(table[p]) for p in points])
+            except StopIteration:
+                del asked[i]
+    for run_trace in traces:
+        trace += run_trace
     values = np.array([v for _, v in trace])
     best = int(np.argmax(values))
     if not np.isfinite(values[best]):
@@ -642,9 +783,9 @@ def d_g_bound(desc, inputs=None, energy=None, seed=0, count=4):
     phase space, gaussian.gaussian_channel, and its output is Gaussian, so
     its value is exactly 0 (backend 'phase-space').  On a closed form that
     does not renormalize (kerr) each input is the consumed-mode marginal
-    of an input-family member (_family_member), and since the map is
-    unitary S(out) = S(in), so δ_G = S_G(out) − S_G(in) (backend
-    'analytic').  Otherwise, pns and pna included, each input is lifted to
+    of an input-family member (_family_member), all members go through
+    the closed form in one call, and since the map is unitary
+    S(out) = S(in), so δ_G = S_G(out) − S_G(in) (backend 'analytic').  Otherwise, pns and pna included, each input is lifted to
     desc.cutoff and pushed through the Kraus family (backend 'fock');
     inputs the cutoff cannot hold are skipped, keeping the value a
     faithful lower bound.
@@ -676,13 +817,19 @@ def d_g_bound(desc, inputs=None, energy=None, seed=0, count=4):
     trace = []
     deficits = [0.0]
     excluded = 0
-    for label, g in supplied:
+    if backend == "analytic":
+        # every input's member in one call; the joint outputs are checked as
+        # states, and the consumed mode's marginals give S(out)
+        _, m = route(_members([_family_member(g) for _, g in supplied]))
+        mean, cov = mean_and_covariance(m)
+        williamson_spectrum(mean, cov)
+        s_out = gaussian_entropies(mean[:, 2:], cov[:, 2:, 2:]).tolist()
+    for i, (label, g) in enumerate(supplied):
         if backend == "phase-space":
             gaussian_channel(g, *route)
             val = 0.0
         elif backend == "analytic":
-            out = route(_family_member(g))
-            val = gaussian_entropy(partial_trace_gaussian(out, [1])) - gaussian_entropy(g)
+            val = s_out[i] - gaussian_entropy(g)
         else:
             try:
                 rho = gaussian_to_fock(g, desc.cutoff, trace_tol=1e-5)

@@ -17,6 +17,7 @@ from nongauss.fock import (
     _generator_eigenbasis,
     _ladder_ket,
     FockArray,
+    MomentRecord,
     apply_map,
     apply_unitary,
     build_state,
@@ -30,6 +31,7 @@ from nongauss.fock import (
     gaussian_to_fock,
     gaussify,
     ladder,
+    mean_and_covariance,
     moments,
     number_distribution,
     partial_trace,
@@ -670,6 +672,26 @@ def test_covariance_from_moments_oracles():
     tm = build_state("tmsv", 1.0, cutoff=40)
     g = gaussify(tm)
     assert_allclose(g.cov, tmsv_state(1.0).cov, atol=1e-7)
+
+
+def test_moment_stack_assembles_and_checks_each_member():
+    records = [moments(build_state("tmsv", n_s, cutoff=30)) for n_s in (0.7, 0.2)]
+    stack = MomentRecord(
+        2,
+        np.array([m.first for m in records]),
+        np.array([m.aa for m in records]),
+        np.array([m.adag_a for m in records]),
+    )
+    mean, cov = mean_and_covariance(stack)
+    for k, m in enumerate(records):
+        state = covariance_from_moments(m)
+        assert_array_equal(mean[k], state.mean)
+        assert_array_equal(cov[k], state.cov)
+    # a negative occupation in one member refuses the stack
+    bad = stack.adag_a.copy()
+    bad[1, 0, 0] = -0.1
+    with pytest.raises(InvalidStateError, match="nonnegative"):
+        MomentRecord(2, stack.first, stack.aa, bad)
 
 
 def test_partial_trace_tmsv_arm():

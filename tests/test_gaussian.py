@@ -12,6 +12,7 @@ from nongauss.gaussian import (
     condition_on_projection,
     direct_sum,
     gaussian_channel,
+    gaussian_entropies,
     gaussian_entropy,
     gaussian_unitary,
     partial_trace_gaussian,
@@ -23,6 +24,7 @@ from nongauss.gaussian import (
     tmsv_state,
     vacuum_state,
     williamson,
+    williamson_spectrum,
 )
 
 from conftest import count_eigensolves, random_gaussian_state, random_symplectic
@@ -326,6 +328,36 @@ def test_spectrum_is_shared_frozen_and_still_refuses():
     frozen.setflags(write=False)
     with pytest.raises(InvalidStateError):
         WilliamsonSpectrum(frozen)
+
+
+def test_stacked_spectrum_refuses_exactly_what_a_state_refuses():
+    rng = np.random.default_rng(8)
+    good = [random_gaussian_state(2, rng) for _ in range(5)]
+    means = np.array([g.mean for g in good])
+    covs = np.array([g.cov for g in good])
+    assert_array_equal(williamson_spectrum(means, covs).mu, [g.spectrum.mu for g in good])
+    assert_array_equal(gaussian_entropies(means, covs), [gaussian_entropy(g) for g in good])
+    nan_cov = good[1].cov.copy()
+    nan_cov[0, 3] = nan_cov[3, 0] = np.nan
+    skew = good[2].cov.copy()
+    skew[0, 1] += 1e-6
+    bad = {
+        # positive definite, but mu = 0.5 < 1
+        "symplectic eigenvalue": (np.zeros(4), 0.5 * np.eye(4)),
+        "not positive definite": (np.zeros(4), np.diag([2.0, 2.0, 2.0, -0.5])),
+        "non-finite": (np.zeros(4), nan_cov),
+        "non-finite entries": (np.array([0.0, np.inf, 0.0, 0.0]), good[0].cov),
+        "not symmetric": (np.zeros(4), skew),
+    }
+    for message, (mean, cov) in bad.items():
+        with pytest.raises(InvalidStateError, match=message):
+            GaussianState(2, mean, cov)
+        for at in (0, 2, 5):
+            stack = (np.insert(means, at, mean, axis=0), np.insert(covs, at, cov, axis=0))
+            with pytest.raises(InvalidStateError, match=message):
+                williamson_spectrum(*stack)
+            with pytest.raises(InvalidStateError, match=message):
+                gaussian_entropies(*stack)
 
 
 def test_direct_sum_stacks_blocks():

@@ -23,6 +23,7 @@ from nongauss.fock import (
 )
 from nongauss.maps import (
     _gaussian_environment,
+    arm_photon_number,
     bps,
     coherent_projector,
     compose,
@@ -30,8 +31,6 @@ from nongauss.maps import (
     identity_map,
     kerr,
     loss,
-    normalization_pna,
-    normalization_pns,
     parse_map_spec,
     parse_state_spec,
     pna,
@@ -45,6 +44,7 @@ from nongauss.gaussian import (
     gaussian_unitary,
     thermal_state,
 )
+from nongauss.monotone import InputParams, analytic_output_covariance
 from nongauss.verify import correlated_coherent_mixture, projection_counterexample
 
 
@@ -88,10 +88,13 @@ def test_small_cutoff_rejected():
 
 
 def test_normalization_closed_forms():
-    assert abs(normalization_pns(0.0, 0.0, 1.0) - 1.0) < 1e-12
-    assert abs(normalization_pna(0.0, 0.0, 0.0) - 1.0) < 1e-12
+    # subtraction weighs ⟨a†a⟩ of the arm, addition ⟨a†a⟩ + 1
+    assert abs(arm_photon_number(0.0, 0.0, 1.0) - 1.0) < 1e-12
+    assert arm_photon_number(0.0, 0.0, 0.0) == 0.0
+    vacuum_arm = InputParams(0.0, 0.0, 0.0, 0.0)
     with pytest.raises(ZeroProbabilityError):
-        normalization_pns(0.0, 0.0, 0.0)
+        analytic_output_covariance(vacuum_arm, "pns")
+    assert analytic_output_covariance(vacuum_arm, "pna").n_modes == 2
 
 
 def test_normalization_matches_fock_weight():
@@ -103,8 +106,9 @@ def test_normalization_matches_fock_weight():
         psi = apply_unitary(psi, build_unitary(kind, par, d), targets=[1])
     _, w_sub = apply_map(psi, pns(d).body, targets=[1])
     _, w_add = apply_map(psi, pna(d).body, targets=[1])
-    assert abs(w_sub**-0.5 - normalization_pns(alpha, r, n_s)) < 1e-6
-    assert abs(w_add**-0.5 - normalization_pna(alpha, r, n_s)) < 1e-6
+    w = arm_photon_number(alpha, r, n_s)
+    assert abs(w_sub**-0.5 - w**-0.5) < 1e-6
+    assert abs(w_add**-0.5 - (w + 1.0) ** -0.5) < 1e-6
 
 
 def test_bps_on_vacuum_is_identity():

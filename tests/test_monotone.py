@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy import optimize
 
 import nongauss.fock
 import nongauss.monotone as monotone
@@ -361,6 +362,95 @@ def test_delta_tilde_ignores_rounding_noise(monkeypatch):
         assert noisy.diagnostics["excluded"] == plain.diagnostics["excluded"]
 
 
+def _generator_visits(x0, f, maxfev):
+    # every point monotone._nelder_mead asks for, in order
+    run = monotone._nelder_mead(np.asarray(x0, dtype=float), maxfev)
+    visits = []
+    try:
+        batch = next(run)
+        while True:
+            visits.extend(batch.copy())
+            batch = run.send([f(x) for x in batch])
+    except StopIteration:
+        return np.array(visits)
+
+
+def _scipy_visits(x0, f, maxfev):
+    visits = []
+
+    def counted(x):
+        visits.append(x.copy())
+        return f(x)
+
+    options = {
+        "xatol": monotone.SIMPLEX_XATOL,
+        "fatol": monotone.SIMPLEX_FATOL,
+        "maxfev": maxfev,
+    }
+    optimize.minimize(counted, np.asarray(x0, dtype=float), method="Nelder-Mead", options=options)
+    return np.array(visits)
+
+
+@pytest.mark.parametrize(
+    "f, x0",
+    [
+        # reflections, expansions, outside and inside contractions
+        (optimize.rosen, [1.3, 0.7, 0.8, 1.9]),
+        # exact ties among vertices; inside contractions and shrinks, then
+        # the xatol/fatol stop
+        (lambda x: float(np.round(x @ x, 1)), [0.4, 0.0, -0.3, 0.2]),
+        (lambda x: 1.0, [0.5, 0.0, 1.0, 2.0]),
+        # a reflection and an expansion every step
+        (lambda x: -float(x.sum()), [0.0, 0.0, 0.0, 0.0]),
+    ],
+    ids=["rosen", "ties", "flat", "slope"],
+)
+def test_nelder_mead_generator_visits_scipys_points(f, x0):
+    full = _scipy_visits(x0, f, 150)
+    assert len(full) > 50
+    # a budget ends the search after every visit in turn: mid-step, after
+    # the reflection that an expansion or contraction would follow, and
+    # partway through a shrink
+    for maxfev in range(1, len(full) + 2):
+        want = _scipy_visits(x0, f, maxfev)
+        got = _generator_visits(x0, f, maxfev)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), maxfev
+
+
+@pytest.mark.parametrize(
+    "make",
+    [pns, pna, lambda: kerr(0.5, 32), _kerr_on_fock],
+    ids=["pns", "pna", "kerr", "kerr-fock"],
+)
+def test_lockstep_search_matches_sequential_scipy_restarts(make):
+    # the five simplex searches, run one after another by scipy from the
+    # starts the lattice gives, on the values the search recorded
+    res = delta_tilde(make(), seed=3)
+    value = dict(res.trace)
+
+    def rank(v):
+        return round(v, monotone._RANK_DECIMALS) if np.isfinite(v) else monotone._PENALTY
+
+    want = list(res.trace[:144])
+    order = sorted(range(144), key=lambda i: (-rank(want[i][1]), i))
+    starts = [want[i][0] for i in order[:3]]
+    rng = np.random.default_rng(3)
+    top = starts[0]
+    for _ in range(2):
+        x = np.array([abs(top.alpha), top.theta, top.r, top.n_s])
+        starts.append(monotone._clamp(x + rng.normal(scale=0.05, size=4), monotone._CAP_NS))
+    for p0 in starts:
+
+        def f(x):
+            p = monotone._clamp(x, monotone._CAP_NS)
+            want.append((p, value[p]))
+            return -rank(value[p])
+
+        x0 = [abs(p0.alpha), p0.theta, p0.r, p0.n_s]
+        _scipy_visits(x0, f, monotone._SIMPLEX_MAXFEV)
+    assert res.trace == tuple(want)
+
+
 def test_delta_tilde_rejects_non_conditional_unitaries():
     with pytest.raises(UnsupportedMapError):
         delta_tilde(bps(20))
@@ -563,21 +653,32 @@ def test_ladder_route_follows_the_metadata_not_the_name():
     assert "alpha_zero_spread" not in stripped.diagnostics
 
 
+def _count_closed_form_points(monkeypatch, name):
+    """Members handed to the batched closed form monotone.<name>, across
+    all of its calls; the number of calls is len(batches)."""
+    points, batches = [], []
+    exact = getattr(monotone, name)
+
+    def counted(members, *args, **kwargs):
+        batch = [InputParams(*fields) for fields in zip(*(f.tolist() for f in members))]
+        points.extend(batch)
+        batches.append(len(batch))
+        return exact(members, *args, **kwargs)
+
+    monkeypatch.setattr(monotone, name, counted)
+    return points, batches
+
+
 def test_kerr_search_evaluates_each_distinct_point_once(monkeypatch):
     # the simplex clamps many vertices beyond the caps onto one member;
     # each distinct member costs one closed-form point
-    points = []
-    exact = monotone.kerr_output_covariance
-
-    def counted(p, gamma):
-        points.append(p)
-        return exact(p, gamma)
-
-    monkeypatch.setattr(monotone, "kerr_output_covariance", counted)
+    points, batches = _count_closed_form_points(monkeypatch, "_kerr_outputs")
     res = delta_tilde(kerr(0.5, 32), seed=937)
     assert res.evaluations == 744
     assert len(points) == len(set(points)) == 561
     assert set(points) == {p for p, _ in res.trace}
+    # the lattice is one call, and each lock-step round at most one more
+    assert batches[0] == 144 and len(batches) < 744 - 144
 
 
 @pytest.mark.parametrize(
@@ -590,7 +691,7 @@ def test_d_g_bound_refuses_an_input_that_is_not_single_mode_gaussian(monkeypatch
     def refuse(*args, **kwargs):
         raise AssertionError("a route ran before the inputs were checked")
 
-    for name in ("kerr_output_covariance", "gaussian_channel", "gaussian_to_fock"):
+    for name in ("_kerr_outputs", "gaussian_channel", "gaussian_to_fock"):
         monkeypatch.setattr(monotone, name, refuse)
     good = vacuum_state(1)
     with pytest.raises(ValueError, match=r"input \('input', 1\) is a 2-mode GaussianState"):
@@ -599,21 +700,9 @@ def test_d_g_bound_refuses_an_input_that_is_not_single_mode_gaussian(monkeypatch
         d_g_bound(desc, inputs=[good, build_state("vacuum", None, 8)])
 
 
-def _count_objective_points(monkeypatch):
-    points = []
-    exact = monotone.analytic_output_covariance
-
-    def counted(p, which):
-        points.append(p)
-        return exact(p, which)
-
-    monkeypatch.setattr(monotone, "analytic_output_covariance", counted)
-    return points
-
-
 @pytest.mark.parametrize("make", [pns, pna])
 def test_divergence_profile_evaluates_each_point_once(monkeypatch, make):
-    points = _count_objective_points(monkeypatch)
+    points, _ = _count_closed_form_points(monkeypatch, "_ladder_outputs")
     divergence_profile(make(), seed=3)
     assert len(points) > 100
     assert len(points) == len(set(points))
@@ -624,12 +713,13 @@ def test_divergence_profile_matches_independent_searches(monkeypatch, make):
     desc = make()
     grid = monotone.DEFAULT_NS_GRID
     want = tuple(delta_tilde(desc, seed=3, max_n_s=e).value for e in grid)
-    points = _count_objective_points(monkeypatch)
+    points, _ = _count_closed_form_points(monkeypatch, "_ladder_outputs")
     first = divergence_profile(desc, seed=3)
     calls = len(points)
     second = divergence_profile(desc, seed=3)
     assert first.deltas == want
     assert second.deltas == want
+    assert calls > 0
     # nothing is kept between sweeps: the second one evaluates afresh
     assert len(points) == 2 * calls
 
