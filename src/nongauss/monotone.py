@@ -490,7 +490,7 @@ _NM_NONZDELT, _NM_ZDELT = 0.05, 0.00025
 _SIMPLEX_MAXFEV = 120
 
 
-def _nelder_mead(x0, maxfev, xatol=SIMPLEX_XATOL, fatol=SIMPLEX_FATOL):
+def _nelder_mead(x0, maxfev):
     """scipy.optimize.minimize(f, x0, method="Nelder-Mead") as a generator.
 
     It yields each batch of points, an array (m, n), whose values f(x) its
@@ -498,9 +498,10 @@ def _nelder_mead(x0, maxfev, xatol=SIMPLEX_XATOL, fatol=SIMPLEX_FATOL):
     and a shrink are one batch each, a reflection, an expansion or a
     contraction one point.  It visits scipy's points in scipy's order, from
     the same initial simplex, with the same coefficients and np.argsort
-    ordering of the vertices; it stops once the vertices lie within xatol
-    and their values within fatol of the best, or once maxfev (≥ 1) values
-    are spent, mid-step if need be, as scipy's call counter stops it.
+    ordering of the vertices; it stops once the vertices lie within
+    SIMPLEX_XATOL and their values within SIMPLEX_FATOL of the best (scipy's
+    xatol and fatol), or once maxfev (≥ 1) values are spent, mid-step if
+    need be, as scipy's call counter stops it.
     """
     x0 = np.asarray(x0, dtype=float)
     n = len(x0)
@@ -524,8 +525,8 @@ def _nelder_mead(x0, maxfev, xatol=SIMPLEX_XATOL, fatol=SIMPLEX_FATOL):
         sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
     while left:
         if (
-            np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
-            and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
+            np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= SIMPLEX_XATOL
+            and np.max(np.abs(fsim[0] - fsim[1:])) <= SIMPLEX_FATOL
         ):
             return
         xbar = np.add.reduce(sim[:-1], 0) / n
@@ -785,10 +786,11 @@ def d_g_bound(desc, inputs=None, energy=None, seed=0, count=4):
     does not renormalize (kerr) each input is the consumed-mode marginal
     of an input-family member (_family_member), all members go through
     the closed form in one call, and since the map is unitary
-    S(out) = S(in), so δ_G = S_G(out) − S_G(in) (backend 'analytic').  Otherwise, pns and pna included, each input is lifted to
-    desc.cutoff and pushed through the Kraus family (backend 'fock');
-    inputs the cutoff cannot hold are skipped, keeping the value a
-    faithful lower bound.
+    S(out) = S(in), so δ_G = S_G(out) − S_G(in) (backend 'analytic').
+    Otherwise, pns and pna included, each input is lifted to desc.cutoff
+    and pushed through the Kraus family (backend 'fock'); inputs the
+    cutoff cannot hold are skipped, keeping the value a faithful lower
+    bound.
 
     :raises ValueError: before any route runs, no inputs, or one that is
         not a single-mode GaussianState.

@@ -23,11 +23,13 @@ from nongauss.fock import (
     gaussian_to_fock,
     gaussify,
     ladder,
+    mean_and_covariance,
     moments,
 )
 from nongauss.gaussian import (
     GaussianState,
     apply_symplectic,
+    gaussian_entropies,
     gaussian_entropy,
     gaussian_unitary,
     partial_trace_gaussian,
@@ -418,13 +420,19 @@ def test_nelder_mead_generator_visits_scipys_points(f, x0):
 
 
 @pytest.mark.parametrize(
-    "make",
-    [pns, pna, lambda: kerr(0.5, 32), _kerr_on_fock],
+    "make, view, atol",
+    [
+        (pns, lambda p: analytic_output_covariance(p, "pns"), 0.0),
+        (pna, lambda p: analytic_output_covariance(p, "pna"), 0.0),
+        (lambda: kerr(0.5, 32), lambda p: kerr_output_covariance(p, 0.5), 1e-12),
+        (_kerr_on_fock, None, None),
+    ],
     ids=["pns", "pna", "kerr", "kerr-fock"],
 )
-def test_lockstep_search_matches_sequential_scipy_restarts(make):
+def test_lockstep_search_matches_sequential_scipy_restarts(make, view, atol):
     # the five simplex searches, run one after another by scipy from the
-    # starts the lattice gives, on the values the search recorded
+    # starts the lattice gives, on the values the search recorded; on a
+    # closed form each recorded value is also that of its member alone
     res = delta_tilde(make(), seed=3)
     value = dict(res.trace)
 
@@ -449,6 +457,9 @@ def test_lockstep_search_matches_sequential_scipy_restarts(make):
         x0 = [abs(p0.alpha), p0.theta, p0.r, p0.n_s]
         _scipy_visits(x0, f, monotone._SIMPLEX_MAXFEV)
     assert res.trace == tuple(want)
+    if view is not None:
+        for p, v in value.items():
+            assert abs(v - gaussian_entropy(view(p))) <= atol
 
 
 def test_delta_tilde_rejects_non_conditional_unitaries():
@@ -553,9 +564,8 @@ def _certified_ket(p, moment_tol=1e-6):
             d = int(1.5 * d)
 
 
-def test_kerr_closed_form_matches_the_fock_route():
-    # the same seeded members for each γ; γ = 1 puts 4γ past π, where the
-    # overlap's square root must stay on its continuous branch
+def _seeded_members():
+    # 19 random input-family members, then one near the search caps
     rng = np.random.default_rng(2026)
     members = [
         InputParams(
@@ -566,8 +576,13 @@ def test_kerr_closed_form_matches_the_fock_route():
         )
         for _ in range(19)
     ]
-    members.append(InputParams(2.5, 1.0, 1.0, 3.0))  # near the search caps
-    for p in members:
+    return members + [InputParams(2.5, 1.0, 1.0, 3.0)]
+
+
+def test_kerr_closed_form_matches_the_fock_route():
+    # the same seeded members for each γ; γ = 1 puts 4γ past π, where the
+    # overlap's square root must stay on its continuous branch
+    for p in _seeded_members():
         ket = _certified_ket(p)
         for gamma in (0.3, 0.5, 1.0):
             out, _ = apply_map(ket, kerr(gamma, ket.cutoff).body, targets=[1])
@@ -579,12 +594,49 @@ def test_kerr_closed_form_matches_the_fock_route():
 
 
 @pytest.mark.parametrize(
-    "n_th, r, theta", [(0.0, 0.0, 0.0), (0.3, 0.0, 0.0), (0.1, 0.4, 0.7), (0.4, 0.25, 2.5)]
+    "outputs, view, atol",
+    [
+        (lambda ps: monotone._ladder_outputs(ps, "pns"),
+         lambda p: analytic_output_covariance(p, "pns"), 0.0),
+        (lambda ps: monotone._ladder_outputs(ps, "pna"),
+         lambda p: analytic_output_covariance(p, "pna"), 0.0),
+    ]
+    + [
+        (lambda ps, g=g: monotone._kerr_outputs(ps, g),
+         lambda p, g=g: kerr_output_covariance(p, g), 1e-12)
+        for g in (0.3, 0.5, 1.0)
+    ],
+    ids=["pns", "pna", "kerr-0.3", "kerr-0.5", "kerr-1.0"],
 )
-def test_kerr_gaussian_input_bound_matches_a_certified_lift(n_th, r, theta):
+def test_closed_form_stack_matches_each_member_alone(outputs, view, atol):
+    # one vectorised pass over 20 distinct members gives each member the
+    # state and entropy of its one-member view, in its own place: pns/pna
+    # bit for bit; Kerr to rounding, since numpy may fuse the complex
+    # arithmetic of an array differently from that of a scalar
+    members = _seeded_members()
+    weight, m = outputs(monotone._members(members))
+    mean, cov = mean_and_covariance(m)
+    entropies = gaussian_entropies(mean, cov)
+    assert weight.shape == entropies.shape == (len(members),)
+    for i, p in enumerate(members):
+        state = view(p)
+        assert_allclose(mean[i], state.mean, rtol=0, atol=atol)
+        assert_allclose(cov[i], state.cov, rtol=0, atol=atol)
+        assert_allclose(entropies[i], gaussian_entropy(state), rtol=0, atol=atol)
+
+
+def _single_mode_input(n_th, r, theta):
     state = apply_symplectic(thermal_state(n_th), gaussian_unitary("squeeze", r, 1))
     state = apply_symplectic(state, gaussian_unitary("rotation", theta, 1))
-    state = apply_symplectic(state, gaussian_unitary("displacement", 0.8 - 0.3j, 1))
+    return apply_symplectic(state, gaussian_unitary("displacement", 0.8 - 0.3j, 1))
+
+
+_KERR_INPUTS = [(0.0, 0.0, 0.0), (0.3, 0.0, 0.0), (0.1, 0.4, 0.7), (0.4, 0.25, 2.5)]
+
+
+@pytest.mark.parametrize("n_th, r, theta", _KERR_INPUTS)
+def test_kerr_gaussian_input_bound_matches_a_certified_lift(n_th, r, theta):
+    state = _single_mode_input(n_th, r, theta)
     member = partial_trace_gaussian(input_family(_family_member(state)), [1])
     assert_allclose(member.mean, state.mean, rtol=0, atol=1e-12)
     assert_allclose(member.cov, state.cov, rtol=0, atol=1e-12)
@@ -596,6 +648,18 @@ def test_kerr_gaussian_input_bound_matches_a_certified_lift(n_th, r, theta):
         "backend": "analytic", "max_deficit": 0.0, "excluded": 0, "energy": None
     }
     assert abs(res.value - delta_g(out)) <= 1e-9
+
+
+def test_kerr_gaussian_input_bound_on_several_inputs_matches_each_alone():
+    # d_g_bound hands all its members to the closed form as one stack; each
+    # input keeps the value it has when it is the only one
+    desc = kerr(0.45, 8)
+    states = [_single_mode_input(*args) for args in _KERR_INPUTS]
+    res = d_g_bound(desc, inputs=states)
+    assert res.evaluations == len(states)
+    for i, ((label, value), state) in enumerate(zip(res.trace, states)):
+        assert label == ("input", i)
+        assert abs(value - d_g_bound(desc, inputs=[state]).value) <= 1e-12
 
 
 def test_kerr_search_stays_below_the_energy_ceiling():
