@@ -27,9 +27,6 @@ from .errors import (
 from .fock import apply_map, build_unitary, delta_g, von_neumann_entropy  # noqa: F401
 from .maps import parse_map_spec, parse_state_spec
 from .monotone import (
-    ENVIRONMENT_SLACK,
-    FOCK_MOMENT_TOL,
-    SIMPLEX_FATOL,
     SIMPLEX_XATOL,
     d_g_bound,
     delta_tilde,
@@ -53,12 +50,6 @@ _MAP_CUTOFFS = {
     "loss": 30,
     "gd": 25,
 }
-# the tolerance a value earns on its backend: exact in phase space, the
-# input certificate's on the Fock route, and the simplex's on a closed
-# form.  That last one is what a δ̃ search earns; a closed-form d_g_bound
-# value (kerr, on fixed inputs) is exact up to rounding and carries it as
-# a conservative bound
-_TOLERANCE = {"phase-space": 0.0, "analytic": SIMPLEX_FATOL, "fock": FOCK_MOMENT_TOL}
 # specs parse_map_spec builds that map-ng and sweep cannot evaluate, with
 # their (input, output) mode counts: both take single-mode maps
 _MULTI_MODE_MAPS = {"talpha": (2, 1), "tα": (2, 1)}
@@ -132,6 +123,8 @@ def _argmax_fields(res, tolerance):
 
 def cmd_state_ng(args):
     cutoff = args.cutoff or _STATE_CUTOFF
+    if not args.trace_tol >= 0.0:
+        raise ValueError(f"--trace-tol must be a nonnegative number, got {args.trace_tol}")
     state = parse_state_spec(args.spec, cutoff, trace_tol=args.trace_tol)
     value = delta_g(state)
     entropy = von_neumann_entropy(state)
@@ -166,53 +159,33 @@ def cmd_map_ng(args):
     desc = _single_mode_map(args.spec, cutoff)
     config = _config(args, spec=args.spec, cutoff=cutoff, bound=args.bound)
     if args.bound:
-        if "environment" not in desc.metadata:
-            raise UnsupportedMapError(
-                "--bound applies to Gaussian-dilatable maps (gd:..., loss:...)"
-            )
         res = environment_bound(desc, seed=args.seed)
         results = {
             "method": "gd_upper_bound",
-            "upper_bound": _measured(res.bound, tolerance=ENVIRONMENT_SLACK),
-            "sampled_max": _measured(res.sampled_max, tolerance=ENVIRONMENT_SLACK),
+            "upper_bound": _measured(res.bound, tolerance=res.tolerance),
+            "sampled_max": _measured(res.sampled_max, tolerance=res.tolerance),
             "checked": res.checked,
             "excluded": res.excluded,
         }
         return config, results
-    if desc.body.conditional_unitary:
-        res = delta_tilde(desc, seed=args.seed)
-        backend = res.diagnostics["backend"]
-        results = {
-            "method": "delta_tilde",
-            "value": _measured(
-                res.value,
-                tolerance=_TOLERANCE[backend],
-                deficit=res.diagnostics["max_deficit"],
-            ),
-            "argmax": _argmax_fields(res, SIMPLEX_XATOL),
-            "evaluations": res.evaluations,
-            "excluded": res.diagnostics["excluded"],
-            "backend": backend,
-        }
-        if "alpha_zero_spread" in res.diagnostics:
-            results["alpha_zero_spread"] = _measured(
-                res.diagnostics["alpha_zero_spread"], tolerance=1e-3
-            )
+    res = (delta_tilde if desc.body.conditional_unitary else d_g_bound)(desc, seed=args.seed)
+    results = {
+        "method": res.quantity,
+        "value": _measured(
+            res.value, tolerance=res.tolerance, deficit=res.diagnostics["max_deficit"]
+        ),
+        "evaluations": res.evaluations,
+        "excluded": res.diagnostics["excluded"],
+        "backend": res.diagnostics["backend"],
+    }
+    if res.quantity == "delta_tilde":
+        results["argmax"] = _argmax_fields(res, SIMPLEX_XATOL)
     else:
-        res = d_g_bound(desc, seed=args.seed)
-        backend = res.diagnostics["backend"]
-        results = {
-            "method": "d_g_lower_bound",
-            "value": _measured(
-                res.value,
-                tolerance=_TOLERANCE[backend],
-                deficit=res.diagnostics["max_deficit"],
-            ),
-            "argmax_input": list(res.argmax),
-            "evaluations": res.evaluations,
-            "excluded": res.diagnostics["excluded"],
-            "backend": backend,
-        }
+        results["argmax_input"] = list(res.argmax)
+    if "alpha_zero_spread" in res.diagnostics:
+        results["alpha_zero_spread"] = _measured(
+            res.diagnostics["alpha_zero_spread"], tolerance=1e-3
+        )
     return config, results
 
 
@@ -222,7 +195,7 @@ def cmd_sweep(args):
     grid = tuple(float(x) for x in args.grid.split(",")) if args.grid else None
     prof = divergence_profile(desc, grid=grid, seed=args.seed)
     points = [
-        {"energy": float(e), "delta": _measured(v, tolerance=_TOLERANCE[prof.backend])}
+        {"energy": float(e), "delta": _measured(v, tolerance=prof.tolerance)}
         for e, v in zip(prof.grid, prof.deltas)
     ]
     results = {
@@ -315,7 +288,11 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_NUMERIC
     report = _report(args.command, config, results, time.perf_counter() - start)
-    _emit(report, args, csv_text)
+    try:
+        _emit(report, args, csv_text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_USAGE
     return 0 if ok else _EXIT_NUMERIC
 
 

@@ -73,7 +73,8 @@ class FockArray:
     """Truncated Fock representation of a ket or a density matrix.
 
     trace_deficit records 1 − ⟨ψ|ψ⟩ (ket) or 1 − Tr ρ (density); it must not
-    exceed trace_tol. States are kept unnormalized-by-truncation so the
+    exceed trace_tol, which must be nonnegative (a NaN, which no deficit
+    exceeds, is refused). States are kept unnormalized-by-truncation so the
     deficit stays observable.  A density is its rows Φ, the read-only
     `branches` field, with ρ = Φᵀ Φ̄, and its spectrum the read-only
     `eigenvalues`.  The constructor takes ρ as `data` and keeps its one
@@ -125,6 +126,8 @@ class FockArray:
     def _settle(self, values, deficit):
         """Check the entries and the trace deficit, then record the deficit
         and make the entries read-only."""
+        if not self.trace_tol >= 0.0:
+            raise ValueError(f"trace_tol must be nonnegative, got {self.trace_tol}")
         if not np.all(np.isfinite(values)):
             raise ValueError("non-finite entries")
         if deficit < -1e-9:

@@ -70,6 +70,11 @@ PLATEAU_TOL = 0.05
 FOCK_MOMENT_TOL = 1e-2
 SIMPLEX_XATOL = 1e-4
 SIMPLEX_FATOL = 1e-7
+# the tolerance a value earns on its backend, each result's `tolerance`:
+# exact in phase space, the input certificate's on the Fock route, the
+# simplex's on a closed form (a conservative bound on a closed-form
+# d_g_bound value, which is exact up to rounding)
+_TOLERANCE = {"phase-space": 0.0, "analytic": SIMPLEX_FATOL, "fock": FOCK_MOMENT_TOL}
 
 # deterministic multi-start lattice for the δ̃ search
 _LATTICE_ALPHA = (0.0, 0.5, 1.0, 1.5)
@@ -122,6 +127,23 @@ class MonotoneResult:
         if finite and self.value < max(finite) - 1e-12:
             raise ValueError("result value below its own evaluation trace")
 
+    @property
+    def tolerance(self):
+        """The tolerance its backend earns (_TOLERANCE)."""
+        return _TOLERANCE[self.diagnostics["backend"]]
+
+
+def _result(quantity, trace, diagnostics, refusal):
+    # the result of a trace of (argument, value) pairs at its first maximum
+    # (np.argmax); refusal, the caller's TruncationError, if that is not finite
+    values = np.array([v for _, v in trace])
+    best = int(np.argmax(values))
+    if not np.isfinite(values[best]):
+        raise refusal
+    return MonotoneResult(
+        quantity, float(values[best]), trace[best][0], len(trace), tuple(trace), diagnostics
+    )
+
 
 def _check_grid(grid):
     """Refuse a sweep grid unless it has at least 4 finite, nonnegative,
@@ -154,6 +176,11 @@ class DivergenceProfile:
         _check_grid(self.grid)
         if min(self.deltas) < -1e-6:
             raise ValueError("negative delta in profile")
+
+    @property
+    def tolerance(self):
+        """The tolerance its backend earns, on every delta (_TOLERANCE)."""
+        return _TOLERANCE[self.backend]
 
 
 def input_family(
@@ -422,23 +449,13 @@ def _kerr_outputs(p, gamma):
     return np.ones(alpha.shape), MomentRecord(2, first, aa, adag_a)
 
 
-def _output_state(weight, m):
-    # the joint output state of one member, from its weight and record
-    if not weight > 0.0:
-        raise ZeroProbabilityError("the conditional branch vanishes on this member")
-    return covariance_from_moments(m)
-
-
 def analytic_output_covariance(p, which):
     """Exact joint mean and covariance of the PNS/PNA output state on member
     p: _ladder_outputs on the one member."""
-    return _output_state(*_ladder_outputs(p, which))
-
-
-def kerr_output_covariance(p, gamma):
-    """Exact joint mean and covariance of the self-Kerr output on member p:
-    _kerr_outputs on the one member."""
-    return _output_state(*_kerr_outputs(p, gamma))
+    weight, m = _ladder_outputs(p, which)
+    if not weight > 0.0:
+        raise ZeroProbabilityError("the conditional branch vanishes on this member")
+    return covariance_from_moments(m)
 
 
 def _route(desc):
@@ -602,11 +619,15 @@ def delta_tilde(desc, seed=0, max_n_s=_CAP_NS, *, _values=None):
     if body.n_in != 1:
         raise UnsupportedMapError("the input family covers single-mode maps only")
     backend, route = _route(desc)
+    refusal = TruncationError(
+        "every probe point spills over the cutoff; raise it",
+        suggested_cutoff=2 * desc.cutoff,
+    )
     if backend == "phase-space":
         p = _clamp(np.array([0.0, 0.0, 0.0, _LATTICE_NS[0]]), max_n_s)
         gaussian_channel(input_family(p), *route, mode=1)
         diagnostics = {"backend": "phase-space", "max_deficit": 0.0, "excluded": 0}
-        return MonotoneResult("delta_tilde", 0.0, p, 1, ((p, 0.0),), diagnostics)
+        return _result("delta_tilde", [(p, 0.0)], diagnostics, refusal)
     table = {} if _values is None else _values
     deficits = [0.0]
     refused = set()
@@ -678,13 +699,6 @@ def delta_tilde(desc, seed=0, max_n_s=_CAP_NS, *, _values=None):
                 del asked[i]
     for run_trace in traces:
         trace += run_trace
-    values = np.array([v for _, v in trace])
-    best = int(np.argmax(values))
-    if not np.isfinite(values[best]):
-        raise TruncationError(
-            "every probe point spills over the cutoff; raise it",
-            suggested_cutoff=2 * desc.cutoff,
-        )
     diagnostics = {
         "backend": backend,
         "max_deficit": float(max(deficits)),
@@ -693,14 +707,7 @@ def delta_tilde(desc, seed=0, max_n_s=_CAP_NS, *, _values=None):
     ladder = desc.metadata.get("ladder")
     if ladder is not None and _values is None:
         diagnostics["alpha_zero_spread"] = alpha_zero_spread(ladder, seed=seed)
-    return MonotoneResult(
-        "delta_tilde",
-        float(values[best]),
-        trace[best][0],
-        len(trace),
-        tuple(trace),
-        diagnostics,
-    )
+    return _result("delta_tilde", trace, diagnostics, refusal)
 
 
 def _coherent_input(alpha):
@@ -777,8 +784,8 @@ def d_g_bound(desc, inputs=None, energy=None, seed=0, count=4):
 
     With no explicit inputs, evaluates a coherent grid, a displaced
     squeezed state, and seeded squeezed-thermal samples, all within the
-    energy budget when one is given.  inputs may be a list of
-    GaussianState or (label, GaussianState) pairs.
+    energy budget when one is given.  inputs is a list of GaussianState,
+    the i-th labelled ("input", i) in the trace.
 
     Routes (_route): on a Gaussian channel each input goes through in
     phase space, gaussian.gaussian_channel, and its output is Gaussian, so
@@ -802,10 +809,7 @@ def d_g_bound(desc, inputs=None, energy=None, seed=0, count=4):
         rng = np.random.default_rng(seed)
         supplied = _default_gaussian_inputs(energy, rng, count)
     else:
-        supplied = [
-            g if isinstance(g, tuple) else (("input", i), g)
-            for i, g in enumerate(inputs)
-        ]
+        supplied = [(("input", i), g) for i, g in enumerate(inputs)]
     if not supplied:
         raise ValueError("no Gaussian inputs supplied")
     for label, g in supplied:
@@ -844,26 +848,14 @@ def d_g_bound(desc, inputs=None, energy=None, seed=0, count=4):
                 excluded += 1
                 val = -np.inf
         trace.append((label, val))
-    values = np.array([v for _, v in trace])
-    if not np.any(np.isfinite(values)):
-        raise TruncationError(
-            "no Gaussian input fits the cutoff", deficit=float(max(deficits))
-        )
-    best = int(np.argmax(values))
     diagnostics = {
         "backend": backend,
         "max_deficit": float(max(deficits)),
         "excluded": excluded,
         "energy": energy,
     }
-    return MonotoneResult(
-        "d_g_lower_bound",
-        float(values[best]),
-        trace[best][0],
-        len(trace),
-        tuple(trace),
-        diagnostics,
-    )
+    refusal = TruncationError("no Gaussian input fits the cutoff", deficit=max(deficits))
+    return _result("d_g_lower_bound", trace, diagnostics, refusal)
 
 
 def divergence_profile(desc, grid=None, seed=0):
@@ -941,6 +933,11 @@ class EnvironmentBound:
     checked: int
     excluded: int
 
+    @property
+    def tolerance(self):
+        """The sampled check's slack, ENVIRONMENT_SLACK, on both values."""
+        return ENVIRONMENT_SLACK
+
 
 # draws per requested sample before environment_bound stops replacing
 # members the cutoff refuses
@@ -966,7 +963,9 @@ def environment_bound(desc, seed=0, samples=4):
     """
     env = desc.metadata.get("environment")
     if env is None:
-        raise UnsupportedMapError("descriptor carries no environment state")
+        raise UnsupportedMapError(
+            f"{desc.name} carries no environment state: it is not Gaussian-dilatable (gd, loss)"
+        )
     # a Gaussian environment (the descriptor carries a Gaussian form) has
     # δ_G = 0 exactly; only another environment is read on its Fock ket
     bound = 0.0 if "gaussian_form" in desc.metadata else delta_g(env)

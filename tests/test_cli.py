@@ -87,6 +87,26 @@ def test_trace_tol_belongs_to_state_ng_only(argv, capsys):
     assert "--trace-tol" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_state_ng_refuses_a_trace_tol_that_is_not_a_nonnegative_number(tol, capsys):
+    # a NaN tolerance once admitted a cutoff-40 coherent:10 that had lost all
+    # but 3e-12 of its weight, and printed it as NaN, which is not JSON
+    code, out, err = run_cli(["state-ng", "coherent:10", "--trace-tol", tol], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--trace-tol" in err
+
+
+def test_out_to_a_missing_directory_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(["state-ng", "vacuum", "--out", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+    assert not path.exists()
+
+
 def test_map_ng_pns_analytic(capsys):
     code, out, _ = run_cli(["map-ng", "pns"], capsys)
     assert code == 0
@@ -301,8 +321,9 @@ def test_sweep_refuses_a_bad_grid_before_searching(grid, capsys, monkeypatch):
 
 
 def test_usage_bound_without_environment(capsys):
-    code, _, _ = run_cli(["map-ng", "pns", "--bound"], capsys)
+    code, _, err = run_cli(["map-ng", "pns", "--bound"], capsys)
     assert code == 2
+    assert "pns carries no environment state" in err and "Gaussian-dilatable" in err
 
 
 def test_usage_unknown_suite(capsys):

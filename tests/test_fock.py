@@ -482,6 +482,23 @@ def test_from_branches_raises_the_constructors_errors():
             FockArray(1, d, "density", rows.T @ rows.conj(), trace_tol=1e-3)
 
 
+def test_a_nan_trace_tolerance_admits_no_truncation():
+    # every deficit > NaN test passes, so a NaN would admit any truncation:
+    # coherent:10 keeps 3e-12 of its weight at cutoff 40
+    with pytest.raises(ValueError, match="trace_tol"):
+        build_state("coherent", 10, 40, trace_tol=float("nan"))
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1e-3], ids=["nan", "negative"])
+def test_fock_array_refuses_a_trace_tolerance_below_zero_or_nan(tol):
+    ket = np.zeros(5)
+    ket[0] = 1.0
+    with pytest.raises(ValueError, match="trace_tol"):
+        FockArray(1, 5, "ket", ket, trace_tol=tol)
+    with pytest.raises(ValueError, match="trace_tol"):
+        FockArray.from_branches(1, 5, ket[None], trace_tol=tol)
+
+
 def _dense_partial_trace(rho, n, d, keep):
     """Tr over the modes not in keep of an n-mode density matrix, by
     np.trace, with the kept modes in the order given."""

@@ -19,6 +19,7 @@ from nongauss.fock import (
     build_state,
     build_unitary,
     certify_edge,
+    covariance_from_moments,
     delta_g,
     gaussian_to_fock,
     gaussify,
@@ -68,9 +69,13 @@ from nongauss.monotone import (
     environment_bound,
     gaussian_mean_photons,
     input_family,
-    kerr_output_covariance,
     mixed_unitary_bounds,
 )
+
+
+def _kerr_state(p, gamma):
+    # the joint Kerr output of one member: the closed form on that member alone
+    return covariance_from_moments(monotone._kerr_outputs(p, gamma)[1])
 
 
 def test_input_params_rejects_bad_values():
@@ -424,7 +429,7 @@ def test_nelder_mead_generator_visits_scipys_points(f, x0):
     [
         (pns, lambda p: analytic_output_covariance(p, "pns"), 0.0),
         (pna, lambda p: analytic_output_covariance(p, "pna"), 0.0),
-        (lambda: kerr(0.5, 32), lambda p: kerr_output_covariance(p, 0.5), 1e-12),
+        (lambda: kerr(0.5, 32), lambda p: _kerr_state(p, 0.5), 1e-12),
         (_kerr_on_fock, None, None),
     ],
     ids=["pns", "pna", "kerr", "kerr-fock"],
@@ -587,7 +592,7 @@ def test_kerr_closed_form_matches_the_fock_route():
         for gamma in (0.3, 0.5, 1.0):
             out, _ = apply_map(ket, kerr(gamma, ket.cutoff).body, targets=[1])
             want = gaussify(out)
-            got = kerr_output_covariance(p, gamma)
+            got = _kerr_state(p, gamma)
             assert_allclose(got.mean, want.mean, rtol=0, atol=1e-9)
             assert_allclose(got.cov, want.cov, rtol=0, atol=1e-9)
             assert abs(gaussian_entropy(got) - delta_g(out)) <= 1e-9
@@ -603,7 +608,7 @@ def test_kerr_closed_form_matches_the_fock_route():
     ]
     + [
         (lambda ps, g=g: monotone._kerr_outputs(ps, g),
-         lambda p, g=g: kerr_output_covariance(p, g), 1e-12)
+         lambda p, g=g: _kerr_state(p, g), 1e-12)
         for g in (0.3, 0.5, 1.0)
     ],
     ids=["pns", "pna", "kerr-0.3", "kerr-0.5", "kerr-1.0"],
@@ -971,3 +976,26 @@ def test_non_gaussian_environment_and_compositions_stay_on_fock():
     lossy = MapDescriptor("lossy_subtract", compose(loss(0.6, d).body, pns(d).body), d)
     res = d_g_bound(lossy, inputs=[coherent])
     assert res.diagnostics["backend"] == "fock"
+
+
+@pytest.mark.parametrize(
+    "evaluate, backend, want",
+    [
+        (lambda: delta_tilde(pns()), "analytic", monotone.SIMPLEX_FATOL),
+        (lambda: delta_tilde(identity_map(32)), "phase-space", 0.0),
+        (lambda: d_g_bound(bps(40), inputs=[vacuum_state(1)]), "fock", monotone.FOCK_MOMENT_TOL),
+        (lambda: divergence_profile(identity_map(60)), "phase-space", 0.0),
+        (lambda: environment_bound(loss(0.5, 25)), None, monotone.ENVIRONMENT_SLACK),
+    ],
+    ids=["delta-tilde-pns", "delta-tilde-id", "d-g-bound-bps", "profile-id", "environment-loss"],
+)
+def test_tolerance_follows_the_backend_of_each_result(evaluate, backend, want):
+    # exact in phase space, the simplex's on a closed form, the input
+    # certificate's on the Fock route, the sampled check's slack on an
+    # environment bound; read from the result, never stored on it
+    res = evaluate()
+    if backend is not None:
+        got = res.backend if isinstance(res, DivergenceProfile) else res.diagnostics["backend"]
+        assert got == backend
+    assert res.tolerance == want
+    assert "tolerance" not in {f.name for f in dataclasses.fields(res)}
