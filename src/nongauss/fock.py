@@ -322,8 +322,11 @@ def build_state(kind, params=None, cutoff=DEFAULT_CUTOFF, trace_tol=BUILD_DEFICI
     superposition, α), 'thermal' (N), 'tmsv' (N_S, Schmidt series with
     λ = √(N_S/(N_S+1)), see tmsv_schmidt).
 
+    :raises ValueError: trace_tol is negative or NaN, before any cutoff search.
     :raises TruncationError: deficit above trace_tol, with a suggested cutoff.
     """
+    if not trace_tol >= 0.0:
+        raise ValueError(f"trace_tol must be nonnegative, got {trace_tol}")
     if kind == "tmsv":
         # refuses from the Schmidt series alone, building no d×d ket
         tmsv_schmidt(params, cutoff, trace_tol)

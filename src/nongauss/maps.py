@@ -82,7 +82,9 @@ def bps(cutoff=DEFAULT_CUTOFF):
 
 
 def kerr(gamma=DEFAULT_KERR_GAMMA, cutoff=DEFAULT_CUTOFF):
-    """Self-Kerr unitary exp(-iγ(a†a)²)."""
+    """Self-Kerr unitary exp(-iγ(a†a)²), for a finite γ."""
+    if not np.isfinite(gamma):
+        raise ValueError(f"Kerr γ must be finite, got {gamma}")
     u = build_unitary("kerr", float(gamma), cutoff)
     body = ConditionalMap(1, 1, (u,), renormalize=False)
     return MapDescriptor("kerr", body, cutoff, {"gamma": float(gamma)})
@@ -104,7 +106,7 @@ def coherent_projector(alpha, cutoff=DEFAULT_CUTOFF):
     bra = build_state("coherent", alpha, cutoff).data.conj()
     k = np.kron(np.eye(cutoff), bra.reshape(1, -1))
     body = ConditionalMap(2, 1, (k,), renormalize=True)
-    return MapDescriptor("talpha", body, cutoff, {"alpha": complex(alpha)})
+    return MapDescriptor("talpha", body, cutoff)
 
 
 def gaussian_dilatable(sym, env, cutoff=DEFAULT_CUTOFF):
@@ -144,7 +146,7 @@ def loss(tau, cutoff=DEFAULT_CUTOFF):
     sym = gaussian_unitary("beamsplitter", tau, n_modes=2)
     env = build_state("vacuum", None, cutoff)
     desc = gaussian_dilatable(sym, env, cutoff)
-    meta = dict(desc.metadata, tau=float(tau), gaussian_form=(sym, vacuum_state(1)))
+    meta = dict(desc.metadata, gaussian_form=(sym, vacuum_state(1)))
     return dataclasses.replace(desc, name="loss", metadata=meta)
 
 

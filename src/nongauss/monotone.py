@@ -16,11 +16,11 @@ else runs on the truncated Fock backend.
 
 The closed forms take one member or a stack of them and evaluate a stack
 in one vectorised pass, moments, covariances, physicality checks and
-spectra alike.  The δ̃ search evaluates its lattice as one batch, then
-advances its five simplex restarts in lock-step, one batch of new points
-per round; each restart keeps its own trace and the traces are joined in
-restart order, so a result is deterministic for a given seed and equals
-that of the restarts run one after another.
+spectra alike.  The δ̃ search, at one N_S cap or a sweep's several,
+evaluates its lattices as one batch, then advances every cap's five
+simplex restarts in lock-step, one batch of new points per round; each
+restart keeps its own trace, joined in restart order, so a result is
+deterministic for a seed and equals that of the restarts run in turn.
 """
 
 import cmath
@@ -578,65 +578,69 @@ def _nelder_mead(x0, maxfev):
         sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
 
 
-def delta_tilde(desc, seed=0, max_n_s=_CAP_NS, *, _values=None):
+def delta_tilde(desc, seed=0, max_n_s=_CAP_NS):
     """Maximize joint-output non-Gaussianity over the input family.
 
-    The returned value is the running maximum over every evaluation
-    (deterministic lattice, then simplex refinement from the three best
-    starts plus two seeded jitters), hence a certified lower bound on the
-    true supremum.  Probe points the cutoff cannot represent faithfully
-    are excluded from the search rather than evaluated with inflated
-    truncation error.  Raises UnsupportedMapError for anything that is
-    not a conditional unitary map.
+    The value is the running maximum over every evaluation of the search
+    at the N_S cap max_n_s (_delta_tilde_search), hence a certified lower
+    bound on the true supremum.  Raises UnsupportedMapError for anything
+    that is not a single-mode conditional unitary map.
 
     Routes (_route): pns, pna and kerr run on the closed-form (analytic)
-    backend, which needs no cutoff and excludes nothing; a Gaussian
-    unitary (today only id) keeps every member Gaussian, so one member is
-    pushed through in phase space and the value is 0 (backend
-    'phase-space', one evaluation); every other map searches on the
-    truncated Fock backend at desc.cutoff.
-
-    The lattice is one batch; the five simplex searches (_nelder_mead,
-    scipy's Nelder–Mead) advance in lock-step, and each round is one batch
-    of the points they ask for.  A batch evaluates its distinct clamped
-    points that are not yet in the table from point to unrounded value
-    (its own, or _values, which divergence_profile shares among the
-    closed-form searches of one sweep) in one call: on the closed form one
-    vectorised pass over the stack of members, on the Fock route one
-    point after another.  Each search keeps its own trace and the traces
-    follow the lattice's in restart order, so the trace, the value and the
-    argmax are those of the five searches run one after another.  Every
-    evaluation enters the trace, and `excluded` counts the entries on
-    points the cutoff refused.  A search handed a table skips
-    alpha_zero_spread, a pns/pna diagnostic the sweep does not read.
+    backend, which needs no cutoff and excludes nothing, and a pns or pna
+    result carries alpha_zero_spread at this seed; a Gaussian unitary
+    (today only id) keeps every member Gaussian, so one member is pushed
+    through in phase space and the value is 0 (backend 'phase-space', one
+    evaluation); every other map searches on the truncated Fock backend at
+    desc.cutoff, excluding the points it cannot represent faithfully.
     """
-    body = desc.body
-    if not body.conditional_unitary:
+    if not desc.body.conditional_unitary:
         raise UnsupportedMapError(
             "delta_tilde needs a conditional unitary map; use d_g_bound or "
             "divergence_profile for channels"
         )
-    if body.n_in != 1:
+    if desc.body.n_in != 1:
         raise UnsupportedMapError("the input family covers single-mode maps only")
+    backend, route = _route(desc)
+    if backend == "phase-space":
+        p = _clamp(np.array([0.0, 0.0, 0.0, _LATTICE_NS[0]]), max_n_s)
+        gaussian_channel(input_family(p), *route, mode=1)
+        diagnostics = {"backend": "phase-space", "max_deficit": 0.0, "excluded": 0}
+        return _result("delta_tilde", [(p, 0.0)], diagnostics, refusal=None)  # finite
+    (res,) = _delta_tilde_search(desc, seed, (max_n_s,))
+    ladder = desc.metadata.get("ladder")
+    if ladder is not None:
+        res.diagnostics["alpha_zero_spread"] = alpha_zero_spread(ladder, seed=seed)
+    return res
+
+
+def _delta_tilde_search(desc, seed, caps):
+    """The δ̃ searches of desc at each N_S cap in caps, one result per cap.
+
+    A cap's search ranks a deterministic lattice, then runs scipy's
+    Nelder–Mead (_nelder_mead) from its three best points and two seeded
+    jitters of the best.  Every cap reads one table from clamped point to
+    value: all lattices are one batch, then the 5·len(caps) runs advance
+    in lock-step, each round one batch of their distinct new points (one
+    vectorised call on a closed form, one point after another on Fock).
+    A cap's trace is its lattice's, then its runs' in restart order, so
+    its result is that of the cap searched alone.  `excluded` counts the
+    trace entries on points the cutoff refused (valued −∞).
+    """
     backend, route = _route(desc)
     refusal = TruncationError(
         "every probe point spills over the cutoff; raise it",
         suggested_cutoff=2 * desc.cutoff,
     )
-    if backend == "phase-space":
-        p = _clamp(np.array([0.0, 0.0, 0.0, _LATTICE_NS[0]]), max_n_s)
-        gaussian_channel(input_family(p), *route, mode=1)
-        diagnostics = {"backend": "phase-space", "max_deficit": 0.0, "excluded": 0}
-        return _result("delta_tilde", [(p, 0.0)], diagnostics, refusal)
-    table = {} if _values is None else _values
-    deficits = [0.0]
+    table = {}
+    deficits = {}
     refused = set()
 
     def fock_point(p):
         try:
             ket = input_family(p, "fock", cutoff=desc.cutoff, edge_tol=_EDGE_TOL)
-            deficits.append(ket.trace_deficit)
-            out, _ = apply_map(ket, body, targets=[1], trace_tol=1e-2)
+            deficits[p] = ket.trace_deficit
+            out, _ = apply_map(ket, desc.body, targets=[1], trace_tol=1e-2)
             return delta_g(certify_edge(out, _EDGE_TOL))
         except ZeroProbabilityError:
             return -np.inf
@@ -660,54 +664,48 @@ def delta_tilde(desc, seed=0, max_n_s=_CAP_NS, *, _values=None):
     def rank(value):
         return round(value, _RANK_DECIMALS) if np.isfinite(value) else _PENALTY
 
-    lattice_ns = sorted({min(n, max_n_s) for n in _LATTICE_NS})
-    lattice = [
-        _clamp(np.array([a, t, r, n]), max_n_s)
-        for a in _LATTICE_ALPHA
-        for t in _LATTICE_THETA
-        for r in _LATTICE_R
-        for n in lattice_ns
+    def coords(p):
+        return np.array([abs(p.alpha), p.theta, p.r, p.n_s])
+
+    def result(trace):
+        deficit = max([0.0] + [deficits.get(p, 0.0) for p, _ in trace])
+        excluded = sum(p in refused for p, _ in trace)
+        diagnostics = {"backend": backend, "max_deficit": float(deficit), "excluded": excluded}
+        return _result("delta_tilde", trace, diagnostics, refusal)
+
+    lattices = [
+        [
+            _clamp(np.array([a, t, r, n]), cap)
+            for a in _LATTICE_ALPHA
+            for t in _LATTICE_THETA
+            for r in _LATTICE_R
+            for n in sorted({min(n, cap) for n in _LATTICE_NS})
+        ]
+        for cap in caps
     ]
-    evaluate(lattice)
-    trace = [(p, table[p]) for p in lattice]
-    order = sorted(range(len(trace)), key=lambda i: (-rank(trace[i][1]), i))
-    starts = [trace[i][0] for i in order[:3]]
-    rng = np.random.default_rng(seed)
-    top = starts[0]
-    for _ in range(2):
-        jitter = rng.normal(scale=0.05, size=4)
-        starts.append(
-            _clamp(
-                np.array([abs(top.alpha), top.theta, top.r, top.n_s]) + jitter,
-                max_n_s,
-            )
-        )
-    runs = [
-        _nelder_mead(np.array([abs(p.alpha), p.theta, p.r, p.n_s]), _SIMPLEX_MAXFEV)
-        for p in starts
-    ]
-    traces = [[] for _ in runs]
-    asked = {i: next(run) for i, run in enumerate(runs)}
+    evaluate([p for lattice in lattices for p in lattice])
+    traces = [[(p, table[p]) for p in lattice] for lattice in lattices]
+    runs = []  # (cap index, run, its trace), by cap, then in restart order
+    for k, (cap, lattice) in enumerate(zip(caps, lattices)):
+        # sorted is stable: tied values keep their lattice order
+        starts = sorted(lattice, key=lambda p: -rank(table[p]))[:3]
+        jitters = np.random.default_rng(seed).normal(scale=0.05, size=(2, 4))
+        starts += [_clamp(coords(starts[0]) + jitter, cap) for jitter in jitters]
+        runs += [(k, _nelder_mead(coords(p), _SIMPLEX_MAXFEV), []) for p in starts]
+    asked = {i: next(run) for i, (_, run, _) in enumerate(runs)}
     while asked:
-        clamped = {i: [_clamp(x, max_n_s) for x in xs] for i, xs in asked.items()}
+        clamped = {i: [_clamp(x, caps[runs[i][0]]) for x in xs] for i, xs in asked.items()}
         evaluate([p for points in clamped.values() for p in points])
         for i, points in clamped.items():
-            traces[i] += [(p, table[p]) for p in points]
+            _, run, run_trace = runs[i]
+            run_trace += [(p, table[p]) for p in points]
             try:
-                asked[i] = runs[i].send([-rank(table[p]) for p in points])
+                asked[i] = run.send([-rank(table[p]) for p in points])
             except StopIteration:
                 del asked[i]
-    for run_trace in traces:
-        trace += run_trace
-    diagnostics = {
-        "backend": backend,
-        "max_deficit": float(max(deficits)),
-        "excluded": sum(p in refused for p, _ in trace),
-    }
-    ladder = desc.metadata.get("ladder")
-    if ladder is not None and _values is None:
-        diagnostics["alpha_zero_spread"] = alpha_zero_spread(ladder, seed=seed)
-    return _result("delta_tilde", trace, diagnostics, refusal)
+    for k, _, run_trace in runs:
+        traces[k] += run_trace
+    return [result(trace) for trace in traces]
 
 
 def _coherent_input(alpha):
@@ -862,10 +860,10 @@ def divergence_profile(desc, grid=None, seed=0):
     """Classify growth of the best available lower bound against energy.
 
     A renormalizing map with a closed-form δ̃ (pns, pna: d_g_bound has
-    none for it) routes through delta_tilde with the family's N_S capped
-    at each grid value; the searches share one table of values, so a
-    point that several of them reach is evaluated once, and each value
-    equals that of an independent search at its cap.  All other maps route
+    none for it) takes δ̃ with the family's N_S capped at each grid value,
+    from one _delta_tilde_search over the whole grid: the caps share one
+    table, so a point that several of them reach is evaluated once, and
+    each value equals that of delta_tilde at its cap.  All other maps route
     through d_g_bound with the grid value as the input energy budget, on
     its phase-space route on a Gaussian channel (0 at every point), its
     closed form on kerr, and its Fock route on any other map.  Slope is
@@ -882,15 +880,12 @@ def divergence_profile(desc, grid=None, seed=0):
         grid = DEFAULT_NS_GRID if via_family else DEFAULT_ENERGY_GRID
     grid = tuple(float(e) for e in grid)
     _check_grid(grid)
-    deltas = []
-    table = {}
-    for e in grid:
-        if via_family:
-            res = delta_tilde(desc, seed=seed, max_n_s=e, _values=table)
-        else:
-            res = d_g_bound(desc, energy=e, seed=seed, count=3)
-        deltas.append(res.value)
-        backend = res.diagnostics["backend"]
+    if via_family:
+        results = _delta_tilde_search(desc, seed, grid)
+    else:
+        results = [d_g_bound(desc, energy=e, seed=seed, count=3) for e in grid]
+    deltas = [res.value for res in results]
+    backend = results[-1].diagnostics["backend"]
     half = len(grid) // 2
     top_x = np.log2(np.asarray(grid[half:]))
     top_d = np.asarray(deltas[half:])
@@ -903,8 +898,7 @@ def divergence_profile(desc, grid=None, seed=0):
         label = "diverging"
     else:
         label = "inconclusive"
-    quantity = "delta_tilde" if via_family else "d_g_lower_bound"
-    return DivergenceProfile(grid, tuple(deltas), slope, label, quantity, backend)
+    return DivergenceProfile(grid, tuple(deltas), slope, label, results[-1].quantity, backend)
 
 
 def mixed_unitary_bounds(probabilities, s_g_max):

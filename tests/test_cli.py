@@ -315,9 +315,22 @@ def test_sweep_refuses_a_bad_grid_before_searching(grid, capsys, monkeypatch):
         raise AssertionError("searched a refused grid")
 
     monkeypatch.setattr(nongauss.monotone, "delta_tilde", search)
+    monkeypatch.setattr(nongauss.monotone, "_delta_tilde_search", search)
     code, _, err = run_cli(["sweep", "pns", f"--grid={grid}"], capsys)
     assert code == 2
     assert "grid" in err
+
+
+@pytest.mark.parametrize("gamma", ["nan", "inf"])
+def test_map_ng_refuses_a_kerr_gamma_that_is_not_finite(gamma, capsys, monkeypatch):
+    def search(*args, **kwargs):
+        raise AssertionError("searched a non-finite Kerr map")
+
+    monkeypatch.setattr(nongauss.cli, "delta_tilde", search)
+    code, out, err = run_cli(["map-ng", f"kerr:{gamma}"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "Kerr γ must be finite" in err
 
 
 def test_usage_bound_without_environment(capsys):

@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import expm, logm, polar
 
+import nongauss.fock
 from nongauss.errors import (
     InvalidStateError,
     TruncationError,
@@ -487,6 +488,20 @@ def test_a_nan_trace_tolerance_admits_no_truncation():
     # coherent:10 keeps 3e-12 of its weight at cutoff 40
     with pytest.raises(ValueError, match="trace_tol"):
         build_state("coherent", 10, 40, trace_tol=float("nan"))
+
+
+@pytest.mark.parametrize("kind, params", [("vacuum", None), ("coherent", 1.0), ("tmsv", 0.5)])
+def test_build_state_refuses_a_negative_trace_tolerance_before_any_cutoff_search(
+    kind, params, monkeypatch
+):
+    # no deficit can meet a negative tolerance, so a search for a cutoff
+    # that does would double it to 131072 and then suggest none
+    def search(*args, **kwargs):
+        raise AssertionError("searched for a cutoff")
+
+    monkeypatch.setattr(nongauss.fock, "_truncation_refusal", search)
+    with pytest.raises(ValueError, match="trace_tol must be nonnegative"):
+        build_state(kind, params, 40, trace_tol=-1.0)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), -1e-3], ids=["nan", "negative"])

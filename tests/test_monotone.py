@@ -474,6 +474,14 @@ def test_delta_tilde_rejects_non_conditional_unitaries():
         delta_tilde(loss(0.5, 16))
 
 
+def test_delta_tilde_refuses_a_two_mode_conditional_unitary():
+    d = 8
+    body = ConditionalMap(2, 2, (build_unitary("beamsplitter", 0.5, d),), renormalize=False)
+    assert body.conditional_unitary
+    with pytest.raises(UnsupportedMapError, match="single-mode"):
+        delta_tilde(MapDescriptor("beamsplitter", body, d))
+
+
 def test_delta_tilde_raises_when_cutoff_hopeless():
     with pytest.raises(TruncationError) as info:
         delta_tilde(MapDescriptor("subtract", pns(4).body, 4))
@@ -507,6 +515,19 @@ def test_gaussian_input_bound_dephasing_oracle():
     assert res.value >= thermal_entropy(n_eff) - 1.0 - 1e-6
     assert res.value <= thermal_entropy(n_eff)
     assert res.argmax == ("input", 0)
+
+
+def test_gaussian_input_bound_skips_an_input_the_cutoff_cannot_hold():
+    # the lift refuses a thermal weight that spills over the cutoff
+    desc = bps(16)
+    held = GaussianState(1, np.array([2.0, 0.0]), np.eye(2))
+    spilled = thermal_state(20.0)
+    res = d_g_bound(desc, inputs=[spilled, held])
+    assert res.diagnostics["excluded"] == 1
+    assert res.trace[0] == (("input", 0), -np.inf)
+    alone = d_g_bound(desc, inputs=[held])
+    assert res.value == alone.value > 0.1
+    assert res.argmax == ("input", 1)
 
 
 def test_gaussian_input_bound_validation():
@@ -793,6 +814,62 @@ def test_divergence_profile_matches_independent_searches(monkeypatch, make):
     assert len(points) == 2 * calls
 
 
+@pytest.mark.parametrize("seed", [3, 618])
+@pytest.mark.parametrize("make", [pns, pna])
+def test_one_search_over_the_grid_equals_delta_tilde_at_each_cap(make, seed):
+    desc = make()
+    grid = monotone.DEFAULT_NS_GRID
+    swept = monotone._delta_tilde_search(desc, seed, grid)
+    assert len(swept) == len(grid)
+    for cap, got in zip(grid, swept):
+        want = delta_tilde(desc, seed=seed, max_n_s=cap)
+        assert (got.value, got.argmax, got.evaluations) == (
+            want.value, want.argmax, want.evaluations
+        )
+        assert got.trace == want.trace
+        # delta_tilde adds the ladder maps' α = 0 spread, and only that
+        assert want.diagnostics.pop("alpha_zero_spread") >= 0.0
+        assert got.diagnostics == want.diagnostics
+
+
+def test_a_sweep_makes_one_closed_form_call_per_lockstep_round(monkeypatch):
+    # every cap's lattice is one call, then each round of the 5·4 lock-step
+    # simplex runs at most one more; four searches one after another made
+    # 160 calls at this seed
+    _, batches = _count_closed_form_points(monkeypatch, "_ladder_outputs")
+    asks = []
+    exact = monotone._nelder_mead
+
+    def counted(x0, maxfev):
+        k = len(asks)
+        asks.append(0)
+        run, values = exact(x0, maxfev), None
+        while True:
+            try:
+                points = run.send(values)
+            except StopIteration:
+                return
+            asks[k] += 1
+            values = yield points
+
+    monkeypatch.setattr(monotone, "_nelder_mead", counted)
+    divergence_profile(pns(), seed=618)
+    assert len(asks) == 5 * len(monotone.DEFAULT_NS_GRID)
+    assert batches[0] == 144
+    assert len(batches) <= 1 + max(asks)
+    assert len(batches) < 160
+
+
+def test_divergence_profile_is_inconclusive_on_a_slow_rise():
+    # bps's Gaussian-input bound at low energy rises by more than a plateau
+    # allows, but slower than SLOPE_MIN per doubling
+    prof = divergence_profile(bps(30), grid=(0.05, 0.1, 0.2, 0.4))
+    top = prof.deltas[2:]
+    assert top[1] - top[0] > monotone.PLATEAU_TOL
+    assert 0.0 < prof.slope < monotone.SLOPE_MIN
+    assert prof.classification == "inconclusive"
+
+
 def test_divergence_profile_validation():
     with pytest.raises(ValueError):
         divergence_profile(pns(), grid=(1.0, 2.0, 4.0))
@@ -818,6 +895,7 @@ def test_divergence_profile_refuses_a_bad_grid_before_searching(monkeypatch, mak
         raise AssertionError("searched a refused grid")
 
     monkeypatch.setattr(monotone, "delta_tilde", search)
+    monkeypatch.setattr(monotone, "_delta_tilde_search", search)
     monkeypatch.setattr(monotone, "d_g_bound", search)
     with pytest.raises(ValueError, match="grid"):
         divergence_profile(make(), grid=grid)
@@ -879,6 +957,17 @@ def test_environment_bound_raises_when_no_member_fits():
     assert info.value.deficit > 0.0
     assert info.value.suggested_cutoff > 4
     assert environment_bound(loss(0.5, 4), samples=0).checked == 0
+
+
+def test_environment_bound_raises_when_a_sample_exceeds_it():
+    # a Kerr body mislabelled with a vacuum environment: the bound reads 0,
+    # while Kerr makes its sampled inputs non-Gaussian
+    d = 25
+    desc = MapDescriptor(
+        "kerr-as-gd", kerr(0.5, d).body, d, {"environment": build_state("vacuum", None, d)}
+    )
+    with pytest.raises(RuntimeError, match="exceeds the environment bound 0.000000"):
+        environment_bound(desc, seed=0)
 
 
 def test_gd_bound_needs_environment_metadata():
