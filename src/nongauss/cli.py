@@ -3,8 +3,8 @@
 Reports are JSON (schema "nongauss/1") with every measured number carrying
 a sibling tolerance or deficit field; sweep tables can also be emitted as
 CSV.  Identical configurations produce byte-identical reports apart from
-the timing block.  Exit codes: 0 success, 2 usage error, 3 numerical or
-truncation failure.
+the timing block.  Exit codes: 0 success, 2 usage error, 3 numerical,
+truncation or out-of-memory failure.
 """
 
 import argparse
@@ -286,6 +286,9 @@ def main(argv=None):
         return _EXIT_USAGE
     except (TruncationError, ZeroProbabilityError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_NUMERIC
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return _EXIT_NUMERIC
     report = _report(args.command, config, results, time.perf_counter() - start)
     try:

@@ -18,13 +18,13 @@ from scipy.linalg import polar, schur
 
 from .errors import InvalidStateError, TruncationError, ZeroProbabilityError
 from .gaussian import (
-    MU_CLAMP_TOL,
     GaussianState,
     SymplecticOp,
     gaussian_entropy,
     gaussian_unitary,
     photon_tail_bound,
     symplectic_form,
+    thermal_occupation,
     williamson,
 )
 
@@ -227,10 +227,6 @@ def _coherent_amplitudes(alpha, cutoff):
 
 def _thermal_weights(n_mean, cutoff):
     """Number distribution (N/(N+1))ⁿ/(N+1), n < cutoff, of a thermal state."""
-    if n_mean == 0.0:
-        p = np.zeros(cutoff)
-        p[0] = 1.0
-        return p
     return (n_mean / (n_mean + 1.0)) ** np.arange(cutoff) / (n_mean + 1.0)
 
 
@@ -254,65 +250,56 @@ def _truncation_refusal(what, deficit, cutoff, trace_tol, deficit_at):
     )
 
 
-def _state_vector(kind, params, cutoff):
-    """Raw data (a ket, or a density's rows) and exact trace deficit for
-    each supported state family."""
-    if kind == "vacuum":
-        ket = np.zeros(cutoff, dtype=complex)
-        ket[0] = 1.0
-        return 1, "ket", ket, 0.0
-    if kind == "fock":
-        n = int(params)
+def _amplitudes(kind, params, cutoff, trace_tol=np.inf):
+    """1-D amplitudes c of a state family at a cutoff: a ket's (vacuum,
+    fock, coherent, cat), √p_n of a thermal number distribution, or the
+    Schmidt coefficients λⁱ/√(N_S+1), λ = √(N_S/(N_S+1)), of the TMSV
+    Σ_i c_i |i, i⟩.  The trace deficit is 1 − Σ|c|², so no family forms a
+    d×d array before it is accepted.
+
+    :raises TruncationError: the deficit exceeds trace_tol; the suggested
+        cutoff reads the deficits of this route at larger cutoffs.
+    """
+    if kind in ("vacuum", "fock"):
+        n = 0 if kind == "vacuum" else int(params)
         if n < 0:
             raise ValueError(f"photon number must be >= 0, got {n}")
         if n >= cutoff:
             raise TruncationError(
                 f"fock({n}) needs cutoff > {n}", deficit=1.0, suggested_cutoff=n + 1
             )
-        ket = np.zeros(cutoff, dtype=complex)
-        ket[n] = 1.0
-        return 1, "ket", ket, 0.0
-    if kind == "coherent":
+        c = np.zeros(cutoff)
+        c[n] = 1.0
+    elif kind == "coherent":
         c = _coherent_amplitudes(complex(params), cutoff)
-        return 1, "ket", c, 1.0 - float(np.vdot(c, c).real)
-    if kind == "cat":
+    elif kind == "cat":
         alpha = complex(params)
         c = _coherent_amplitudes(alpha, cutoff) + _coherent_amplitudes(-alpha, cutoff)
-        norm_sq = 2.0 * (1.0 + np.exp(-2.0 * abs(alpha) ** 2))
-        c = c / np.sqrt(norm_sq)
-        return 1, "ket", c, 1.0 - float(np.vdot(c, c).real)
-    if kind == "thermal":
+        c = c / np.sqrt(2.0 * (1.0 + np.exp(-2.0 * abs(alpha) ** 2)))
+    elif kind == "thermal":
         N = float(params)
         if N < 0:
             raise ValueError(f"mean photon number must be >= 0, got {N}")
-        p = _thermal_weights(N, cutoff)
-        return 1, "density", np.diag(np.sqrt(p)), 1.0 - float(p.sum())
-    if kind == "tmsv":
-        c, deficit = tmsv_schmidt(params, cutoff)
-        ket = np.zeros((cutoff, cutoff), dtype=complex)
-        np.fill_diagonal(ket, c)
-        return 2, "ket", ket, deficit
-    raise ValueError(f"unknown state kind: {kind!r}")
-
-
-def tmsv_schmidt(n_s, cutoff, trace_tol=np.inf):
-    """Schmidt coefficients c_i = λⁱ/√(N_S+1), i < cutoff, of the TMSV
-    Σ_i c_i |i, i⟩ with λ = √(N_S/(N_S+1)), and its trace deficit 1 − Σ c_i².
-
-    :raises TruncationError: deficit above trace_tol, the refusal
-        build_state('tmsv', n_s, cutoff, trace_tol) raises.
-    """
-    N_S = float(n_s)
-    if N_S < 0:
-        raise ValueError(f"N_S must be >= 0, got {N_S}")
-    lam = np.sqrt(N_S / (N_S + 1.0))
-    c = lam ** np.arange(cutoff) / np.sqrt(N_S + 1.0)
-    deficit = 1.0 - float(c @ c)
+        c = np.sqrt(_thermal_weights(N, cutoff))
+    elif kind == "tmsv":
+        N_S = float(params)
+        if N_S < 0:
+            raise ValueError(f"N_S must be >= 0, got {N_S}")
+        c = np.sqrt(N_S / (N_S + 1.0)) ** np.arange(cutoff) / np.sqrt(N_S + 1.0)
+    else:
+        raise ValueError(f"unknown state kind: {kind!r}")
+    deficit = _weight_lost(c)
     if deficit > trace_tol:
         raise _truncation_refusal(
-            "tmsv state", deficit, cutoff, trace_tol, lambda d: tmsv_schmidt(n_s, d)[1]
+            f"{kind} state", deficit, cutoff, trace_tol,
+            lambda d: _weight_lost(_amplitudes(kind, params, d)),
         )
-    return c, deficit
+    return c
+
+
+def _weight_lost(c):
+    """Trace deficit 1 − Σ|c|² of a family's amplitudes."""
+    return 1.0 - float(np.vdot(c, c).real)
 
 
 def build_state(kind, params=None, cutoff=DEFAULT_CUTOFF, trace_tol=BUILD_DEFICIT_TOL):
@@ -320,33 +307,19 @@ def build_state(kind, params=None, cutoff=DEFAULT_CUTOFF, trace_tol=BUILD_DEFICI
 
     Kinds: 'vacuum', 'fock' (n), 'coherent' (complex α), 'cat' (even coherent
     superposition, α), 'thermal' (N), 'tmsv' (N_S, Schmidt series with
-    λ = √(N_S/(N_S+1)), see tmsv_schmidt).
+    λ = √(N_S/(N_S+1))), each built from its amplitudes (_amplitudes).
 
     :raises ValueError: trace_tol is negative or NaN, before any cutoff search.
     :raises TruncationError: deficit above trace_tol, with a suggested cutoff.
     """
     if not trace_tol >= 0.0:
         raise ValueError(f"trace_tol must be nonnegative, got {trace_tol}")
-    if kind == "tmsv":
-        # refuses from the Schmidt series alone, building no d×d ket
-        tmsv_schmidt(params, cutoff, trace_tol)
-    n_modes, arr_kind, data, deficit = _state_vector(kind, params, cutoff)
-    if deficit > trace_tol:
-        raise _truncation_refusal(
-            f"{kind} state", deficit, cutoff, trace_tol,
-            lambda d: _state_deficit(kind, params, d),
-        )
-    if arr_kind == "density":
-        return FockArray.from_branches(n_modes, cutoff, data, trace_tol=trace_tol)
-    return FockArray(n_modes, cutoff, arr_kind, data, trace_tol=trace_tol)
-
-
-def _state_deficit(kind, params, cutoff):
-    """Trace deficit of a state family at a cutoff; a thermal state's comes
-    from its number distribution, building no d×d density."""
+    c = _amplitudes(kind, params, cutoff, trace_tol)
     if kind == "thermal":
-        return 1.0 - float(_thermal_weights(float(params), cutoff).sum())
-    return _state_vector(kind, params, cutoff)[3]
+        return FockArray.from_branches(1, cutoff, np.diag(c), trace_tol=trace_tol)
+    if kind == "tmsv":
+        return FockArray(2, cutoff, "ket", np.diag(c), trace_tol=trace_tol)
+    return FockArray(1, cutoff, "ket", c, trace_tol=trace_tol)
 
 
 @lru_cache(maxsize=16)
@@ -815,10 +788,10 @@ def symplectic_to_unitary(op, cutoff=DEFAULT_CUTOFF, cols=None):
 def _williamson_frame(gstate, cutoff):
     """Thermal occupations of a Gaussian state, their product number
     distribution at the cutoff, and its Williamson symplectic with the
-    state's mean: the state is U(S) diag(weights) U(S)†.  A symplectic
-    eigenvalue within MU_CLAMP_TOL of 1 is read as 1, a pure mode."""
+    state's mean: the state is U(S) diag(weights) U(S)†.  The occupations
+    are gaussian.thermal_occupation's, so a pure mode has occupation 0."""
     mu, s_mat = williamson(gstate.cov)
-    occ = np.where(mu <= 1.0 + MU_CLAMP_TOL, 0.0, (mu - 1.0) / 2.0)
+    occ = thermal_occupation(mu)
     weights = reduce(np.kron, [_thermal_weights(N, cutoff) for N in occ])
     return occ, weights, SymplecticOp(gstate.n_modes, s_mat, gstate.mean)
 
@@ -831,7 +804,8 @@ def gaussian_to_fock(gstate, cutoff=DEFAULT_CUTOFF, trace_tol=APPLY_DEFICIT_TOL)
     to the state's mean.  Only the columns of U with w_k > 0 are built;
     they give the branch kets Φ = √w_k (U e_k)ᵀ of
     `FockArray.from_branches`.  A symplectic eigenvalue within MU_CLAMP_TOL
-    of 1 counts as a pure mode, so a pure state carries one branch.
+    of 1 counts as a pure mode (gaussian.thermal_occupation), so a pure
+    state carries one branch.
     """
     occ, weights, op = _williamson_frame(gstate, cutoff)
     deficit = 1.0 - float(weights.sum())

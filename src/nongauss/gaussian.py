@@ -170,22 +170,37 @@ def symplectic_eigenvalues(state):
     return state.spectrum
 
 
+def thermal_occupation(mu):
+    """Mean photon number (ν − 1)/2 of the thermal mode of each symplectic
+    eigenvalue ν in the array mu.  ν ≤ 1 + MU_CLAMP_TOL is a pure mode,
+    occupation 0: solver noise leaves a pure mode's ν marginally off 1."""
+    occ = (mu - 1.0) / 2.0
+    occ[mu <= 1.0 + MU_CLAMP_TOL] = 0.0
+    return occ
+
+
 def thermal_entropy(N):
-    """Entropy g(N) = (N+1) log2(N+1) - N log2(N) of a thermal state, in bits."""
-    N = float(N)
-    if N < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {N}")
-    if N == 0.0:
-        return 0.0
-    return float((N + 1.0) * np.log2(N + 1.0) - N * np.log2(N))
+    """Entropy g(N) = (N+1) log2(N+1) - N log2(N) of a thermal state, in
+    bits, with g(0) = 0; elementwise on an array."""
+    n = np.asarray(N, dtype=float)
+    if (n < 0.0).any():
+        raise ValueError(f"mean photon number must be >= 0, got {n.min()}")
+    return float(_g(n)) if n.ndim == 0 else _g(n)
+
+
+def _g(n):
+    # g(n) on a Python float or elementwise on an array, for n >= 0;
+    # (n == 0) lifts log2's argument to 1 where n = 0, whose term is 0
+    m = n + 1.0
+    return m * np.log2(m) - n * np.log2(n + (n == 0.0))
 
 
 def gaussian_entropy(state):
-    """Von Neumann entropy of a Gaussian state, sum of g((mu_k - 1)/2)."""
-    mu = symplectic_eigenvalues(state).mu
-    # Eigen-solver noise can leave mu marginally below 1; clamp before g().
-    mu = np.maximum(mu, 1.0)
-    return float(sum(thermal_entropy((m - 1.0) / 2.0) for m in mu))
+    """Von Neumann entropy of a Gaussian state, the sum of g over the
+    occupations of its symplectic spectrum (thermal_occupation)."""
+    occ = thermal_occupation(symplectic_eigenvalues(state).mu)
+    # on one or two modes, Python floats are cheaper than array arithmetic
+    return float(sum(_g(N) for N in occ.tolist()))
 
 
 def gaussian_entropies(mean, cov):
@@ -193,12 +208,9 @@ def gaussian_entropies(mean, cov):
 
     mean (..., 2n) and cov (..., 2n, 2n) are checked as williamson_spectrum
     checks them; returns an array of shape (...), each entry the sum
-    gaussian_entropy takes, elementwise (on one state gaussian_entropy's
-    Python scalars are the faster route).
+    gaussian_entropy takes.
     """
-    n = (np.maximum(williamson_spectrum(mean, cov).mu, 1.0) - 1.0) / 2.0
-    g = (n + 1.0) * np.log2(n + 1.0) - n * np.log2(np.where(n > 0.0, n, 1.0))
-    return g.sum(axis=-1)
+    return _g(thermal_occupation(williamson_spectrum(mean, cov).mu)).sum(axis=-1)
 
 
 def _local_symplectic(kind, params):

@@ -198,6 +198,8 @@ def parse_state_spec(spec, cutoff, trace_tol=1e-6):
 def _amplitude(arg):
     # re[,im] of a state or map spec
     parts = [float(x) for x in arg.split(",")]
+    if len(parts) > 2:
+        raise ValueError(f"an amplitude is re[,im], got {arg!r}")
     return complex(parts[0], parts[1] if len(parts) > 1 else 0.0)
 
 

@@ -36,6 +36,7 @@ from .fock import (
     EDGE_COST,
     FockArray,
     MomentRecord,
+    _amplitudes,
     apply_map,
     build_unitary,
     certify_edge,
@@ -44,7 +45,6 @@ from .fock import (
     gaussian_cutoff,
     gaussian_to_fock,
     mean_and_covariance,
-    tmsv_schmidt,
 )
 from .gaussian import (
     GaussianState,
@@ -54,6 +54,7 @@ from .gaussian import (
     gaussian_entropy,
     gaussian_unitary,
     thermal_entropy,
+    thermal_occupation,
     thermal_state,
     tmsv_state,
     williamson_spectrum,
@@ -196,7 +197,8 @@ def input_family(
     The displacement, rotation and squeeze act on the second mode (the one
     the map will consume).  backend 'gaussian' returns the exact
     GaussianState; 'fock' a truncated ket carrying its build deficit.  The
-    TMSV is Σ_i c_i |i, i⟩, so with the in-box U = D_α R_θ S_r of
+    TMSV is Σ_i c_i |i, i⟩, c and its refusal those of build_state('tmsv')
+    (fock._amplitudes), so with the in-box U = D_α R_θ S_r of
     fock.build_unitary the ket is ψ[i, j] = c_i U[j, i], one product.  It is
     certified by fock.certify_edge at edge_tol, by default
     moment_tol/(EDGE_COST·cutoff²): the truncation error of its second
@@ -217,7 +219,7 @@ def input_family(
             )
         return state
     if backend == "fock":
-        c, _ = tmsv_schmidt(p.n_s, cutoff, trace_tol)
+        c = _amplitudes("tmsv", p.n_s, cutoff, trace_tol)
         u = build_unitary("displacement", p.alpha, cutoff) @ (
             build_unitary("rotation", p.theta, cutoff).diagonal()[:, None]
             * build_unitary("squeeze", p.r, cutoff)
@@ -737,17 +739,18 @@ def _family_member(state):
 
     D_α R_θ S_r on a thermal state of n photons, as _ladder_moments maps b,
     has ⟨δb δb⟩ = −e^{−2iθ}(2n+1) sinh(2r)/2 and ⟨δb†δb⟩ =
-    ((2n+1) cosh(2r) − 1)/2, with 2n+1 = √det V; the member's TMSV
-    occupation is n, so its b marginal is the state.
+    ((2n+1) cosh(2r) − 1)/2, with n the occupation of the state's
+    symplectic eigenvalue 2n+1 (gaussian.thermal_occupation); the member's
+    TMSV occupation is n, so its b marginal is the state.
     """
     (vqq, vqp), (_, vpp) = state.cov
     sq = complex(vqq - vpp, 2.0 * vqp) / 4.0
-    nu = math.sqrt(max(vqq * vpp - vqp * vqp, 1.0))
+    (n,) = thermal_occupation(state.spectrum.mu).tolist()
     return InputParams(
         complex(state.mean[0], state.mean[1]) / 2.0,
         -0.5 * cmath.phase(-sq),
-        0.5 * math.asinh(2.0 * abs(sq) / nu),
-        (nu - 1.0) / 2.0,
+        0.5 * math.asinh(2.0 * abs(sq) / (2.0 * n + 1.0)),
+        n,
     )
 
 

@@ -333,6 +333,26 @@ def test_map_ng_refuses_a_kerr_gamma_that_is_not_finite(gamma, capsys, monkeypat
     assert "Kerr γ must be finite" in err
 
 
+def test_an_amplitude_with_a_third_field_is_a_usage_error(capsys):
+    code, out, err = run_cli(["state-ng", "coherent:1,2,3"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "re[,im]" in err
+
+
+def test_an_allocation_failure_is_a_numerical_failure(capsys, monkeypatch):
+    def search(*args, **kwargs):
+        raise MemoryError("Unable to allocate 5.96 GiB for an array with shape (20000, 20000)")
+
+    monkeypatch.setattr(nongauss.cli, "delta_tilde", search)
+    code, out, err = run_cli(["map-ng", "pns"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [
+        "error: out of memory: Unable to allocate 5.96 GiB for an array with shape (20000, 20000)"
+    ]
+
+
 def test_usage_bound_without_environment(capsys):
     code, _, err = run_cli(["map-ng", "pns", "--bound"], capsys)
     assert code == 2

@@ -164,6 +164,21 @@ def test_thermal_refusal_builds_no_density():
     assert peak < 1.0
 
 
+@pytest.mark.parametrize("kind", ["coherent", "cat"])
+def test_ket_refusal_builds_no_square_array(kind):
+    # the suggestion needs cutoff 1024, where a d x d array is 16 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncationError) as exc:
+            build_state(kind, 20.0, cutoff=8)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == f"{kind} state loses 1.000e+00 of its weight at cutoff 8"
+    assert exc.value.suggested_cutoff == 1024
+    assert peak < 1.0
+
+
 def test_build_cat_even_support():
     st = build_state("cat", 1.5, cutoff=40)
     assert abs(st.data[1]) < 1e-14 and abs(st.data[3]) < 1e-14
@@ -1043,10 +1058,28 @@ def test_delta_g_fock_states():
 def test_delta_g_vanishes_on_gaussians():
     rng = np.random.default_rng(71)
     assert delta_g(build_state("coherent", 1.1, cutoff=40)) <= 1e-6
+    # a pure mode's symplectic eigenvalue is read as exactly 1
+    assert delta_g(build_state("tmsv", 1.0, cutoff=40)) == 0.0
     for _ in range(5):
         g = random_gaussian_state(1, rng, max_thermal=0.7)
         rho = gaussian_to_fock(g, cutoff=40)
         assert delta_g(rho) <= 1e-4
+
+
+@pytest.mark.parametrize(
+    "n_s, r, alpha",
+    # the perfbench lift job's states at workload seeds 3 and 20260917
+    [(0.1026, 0.1756, -0.1444 - 0.1594j), (0.1286, 0.1059, -0.103 + 0.2218j)],
+)
+def test_a_pure_two_mode_lift_reads_zero(n_s, r, alpha):
+    # its gaussified modes sit within MU_CLAMP_TOL of 1, occupation 0
+    state = apply_symplectic(
+        tmsv_state(n_s), gaussian_unitary("squeeze", r, n_modes=2, targets=[1])
+    )
+    state = apply_symplectic(
+        state, gaussian_unitary("displacement", alpha, n_modes=2, targets=[0])
+    )
+    assert delta_g(gaussian_to_fock(state, 30, trace_tol=1e-5)) <= 1e-12
 
 
 def test_delta_g_coherent_mixture_bound():

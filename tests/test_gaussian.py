@@ -5,6 +5,7 @@ from scipy.linalg import expm
 
 from nongauss.errors import InvalidStateError
 from nongauss.gaussian import (
+    MU_CLAMP_TOL,
     GaussianState,
     SymplecticOp,
     apply_symplectic,
@@ -20,6 +21,7 @@ from nongauss.gaussian import (
     symplectic_eigenvalues,
     symplectic_form,
     thermal_entropy,
+    thermal_occupation,
     thermal_state,
     tmsv_state,
     vacuum_state,
@@ -89,6 +91,20 @@ def test_thermal_entropy_values():
     assert_allclose(thermal_entropy(0.5), 1.377443751081734, rtol=0, atol=1e-12)
     with pytest.raises(ValueError):
         thermal_entropy(-0.1)
+
+
+def test_thermal_entropy_is_elementwise():
+    n = np.array([[0.0, 1e-12, 0.25], [1.0, 3.0, 57.5]])
+    assert_array_equal(thermal_entropy(n), [[thermal_entropy(float(x)) for x in row] for row in n])
+    with pytest.raises(ValueError):
+        thermal_entropy(np.array([0.5, -0.1]))
+
+
+def test_a_symplectic_eigenvalue_in_the_clamp_band_is_a_pure_mode():
+    edge = 1.0 + MU_CLAMP_TOL
+    above = np.nextafter(edge, 2.0)
+    occ = thermal_occupation(np.array([1.0 - MU_CLAMP_TOL / 2.0, 1.0, edge, above, 3.0]))
+    assert_array_equal(occ, [0.0, 0.0, 0.0, (above - 1.0) / 2.0, 1.0])
 
 
 def test_symplectic_eigenvalues_thermal_product():

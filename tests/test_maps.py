@@ -548,6 +548,19 @@ def test_parse_map_spec_kinds():
         parse_map_spec("gd:bs0.5,env=thermal:1.0", d)
 
 
+def test_an_amplitude_takes_at_most_two_fields():
+    d = 12
+    with pytest.raises(ValueError, match=r"re\[,im\]"):
+        parse_state_spec("coherent:1,2,3", d)
+    with pytest.raises(ValueError, match=r"re\[,im\]"):
+        parse_map_spec("talpha:1,2,3", d)
+    with pytest.raises(ValueError):
+        parse_state_spec("coherent:", d)
+    # the field after an environment's coherent:re is its im
+    _, env = parse_map_spec("gd:bs0.5,env=coherent:0.3,-0.2", d).metadata["gaussian_form"]
+    assert_allclose(env.mean, [0.6, -0.4], rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize("gamma", ["nan", "inf", "-inf"])
 def test_kerr_refuses_a_gamma_that_is_not_finite(gamma, monkeypatch):
     def build(*args, **kwargs):
