@@ -27,7 +27,9 @@ from .errors import (
 from .fock import apply_map, build_unitary, delta_g, von_neumann_entropy  # noqa: F401
 from .maps import parse_map_spec, parse_state_spec
 from .monotone import (
+    ALPHA_ZERO_SPREAD_TOL,
     SIMPLEX_XATOL,
+    SLOPE_FIT_TOL,
     d_g_bound,
     delta_tilde,
     divergence_profile,
@@ -37,19 +39,10 @@ from .monotone import (
 _EXIT_USAGE = 2
 _EXIT_NUMERIC = 3
 
-# default truncation per command; sweeps need headroom for the top of the
-# default energy grid, two-mode dilations are kept small for memory
+# default truncation of state-ng and of sweep, which needs headroom for the
+# top of the default energy grid; map-ng builds each map at its own default
 _STATE_CUTOFF = 40
 _SWEEP_CUTOFF = 60
-_MAP_CUTOFFS = {
-    "pns": 40,
-    "pna": 40,
-    "kerr": 32,
-    "id": 32,
-    "bps": 60,
-    "loss": 30,
-    "gd": 25,
-}
 # specs parse_map_spec builds that map-ng and sweep cannot evaluate, with
 # their (input, output) mode counts: both take single-mode maps
 _MULTI_MODE_MAPS = {"talpha": (2, 1), "tα": (2, 1)}
@@ -142,8 +135,8 @@ def cmd_state_ng(args):
 
 
 def _single_mode_map(spec, cutoff):
-    """parse_map_spec of a single-mode map; other specs are refused before
-    any map is built."""
+    """parse_map_spec of a single-mode map, at its default cutoff when cutoff
+    is None; other specs are refused before any map is built."""
     name = spec.split(":", 1)[0].strip().lower()
     if name in _MULTI_MODE_MAPS:
         n_in, n_out = _MULTI_MODE_MAPS[name]
@@ -154,10 +147,8 @@ def _single_mode_map(spec, cutoff):
 
 
 def cmd_map_ng(args):
-    name = args.spec.split(":", 1)[0].strip().lower()
-    cutoff = args.cutoff or _MAP_CUTOFFS.get(name, _STATE_CUTOFF)
-    desc = _single_mode_map(args.spec, cutoff)
-    config = _config(args, spec=args.spec, cutoff=cutoff, bound=args.bound)
+    desc = _single_mode_map(args.spec, args.cutoff)
+    config = _config(args, spec=args.spec, cutoff=desc.cutoff, bound=args.bound)
     if args.bound:
         res = environment_bound(desc, seed=args.seed)
         results = {
@@ -184,14 +175,13 @@ def cmd_map_ng(args):
         results["argmax_input"] = list(res.argmax)
     if "alpha_zero_spread" in res.diagnostics:
         results["alpha_zero_spread"] = _measured(
-            res.diagnostics["alpha_zero_spread"], tolerance=1e-3
+            res.diagnostics["alpha_zero_spread"], tolerance=ALPHA_ZERO_SPREAD_TOL
         )
     return config, results
 
 
 def cmd_sweep(args):
-    cutoff = args.cutoff or _SWEEP_CUTOFF
-    desc = _single_mode_map(args.spec, cutoff)
+    desc = _single_mode_map(args.spec, args.cutoff or _SWEEP_CUTOFF)
     grid = tuple(float(x) for x in args.grid.split(",")) if args.grid else None
     prof = divergence_profile(desc, grid=grid, seed=args.seed)
     points = [
@@ -202,7 +192,7 @@ def cmd_sweep(args):
         "quantity": prof.quantity,
         "backend": prof.backend,
         "classification": prof.classification,
-        "slope_fit": _measured(prof.slope, tolerance=0.05),
+        "slope_fit": _measured(prof.slope, tolerance=SLOPE_FIT_TOL),
         "points": points,
     }
     buf = io.StringIO()
@@ -210,7 +200,7 @@ def cmd_sweep(args):
     for e, v in zip(prof.grid, prof.deltas):
         buf.write(f"{e:g},{v:.6f},{prof.slope:.6f},{prof.classification}\n")
     config = _config(
-        args, spec=args.spec, cutoff=cutoff, grid=list(grid) if grid else None
+        args, spec=args.spec, cutoff=desc.cutoff, grid=list(grid) if grid else None
     )
     return config, results, buf.getvalue()
 
@@ -244,12 +234,13 @@ def build_parser():
     p.add_argument("spec", help="vacuum | fock:n | coherent:re[,im] | thermal:N | tmsv:NS | cat:alpha")
     p.add_argument("--trace-tol", type=float, default=1e-6, dest="trace_tol")
 
+    map_spec = "pns | pna | bps | kerr:g | gd:bs<tau>,env=<state> | loss:tau | id"
     p = sub.add_parser("map-ng", parents=[common], help="monotone of a map")
-    p.add_argument("spec", help="pns | pna | bps | kerr:g | gd:bs<tau>,env=<state> | loss:tau | id")
+    p.add_argument("spec", help=map_spec)
     p.add_argument("--bound", action="store_true", help="environment upper bound (gd/loss)")
 
     p = sub.add_parser("sweep", parents=[common], help="divergence classification")
-    p.add_argument("spec")
+    p.add_argument("spec", help=map_spec)
     p.add_argument("--grid", default=None, help="comma-separated energies")
 
     p = sub.add_parser("verify", parents=[common], help="named assertion suite")

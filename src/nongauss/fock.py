@@ -218,11 +218,11 @@ class ConditionalMap:
 
 
 def _coherent_amplitudes(alpha, cutoff):
-    c = np.empty(cutoff, dtype=complex)
-    c[0] = np.exp(-0.5 * abs(alpha) ** 2)
-    for n in range(1, cutoff):
-        c[n] = c[n - 1] * alpha / np.sqrt(n)
-    return c
+    """⟨n|α⟩, n < cutoff, in log space: log|c_n| = −|α|²/2 + n log|α| −
+    ½ log n!, times e^{inφ}, so no factor underflows where c_n does not."""
+    n = np.arange(cutoff)
+    log_c = -0.5 * abs(alpha) ** 2 + special.xlogy(n, abs(alpha)) - 0.5 * special.gammaln(n + 1)
+    return np.exp(log_c + 1j * n * np.angle(alpha))
 
 
 def _thermal_weights(n_mean, cutoff):
@@ -274,7 +274,8 @@ def _amplitudes(kind, params, cutoff, trace_tol=np.inf):
         c = _coherent_amplitudes(complex(params), cutoff)
     elif kind == "cat":
         alpha = complex(params)
-        c = _coherent_amplitudes(alpha, cutoff) + _coherent_amplitudes(-alpha, cutoff)
+        c = 2.0 * _coherent_amplitudes(alpha, cutoff)
+        c[1::2] = 0.0  # |α⟩ + |−α⟩: the even terms of 2|α⟩
         c = c / np.sqrt(2.0 * (1.0 + np.exp(-2.0 * abs(alpha) ** 2)))
     elif kind == "thermal":
         N = float(params)

@@ -73,7 +73,7 @@ def arm_photon_number(alpha, r, n_s):
     return abs(alpha) ** 2 + ((1.0 + 2.0 * n_s) * np.cosh(2.0 * r) - 1.0) / 2.0
 
 
-def bps(cutoff=DEFAULT_CUTOFF):
+def bps(cutoff=60):
     """Binary phase shift: a π rotation applied with probability 1/2."""
     eye = np.eye(cutoff, dtype=complex)
     parity = build_unitary("rotation", np.pi, cutoff)
@@ -81,7 +81,7 @@ def bps(cutoff=DEFAULT_CUTOFF):
     return MapDescriptor("bps", ConditionalMap(1, 1, kraus, renormalize=False), cutoff)
 
 
-def kerr(gamma=DEFAULT_KERR_GAMMA, cutoff=DEFAULT_CUTOFF):
+def kerr(gamma=DEFAULT_KERR_GAMMA, cutoff=32):
     """Self-Kerr unitary exp(-iγ(a†a)²), for a finite γ."""
     if not np.isfinite(gamma):
         raise ValueError(f"Kerr γ must be finite, got {gamma}")
@@ -90,7 +90,7 @@ def kerr(gamma=DEFAULT_KERR_GAMMA, cutoff=DEFAULT_CUTOFF):
     return MapDescriptor("kerr", body, cutoff, {"gamma": float(gamma)})
 
 
-def identity_map(cutoff=DEFAULT_CUTOFF):
+def identity_map(cutoff=32):
     """The single-mode identity channel."""
     body = ConditionalMap(1, 1, (np.eye(cutoff, dtype=complex),), renormalize=False)
     form = (SymplecticOp(1, np.eye(2), np.zeros(2)), None)
@@ -139,15 +139,21 @@ def gaussian_dilatable(sym, env, cutoff=DEFAULT_CUTOFF):
     return MapDescriptor("gd", body, cutoff, {"environment": env})
 
 
-def loss(tau, cutoff=DEFAULT_CUTOFF):
+def loss(tau, cutoff=30):
     """Pure-loss channel of transmissivity τ (beamsplitter + vacuum)."""
     if not 0.0 < tau <= 1.0:
         raise ValueError("transmissivity must lie in (0, 1]")
+    return _beamsplitter_channel("loss", tau, "vacuum", cutoff)
+
+
+def _beamsplitter_channel(name, tau, env_spec, cutoff):
+    # gaussian_dilatable of a beamsplitter of transmissivity τ on the
+    # environment env_spec, with the Gaussian form when that state is Gaussian
+    env, g_env = _gaussian_environment(env_spec, cutoff)
     sym = gaussian_unitary("beamsplitter", tau, n_modes=2)
-    env = build_state("vacuum", None, cutoff)
     desc = gaussian_dilatable(sym, env, cutoff)
-    meta = dict(desc.metadata, gaussian_form=(sym, vacuum_state(1)))
-    return dataclasses.replace(desc, name="loss", metadata=meta)
+    meta = desc.metadata if g_env is None else dict(desc.metadata, gaussian_form=(sym, g_env))
+    return dataclasses.replace(desc, name=name, metadata=meta)
 
 
 def compose(outer, inner):
@@ -173,26 +179,24 @@ def parse_state_spec(spec, cutoff, trace_tol=1e-6):
     """Build a state from a command-line spec string.
 
     Grammar: vacuum | fock:n | coherent:re[,im] | thermal:N | tmsv:NS |
-    cat:alpha.
+    cat:alpha; vacuum takes no argument.
     """
+    return _state_spec(spec, cutoff, trace_tol)[0]
+
+
+def _state_spec(spec, cutoff, trace_tol=1e-6):
+    # the one parse of a state spec: (its state, kind, params)
     name, _, arg = spec.partition(":")
-    name = name.strip().lower()
+    kind = name.strip().lower()
+    read = {"vacuum": _no_argument, "fock": int, "coherent": _amplitude,
+            "thermal": float, "tmsv": float, "cat": float}
+    if kind not in read:
+        raise ValueError(f"unknown state spec {spec!r}")
     try:
-        if name == "vacuum":
-            return build_state("vacuum", None, cutoff, trace_tol=trace_tol)
-        if name == "fock":
-            return build_state("fock", int(arg), cutoff, trace_tol=trace_tol)
-        if name == "coherent":
-            return build_state("coherent", _amplitude(arg), cutoff, trace_tol=trace_tol)
-        if name == "thermal":
-            return build_state("thermal", float(arg), cutoff, trace_tol=trace_tol)
-        if name == "tmsv":
-            return build_state("tmsv", float(arg), cutoff, trace_tol=trace_tol)
-        if name == "cat":
-            return build_state("cat", float(arg), cutoff, trace_tol=trace_tol)
+        params = read[kind](arg)
+        return build_state(kind, params, cutoff, trace_tol=trace_tol), kind, params
     except ValueError as exc:
         raise ValueError(f"bad state spec {spec!r}: {exc}") from exc
-    raise ValueError(f"unknown state spec {spec!r}")
 
 
 def _amplitude(arg):
@@ -203,76 +207,77 @@ def _amplitude(arg):
     return complex(parts[0], parts[1] if len(parts) > 1 else 0.0)
 
 
-def _gaussian_environment(spec):
-    # a parsed environment spec as a GaussianState when its state is one
-    # (vacuum, fock:0, coherent), else None
-    name, _, arg = spec.partition(":")
-    name = name.strip().lower()
-    if name == "vacuum" or (name == "fock" and int(arg) == 0):
-        return vacuum_state(1)
-    if name == "coherent":
-        beta = _amplitude(arg)
-        return GaussianState(1, np.array([2.0 * beta.real, 2.0 * beta.imag]), np.eye(2))
-    return None
+def _no_argument(arg):
+    # the argument of a spec name that takes none: refused unless empty
+    if arg.strip():
+        raise ValueError(f"takes no argument, got {arg!r}")
 
 
-def _parse_gd(arg, cutoff):
-    # grammar: bs<tau>,env=<state spec>, e.g. gd:bs0.5,env=fock:1 or
-    # gd:bs0.5,env=coherent:0.3,-0.2, whose field after coherent:re is im
-    tau = None
-    env_spec = None
-    pieces = [p.strip() for p in arg.split(",") if p.strip()]
-    for i, piece in enumerate(pieces):
-        if piece.startswith("env="):
-            env_spec = piece[4:]
-        elif piece.startswith("bs"):
-            tau = float(piece[2:])
-        elif i and pieces[i - 1].lower().startswith("env=coherent:"):
-            env_spec += "," + piece
-        else:
-            raise ValueError(f"unknown gd field {piece!r}")
-    if tau is None or env_spec is None:
-        raise ValueError("gd spec needs both bs<tau> and env=<state>")
-    env = parse_state_spec(env_spec, cutoff)
+def _gaussian_environment(spec, cutoff):
+    # a beamsplitter's environment spec, parsed once: its ket, and the ket as
+    # a GaussianState when it is one (vacuum, fock:0, coherent), else None
+    env, kind, params = _state_spec(spec, cutoff)
     if env.kind != "ket" or env.n_modes != 1:
         raise UnsupportedMapError(
             "beamsplitter dilation takes a single-mode pure environment"
         )
-    sym = gaussian_unitary("beamsplitter", tau, n_modes=2)
-    desc = gaussian_dilatable(sym, env, cutoff)
-    g_env = _gaussian_environment(env_spec)
-    if g_env is None:
-        return desc
-    meta = dict(desc.metadata, gaussian_form=(sym, g_env))
-    return dataclasses.replace(desc, metadata=meta)
+    if kind == "vacuum" or (kind == "fock" and params == 0):
+        return env, vacuum_state(1)
+    if kind == "coherent":
+        return env, GaussianState(1, np.array([2.0 * params.real, 2.0 * params.imag]), np.eye(2))
+    return env, None
 
 
-def parse_map_spec(spec, cutoff):
-    """Build a map from a command-line spec string.
+def _parse_gd(arg, cutoff=25):
+    # grammar: bs<tau>,env=<state spec>, each once, e.g. gd:bs0.5,env=fock:1
+    # or gd:bs0.5,env=coherent:0.3,-0.2, whose field after coherent:re is im
+    fields = {}
+    pieces = [p.strip() for p in arg.split(",") if p.strip()]
+    for i, piece in enumerate(pieces):
+        key = "bs" if piece.startswith("bs") else "env=" if piece.startswith("env=") else None
+        if key in fields:
+            raise ValueError(f"gd takes its {key} field once")
+        if key:
+            fields[key] = piece[len(key):]
+        elif i and pieces[i - 1].lower().startswith("env=coherent:"):
+            fields["env="] += "," + piece
+        else:
+            raise ValueError(f"unknown gd field {piece!r}")
+    if len(fields) < 2:
+        raise ValueError("gd spec needs both bs<tau> and env=<state>")
+    return _beamsplitter_channel("gd", float(fields["bs"]), fields["env="], cutoff)
+
+
+def parse_map_spec(spec, cutoff=None):
+    """Build a map from a command-line spec string, at cutoff or, when it is
+    None, at the constructor's default cutoff (the gd spec's is 25).
 
     Grammar: pns | pna | bps | kerr[:gamma] | talpha:alpha |
-    gd:bs<tau>,env=<state> | loss:tau | id.
+    gd:bs<tau>,env=<state> | loss:tau | id.  pns, pna, bps and id take no
+    argument, and gd each of its two fields once.
+
+    :raises ValueError: a malformed spec, naming it.
     """
     name, _, arg = spec.partition(":")
     name = name.strip().lower()
-    if name == "pns":
-        return pns(cutoff)
-    if name == "pna":
-        return pna(cutoff)
-    if name == "bps":
-        return bps(cutoff)
-    if name == "id":
-        return identity_map(cutoff)
-    if name == "kerr":
-        return kerr(float(arg) if arg else DEFAULT_KERR_GAMMA, cutoff)
-    if name in ("talpha", "tα"):
-        if not arg:
-            raise ValueError("talpha needs an amplitude, e.g. talpha:1.0")
-        return coherent_projector(_amplitude(arg), cutoff)
-    if name == "gd":
-        return _parse_gd(arg, cutoff)
-    if name == "loss":
-        if not arg:
-            raise ValueError("loss needs a transmissivity, e.g. loss:0.9")
-        return loss(float(arg), cutoff)
+    at = {} if cutoff is None else {"cutoff": cutoff}
+    plain = {"pns": pns, "pna": pna, "bps": bps, "id": identity_map}
+    try:
+        if name in plain:
+            _no_argument(arg)
+            return plain[name](**at)
+        if name == "kerr":
+            return kerr(float(arg) if arg else DEFAULT_KERR_GAMMA, **at)
+        if name in ("talpha", "tα"):
+            if not arg:
+                raise ValueError("talpha needs an amplitude, e.g. talpha:1.0")
+            return coherent_projector(_amplitude(arg), **at)
+        if name == "gd":
+            return _parse_gd(arg, **at)
+        if name == "loss":
+            if not arg:
+                raise ValueError("loss needs a transmissivity, e.g. loss:0.9")
+            return loss(float(arg), **at)
+    except ValueError as exc:
+        raise ValueError(f"bad map spec {spec!r}: {exc}") from exc
     raise ValueError(f"unknown map spec {spec!r}")

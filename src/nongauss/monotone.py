@@ -65,6 +65,11 @@ DEFAULT_NS_GRID = (0.5, 1.0, 2.0, 4.0)
 DEFAULT_ENERGY_GRID = (1.0, 2.0, 4.0, 8.0)
 SLOPE_MIN = 0.5
 PLATEAU_TOL = 0.05
+# the tolerance a sweep's fitted slope is reported with, and the one the
+# spread of the closed-form δ̃ of pns/pna along α = 0 is reported with and
+# checked against (verify's stationarity checks)
+SLOPE_FIT_TOL = 0.05
+ALPHA_ZERO_SPREAD_TOL = 1e-3
 
 # tolerances the searches report: the Fock route's (its input family is
 # certified for it), and the δ̃ simplex's on its argmax and on the value

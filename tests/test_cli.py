@@ -7,6 +7,7 @@ import pytest
 import nongauss.cli
 import nongauss.monotone
 from nongauss.cli import main
+from nongauss.maps import parse_map_spec
 
 
 def run_cli(argv, capsys):
@@ -433,3 +434,56 @@ def test_map_ng_gaussian_channel_reads_zero_within_its_bound(spec, capsys):
     code, out, _ = run_cli(["map-ng", spec, "--bound"], capsys)
     assert code == 0
     assert load_report(out)["results"]["upper_bound"]["value"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "command, cutoff",
+    [
+        ("map-ng pns", 40),
+        ("map-ng pna", 40),
+        ("map-ng kerr:0.5", 32),
+        ("map-ng id", 32),
+        ("map-ng bps", 60),
+        ("map-ng loss:0.7", 30),
+        ("map-ng gd:bs0.5,env=vacuum", 25),
+        ("sweep id", 60),
+        ("state-ng vacuum", 40),
+    ],
+)
+def test_each_command_echoes_the_default_cutoff_it_ran_at(command, cutoff, capsys):
+    # map-ng runs each map at its constructor's default, as the library does
+    name, spec = command.split()
+    code, out, _ = run_cli([name, spec], capsys)
+    assert code == 0
+    assert load_report(out)["config"]["cutoff"] == cutoff
+    if name == "map-ng":
+        assert parse_map_spec(spec).cutoff == cutoff
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "map-ng pns:3",
+        "map-ng id:7",
+        "map-ng bps:x",
+        "sweep id:7",
+        "state-ng vacuum:3",
+        "map-ng gd:bs0.5,bs0.7,env=vacuum",
+        "map-ng gd:bs0.5,env=vacuum,env=fock:1",
+    ],
+)
+def test_a_spec_field_its_name_does_not_take_is_a_usage_error(command, capsys):
+    # once silently ignored, or the last of a repeated gd field kept
+    name, spec = command.split()
+    code, out, err = run_cli([name, spec], capsys)
+    assert code == 2
+    assert out == ""
+    assert spec in err
+
+
+def test_a_coherent_state_past_the_underflow_of_its_vacuum_term_runs(capsys):
+    code, out, _ = run_cli(["state-ng", "coherent:39", "--cutoff", "4096"], capsys)
+    assert code == 0
+    results = load_report(out)["results"]
+    assert abs(results["delta_g"]["deficit"]) <= 1e-10
+    assert results["delta_g"]["value"] == pytest.approx(0.0, abs=1e-9)

@@ -112,6 +112,38 @@ def test_build_coherent_amplitudes():
     assert st.trace_deficit < 1e-10
 
 
+@pytest.mark.parametrize("kind", ["coherent", "cat"])
+@pytest.mark.parametrize("alpha", [38.0, 39.0])
+def test_an_amplitude_past_the_underflow_of_its_vacuum_term_builds(kind, alpha):
+    # e^{-|α|²/2} is subnormal past |α| ≈ 37.6, while the weight sits near
+    # n = |α|²: read in log space, the amplitudes keep it
+    d = 4096
+    st = build_state(kind, alpha, cutoff=d)
+    assert abs(st.trace_deficit) <= 1e-10
+    mean_n = np.sum(np.arange(d) * np.abs(st.data) ** 2)
+    assert mean_n == pytest.approx(alpha**2, rel=1e-6)
+
+
+def test_coherent_amplitudes_match_the_recursion():
+    # the log-space amplitudes against the recursion c_n = c_{n-1} α/√n from
+    # c_0 = e^{-|α|²/2}, a reference wherever c_0 is a normal number
+    def recursion(alpha, d):
+        c = np.empty(d, dtype=complex)
+        c[0] = np.exp(-0.5 * abs(alpha) ** 2)
+        for n in range(1, d):
+            c[n] = c[n - 1] * alpha / np.sqrt(n)
+        return c
+
+    for alpha in (0.0, 1.0, -1.0, 0.7j, 2.5 - 1.5j, -6.0 + 8.0j, 10.0):
+        got = nongauss.fock._coherent_amplitudes(complex(alpha), 80)
+        assert_allclose(got, recursion(complex(alpha), 80), rtol=0, atol=1e-13)
+
+
+def test_a_zero_amplitude_is_the_vacuum_exactly():
+    assert_array_equal(build_state("coherent", 0.0, cutoff=8).data, np.eye(8)[0])
+    assert_array_equal(build_state("cat", 0.0, cutoff=8).data, np.eye(8)[0])
+
+
 def test_build_coherent_truncation_error():
     with pytest.raises(TruncationError) as exc:
         build_state("coherent", 4.0, cutoff=12)

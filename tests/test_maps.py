@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from functools import reduce
 
@@ -611,7 +612,7 @@ def test_gaussian_channels_carry_their_gaussian_form():
 @pytest.mark.parametrize("spec", ["vacuum", "fock:0", "coherent:0.5", "coherent:0.3,-0.2"])
 def test_gaussian_environment_matches_its_ket(spec):
     want = gaussify(parse_state_spec(spec, 20))
-    got = _gaussian_environment(spec)
+    got = _gaussian_environment(spec, 20)[1]
     assert_allclose(got.mean, want.mean, rtol=0, atol=1e-12)
     assert_allclose(got.cov, want.cov, rtol=0, atol=1e-12)
 
@@ -641,3 +642,20 @@ def test_gaussian_form_agrees_with_its_kraus_family(spec, d, state):
     got = gaussify(out)
     assert_allclose(got.mean, want.mean, rtol=0, atol=1e-6)
     assert_allclose(got.cov, want.cov, rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["pns:3", "pna:1", "bps:x", "id:7", "gd:bs0.5,bs0.7,env=vacuum", "gd:bs0.5,env=vacuum,env=fock:1"],
+)
+def test_a_map_spec_field_its_name_does_not_take_is_refused(spec):
+    # once silently ignored, or the last of a repeated gd field kept
+    with pytest.raises(ValueError, match=re.escape(repr(spec))):
+        parse_map_spec(spec, 12)
+
+
+def test_vacuum_takes_no_argument_and_kerr_keeps_its_default_gamma():
+    with pytest.raises(ValueError, match="'vacuum:3'"):
+        parse_state_spec("vacuum:3", 12)
+    for spec in ("kerr", "kerr:"):
+        assert parse_map_spec(spec, 12).metadata["gamma"] == nongauss.maps.DEFAULT_KERR_GAMMA
