@@ -24,7 +24,7 @@ from .errors import (
     ZeroProbabilityError,
 )
 # perfbench's tracer test checks that apply_map and build_unitary are rebound here
-from .fock import apply_map, build_unitary, delta_g, von_neumann_entropy  # noqa: F401
+from .fock import BUILD_DEFICIT_TOL, apply_map, build_unitary, delta_g, von_neumann_entropy  # noqa: F401
 from .maps import parse_map_spec, parse_state_spec
 from .monotone import (
     ALPHA_ZERO_SPREAD_TOL,
@@ -39,9 +39,8 @@ from .monotone import (
 _EXIT_USAGE = 2
 _EXIT_NUMERIC = 3
 
-# default truncation of state-ng and of sweep, which needs headroom for the
-# top of the default energy grid; map-ng builds each map at its own default
-_STATE_CUTOFF = 40
+# default truncation of sweep, which needs headroom for the top of the default
+# energy grid; state-ng and map-ng build at their library defaults
 _SWEEP_CUTOFF = 60
 # specs parse_map_spec builds that map-ng and sweep cannot evaluate, with
 # their (input, output) mode counts: both take single-mode maps
@@ -115,10 +114,9 @@ def _argmax_fields(res, tolerance):
 
 
 def cmd_state_ng(args):
-    cutoff = args.cutoff or _STATE_CUTOFF
-    if not args.trace_tol >= 0.0:
+    if args.trace_tol is not None and not args.trace_tol >= 0.0:
         raise ValueError(f"--trace-tol must be a nonnegative number, got {args.trace_tol}")
-    state = parse_state_spec(args.spec, cutoff, trace_tol=args.trace_tol)
+    state = parse_state_spec(args.spec, args.cutoff, args.trace_tol)
     value = delta_g(state)
     entropy = von_neumann_entropy(state)
     results = {
@@ -130,7 +128,7 @@ def cmd_state_ng(args):
         ),
         "n_modes": state.n_modes,
     }
-    config = _config(args, spec=args.spec, cutoff=cutoff, trace_tol=args.trace_tol)
+    config = _config(args, spec=args.spec, cutoff=state.cutoff, trace_tol=state.trace_tol)
     return config, results
 
 
@@ -232,7 +230,8 @@ def build_parser():
 
     p = sub.add_parser("state-ng", parents=[common], help="δ_G of a state")
     p.add_argument("spec", help="vacuum | fock:n | coherent:re[,im] | thermal:N | tmsv:NS | cat:alpha")
-    p.add_argument("--trace-tol", type=float, default=1e-6, dest="trace_tol")
+    tol_help = f"weight the state may lose to truncation (default {BUILD_DEFICIT_TOL:g})"
+    p.add_argument("--trace-tol", type=float, help=tol_help)
 
     map_spec = "pns | pna | bps | kerr:g | gd:bs<tau>,env=<state> | loss:tau | id"
     p = sub.add_parser("map-ng", parents=[common], help="monotone of a map")
@@ -276,7 +275,8 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     except (TruncationError, ZeroProbabilityError, ArithmeticError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        retry = getattr(exc, "suggested_cutoff", None)
+        print(f"error: {exc}" + (f"; try --cutoff {retry}" if retry else ""), file=sys.stderr)
         return _EXIT_NUMERIC
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)

@@ -257,36 +257,40 @@ def _amplitudes(kind, params, cutoff, trace_tol=np.inf):
     Σ_i c_i |i, i⟩.  The trace deficit is 1 − Σ|c|², so no family forms a
     d×d array before it is accepted.
 
+    :raises ValueError: before any arithmetic, a Fock number that is not an
+        integer >= 0, an amplitude that is not finite, or an occupation that
+        is not finite and >= 0, naming the parameter.
     :raises TruncationError: the deficit exceeds trace_tol; the suggested
         cutoff reads the deficits of this route at larger cutoffs.
     """
     if kind in ("vacuum", "fock"):
-        n = 0 if kind == "vacuum" else int(params)
-        if n < 0:
-            raise ValueError(f"photon number must be >= 0, got {n}")
+        n = 0 if kind == "vacuum" else params
+        if not (n >= 0 and float(n).is_integer()):
+            raise ValueError(f"a Fock number must be an integer >= 0, got {n}")
+        n = int(n)
         if n >= cutoff:
             raise TruncationError(
                 f"fock({n}) needs cutoff > {n}", deficit=1.0, suggested_cutoff=n + 1
             )
         c = np.zeros(cutoff)
         c[n] = 1.0
-    elif kind == "coherent":
-        c = _coherent_amplitudes(complex(params), cutoff)
-    elif kind == "cat":
+    elif kind in ("coherent", "cat"):
         alpha = complex(params)
-        c = 2.0 * _coherent_amplitudes(alpha, cutoff)
-        c[1::2] = 0.0  # |α⟩ + |−α⟩: the even terms of 2|α⟩
-        c = c / np.sqrt(2.0 * (1.0 + np.exp(-2.0 * abs(alpha) ** 2)))
-    elif kind == "thermal":
+        if not np.isfinite(alpha):
+            raise ValueError(f"a {kind} amplitude must be finite, got {params}")
+        c = _coherent_amplitudes(alpha, cutoff)
+        if kind == "cat":
+            c = 2.0 * c
+            c[1::2] = 0.0  # |α⟩ + |−α⟩: the even terms of 2|α⟩
+            c = c / np.sqrt(2.0 * (1.0 + np.exp(-2.0 * abs(alpha) ** 2)))
+    elif kind in ("thermal", "tmsv"):
         N = float(params)
-        if N < 0:
-            raise ValueError(f"mean photon number must be >= 0, got {N}")
-        c = np.sqrt(_thermal_weights(N, cutoff))
-    elif kind == "tmsv":
-        N_S = float(params)
-        if N_S < 0:
-            raise ValueError(f"N_S must be >= 0, got {N_S}")
-        c = np.sqrt(N_S / (N_S + 1.0)) ** np.arange(cutoff) / np.sqrt(N_S + 1.0)
+        if not 0.0 <= N < np.inf:
+            raise ValueError(f"a {kind} occupation must be finite and >= 0, got {params}")
+        if kind == "thermal":
+            c = np.sqrt(_thermal_weights(N, cutoff))
+        else:
+            c = np.sqrt(N / (N + 1.0)) ** np.arange(cutoff) / np.sqrt(N + 1.0)
     else:
         raise ValueError(f"unknown state kind: {kind!r}")
     deficit = _weight_lost(c)
@@ -310,7 +314,8 @@ def build_state(kind, params=None, cutoff=DEFAULT_CUTOFF, trace_tol=BUILD_DEFICI
     superposition, α), 'thermal' (N), 'tmsv' (N_S, Schmidt series with
     λ = √(N_S/(N_S+1))), each built from its amplitudes (_amplitudes).
 
-    :raises ValueError: trace_tol is negative or NaN, before any cutoff search.
+    :raises ValueError: trace_tol is negative or NaN, or a parameter is out of
+        its range (_amplitudes), before any cutoff search.
     :raises TruncationError: deficit above trace_tol, with a suggested cutoff.
     """
     if not trace_tol >= 0.0:

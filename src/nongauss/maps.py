@@ -19,6 +19,7 @@ from .fock import (
     DEFAULT_CUTOFF,
     ConditionalMap,
     FockArray,
+    _check_cutoff,
     build_state,
     build_unitary,
     ladder,
@@ -92,6 +93,7 @@ def kerr(gamma=DEFAULT_KERR_GAMMA, cutoff=32):
 
 def identity_map(cutoff=32):
     """The single-mode identity channel."""
+    _check_cutoff(cutoff)
     body = ConditionalMap(1, 1, (np.eye(cutoff, dtype=complex),), renormalize=False)
     form = (SymplecticOp(1, np.eye(2), np.zeros(2)), None)
     return MapDescriptor("id", body, cutoff, {"gaussian_form": form})
@@ -175,8 +177,9 @@ def compose(outer, inner):
     )
 
 
-def parse_state_spec(spec, cutoff, trace_tol=1e-6):
-    """Build a state from a command-line spec string.
+def parse_state_spec(spec, cutoff=None, trace_tol=None):
+    """Build a state from a command-line spec string with build_state, at its
+    default cutoff and trace tolerance where either is None.
 
     Grammar: vacuum | fock:n | coherent:re[,im] | thermal:N | tmsv:NS |
     cat:alpha; vacuum takes no argument.
@@ -184,17 +187,21 @@ def parse_state_spec(spec, cutoff, trace_tol=1e-6):
     return _state_spec(spec, cutoff, trace_tol)[0]
 
 
-def _state_spec(spec, cutoff, trace_tol=1e-6):
-    # the one parse of a state spec: (its state, kind, params)
+def _state_spec(spec, cutoff=None, trace_tol=None, pure=False):
+    # the one parse of a state spec: (its state, kind, params); pure=True
+    # refuses a mixed or two-mode kind before anything is built
     name, _, arg = spec.partition(":")
     kind = name.strip().lower()
     read = {"vacuum": _no_argument, "fock": int, "coherent": _amplitude,
             "thermal": float, "tmsv": float, "cat": float}
     if kind not in read:
         raise ValueError(f"unknown state spec {spec!r}")
+    if pure and kind in ("thermal", "tmsv"):
+        raise UnsupportedMapError("beamsplitter dilation takes a single-mode pure environment")
+    at = {k: v for k, v in (("cutoff", cutoff), ("trace_tol", trace_tol)) if v is not None}
     try:
         params = read[kind](arg)
-        return build_state(kind, params, cutoff, trace_tol=trace_tol), kind, params
+        return build_state(kind, params, **at), kind, params
     except ValueError as exc:
         raise ValueError(f"bad state spec {spec!r}: {exc}") from exc
 
@@ -216,11 +223,7 @@ def _no_argument(arg):
 def _gaussian_environment(spec, cutoff):
     # a beamsplitter's environment spec, parsed once: its ket, and the ket as
     # a GaussianState when it is one (vacuum, fock:0, coherent), else None
-    env, kind, params = _state_spec(spec, cutoff)
-    if env.kind != "ket" or env.n_modes != 1:
-        raise UnsupportedMapError(
-            "beamsplitter dilation takes a single-mode pure environment"
-        )
+    env, kind, params = _state_spec(spec, cutoff, pure=True)
     if kind == "vacuum" or (kind == "fock" and params == 0):
         return env, vacuum_state(1)
     if kind == "coherent":

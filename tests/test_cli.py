@@ -7,6 +7,7 @@ import pytest
 import nongauss.cli
 import nongauss.monotone
 from nongauss.cli import main
+from nongauss.fock import build_state
 from nongauss.maps import parse_map_spec
 
 
@@ -487,3 +488,41 @@ def test_a_coherent_state_past_the_underflow_of_its_vacuum_term_runs(capsys):
     results = load_report(out)["results"]
     assert abs(results["delta_g"]["deficit"]) <= 1e-10
     assert results["delta_g"]["value"] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_state_ng_echoes_the_cutoff_and_tolerance_its_state_was_built_at(capsys):
+    code, out, _ = run_cli(["state-ng", "vacuum"], capsys)
+    assert code == 0
+    config = load_report(out)["config"]
+    default = build_state("vacuum")
+    assert (config["cutoff"], config["trace_tol"]) == (default.cutoff, default.trace_tol) == (40, 1e-8)
+
+
+def test_a_truncation_refusal_names_the_cutoff_to_retry_at(capsys):
+    # coherent:3.1 loses 1.1e-7 of its weight at cutoff 30 and holds at 60
+    argv = ["state-ng", "coherent:3.1", "--cutoff", "30"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "error: coherent state loses 1.104e-07 of its weight at cutoff 30; try --cutoff 60\n"
+    assert run_cli(argv + ["--trace-tol", "1e-6"], capsys)[0] == 0
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "state-ng coherent:inf",
+        "state-ng cat:inf",
+        "state-ng cat:nan",
+        "state-ng thermal:nan",
+        "state-ng tmsv:inf",
+        "map-ng gd:bs0.5,env=coherent:inf",
+    ],
+)
+def test_a_state_parameter_that_is_not_finite_is_a_usage_error(command, capsys):
+    # refused by name before any arithmetic; a RuntimeWarning is an error here
+    name, spec = command.split()
+    code, out, err = run_cli([name, spec], capsys)
+    assert code == 2
+    assert out == ""
+    assert "must be finite" in err

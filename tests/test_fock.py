@@ -211,6 +211,29 @@ def test_ket_refusal_builds_no_square_array(kind):
     assert peak < 1.0
 
 
+@pytest.mark.parametrize(
+    "kind, params, name",
+    [
+        ("fock", 2.7, "Fock number"),
+        ("fock", -1, "Fock number"),
+        ("fock", np.inf, "Fock number"),
+        ("coherent", np.inf, "coherent amplitude"),
+        ("coherent", complex(0.5, np.nan), "coherent amplitude"),
+        ("cat", np.inf, "cat amplitude"),
+        ("cat", np.nan, "cat amplitude"),
+        ("thermal", np.nan, "thermal occupation"),
+        ("thermal", np.inf, "thermal occupation"),
+        ("tmsv", np.inf, "tmsv occupation"),
+        ("tmsv", -0.5, "tmsv occupation"),
+    ],
+)
+def test_a_bad_state_parameter_is_refused_by_name(kind, params, name):
+    # before any arithmetic, where a non-finite amplitude once warned, a
+    # non-integer Fock number was truncated and an infinite one overflowed
+    with pytest.raises(ValueError, match=name):
+        build_state(kind, params, 20)
+
+
 def test_build_cat_even_support():
     st = build_state("cat", 1.5, cutoff=40)
     assert abs(st.data[1]) < 1e-14 and abs(st.data[3]) < 1e-14

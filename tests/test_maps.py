@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import nongauss.maps
-from nongauss.errors import UnsupportedMapError, ZeroProbabilityError
+from nongauss.errors import TruncationError, UnsupportedMapError, ZeroProbabilityError
 from nongauss.fock import (
     ConditionalMap,
     FockArray,
@@ -158,6 +158,12 @@ def test_identity_map_passthrough():
     out, prob = apply_map(state, identity_map(d).body)
     assert prob == float(np.vdot(state.data, state.data).real)
     assert_allclose(out.data, state.data, atol=1e-12)
+
+
+@pytest.mark.parametrize("cutoff", [0, 1])
+def test_identity_map_refuses_a_cutoff_below_two(cutoff):
+    with pytest.raises(ValueError, match="cutoff must be >= 2"):
+        identity_map(cutoff)
 
 
 def test_conditional_unitary_is_one_operator_on_unchanged_modes():
@@ -659,3 +665,26 @@ def test_vacuum_takes_no_argument_and_kerr_keeps_its_default_gamma():
         parse_state_spec("vacuum:3", 12)
     for spec in ("kerr", "kerr:"):
         assert parse_map_spec(spec, 12).metadata["gamma"] == nongauss.maps.DEFAULT_KERR_GAMMA
+
+
+def test_a_spec_an_environment_and_the_library_refuse_one_truncation():
+    # coherent:3.1 loses 1.1e-7 of its weight at cutoff 30, above build_state's
+    # tolerance: a spec and a gd environment build at that tolerance too
+    for build in (
+        lambda: build_state("coherent", 3.1, 30),
+        lambda: parse_state_spec("coherent:3.1", 30),
+        lambda: parse_map_spec("gd:bs0.5,env=coherent:3.1", 30),
+    ):
+        with pytest.raises(TruncationError) as exc:
+            build()
+        assert exc.value.suggested_cutoff == 60
+
+
+@pytest.mark.parametrize("env", ["thermal:1.0", "tmsv:1.0"])
+def test_a_mixed_or_two_mode_environment_is_refused_before_it_is_built(env, monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("an environment state was built")
+
+    monkeypatch.setattr(nongauss.maps, "build_state", build)
+    with pytest.raises(UnsupportedMapError):
+        parse_map_spec(f"gd:bs0.5,env={env}", 25)
