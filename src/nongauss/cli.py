@@ -42,9 +42,6 @@ _EXIT_NUMERIC = 3
 # default truncation of sweep, which needs headroom for the top of the default
 # energy grid; state-ng and map-ng build at their library defaults
 _SWEEP_CUTOFF = 60
-# specs parse_map_spec builds that map-ng and sweep cannot evaluate, with
-# their (input, output) mode counts: both take single-mode maps
-_MULTI_MODE_MAPS = {"talpha": (2, 1), "tα": (2, 1)}
 
 def _utc_now():
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
@@ -70,11 +67,11 @@ def _report(command, config, results, wall_s):
     }
 
 
-def _emit(report, args, csv_text=None):
-    if args.format == "csv":
-        text = csv_text
-    else:
+def _emit(report, args, csv_text):
+    if csv_text is None:
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    else:
+        text = csv_text
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -82,15 +79,9 @@ def _emit(report, args, csv_text=None):
         sys.stdout.write(text)
 
 
-def _config(args, **extra):
-    cfg = {
-        "cutoff": args.cutoff,
-        "seed": args.seed,
-        "format": args.format,
-        "out": args.out,
-    }
-    cfg.update(extra)
-    return cfg
+def _config(args, **ran_at):
+    # the options the command takes, as parsed, updated with what it ran at
+    return {k: v for k, v in vars(args).items() if k not in ("command", "run")} | ran_at
 
 
 def _argmax_fields(res, tolerance):
@@ -128,25 +119,12 @@ def cmd_state_ng(args):
         ),
         "n_modes": state.n_modes,
     }
-    config = _config(args, spec=args.spec, cutoff=state.cutoff, trace_tol=state.trace_tol)
-    return config, results
-
-
-def _single_mode_map(spec, cutoff):
-    """parse_map_spec of a single-mode map, at its default cutoff when cutoff
-    is None; other specs are refused before any map is built."""
-    name = spec.split(":", 1)[0].strip().lower()
-    if name in _MULTI_MODE_MAPS:
-        n_in, n_out = _MULTI_MODE_MAPS[name]
-        raise UnsupportedMapError(
-            f"{spec} maps {n_in} modes to {n_out}; map-ng and sweep take single-mode maps"
-        )
-    return parse_map_spec(spec, cutoff)
+    return _config(args, cutoff=state.cutoff, trace_tol=state.trace_tol), results, None, True
 
 
 def cmd_map_ng(args):
-    desc = _single_mode_map(args.spec, args.cutoff)
-    config = _config(args, spec=args.spec, cutoff=desc.cutoff, bound=args.bound)
+    desc = parse_map_spec(args.spec, args.cutoff)
+    config = _config(args, cutoff=desc.cutoff)
     if args.bound:
         res = environment_bound(desc, seed=args.seed)
         results = {
@@ -156,7 +134,7 @@ def cmd_map_ng(args):
             "checked": res.checked,
             "excluded": res.excluded,
         }
-        return config, results
+        return config, results, None, True
     res = (delta_tilde if desc.body.conditional_unitary else d_g_bound)(desc, seed=args.seed)
     results = {
         "method": res.quantity,
@@ -175,11 +153,11 @@ def cmd_map_ng(args):
         results["alpha_zero_spread"] = _measured(
             res.diagnostics["alpha_zero_spread"], tolerance=ALPHA_ZERO_SPREAD_TOL
         )
-    return config, results
+    return config, results, None, True
 
 
 def cmd_sweep(args):
-    desc = _single_mode_map(args.spec, args.cutoff or _SWEEP_CUTOFF)
+    desc = parse_map_spec(args.spec, args.cutoff)
     grid = tuple(float(x) for x in args.grid.split(",")) if args.grid else None
     prof = divergence_profile(desc, grid=grid, seed=args.seed)
     points = [
@@ -197,10 +175,8 @@ def cmd_sweep(args):
     buf.write("energy,delta,slope_fit,classification\n")
     for e, v in zip(prof.grid, prof.deltas):
         buf.write(f"{e:g},{v:.6f},{prof.slope:.6f},{prof.classification}\n")
-    config = _config(
-        args, spec=args.spec, cutoff=desc.cutoff, grid=list(grid) if grid else None
-    )
-    return config, results, buf.getvalue()
+    config = _config(args, cutoff=desc.cutoff, grid=list(grid) if grid else None)
+    return config, results, buf.getvalue() if args.format == "csv" else None, True
 
 
 def cmd_verify(args):
@@ -212,7 +188,7 @@ def cmd_verify(args):
         "passed": len(checks) - failed,
         "failed": failed,
     }
-    return _config(args, suite=args.suite), results, failed == 0
+    return _config(args), results, None, failed == 0
 
 
 def build_parser():
@@ -222,27 +198,33 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cutoff", type=int, default=None, help="Fock truncation")
     common.add_argument("--seed", type=int, default=0, help="generator seed")
     common.add_argument("--out", default=None, help="write the report here")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("state-ng", parents=[common], help="δ_G of a state")
+    p.set_defaults(run=cmd_state_ng)
     p.add_argument("spec", help="vacuum | fock:n | coherent:re[,im] | thermal:N | tmsv:NS | cat:alpha")
+    p.add_argument("--cutoff", type=int, help="Fock truncation (default: the state's)")
     tol_help = f"weight the state may lose to truncation (default {BUILD_DEFICIT_TOL:g})"
     p.add_argument("--trace-tol", type=float, help=tol_help)
 
     map_spec = "pns | pna | bps | kerr:g | gd:bs<tau>,env=<state> | loss:tau | id"
     p = sub.add_parser("map-ng", parents=[common], help="monotone of a map")
+    p.set_defaults(run=cmd_map_ng)
     p.add_argument("spec", help=map_spec)
+    p.add_argument("--cutoff", type=int, help="Fock truncation (default: the map's)")
     p.add_argument("--bound", action="store_true", help="environment upper bound (gd/loss)")
 
     p = sub.add_parser("sweep", parents=[common], help="divergence classification")
+    p.set_defaults(run=cmd_sweep)
     p.add_argument("spec", help=map_spec)
+    p.add_argument("--cutoff", type=int, default=_SWEEP_CUTOFF, help="Fock truncation")
     p.add_argument("--grid", default=None, help="comma-separated energies")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("verify", parents=[common], help="named assertion suite")
+    p.set_defaults(run=cmd_verify)
     p.add_argument("suite", choices=verify.SUITES)
     return parser
 
@@ -253,24 +235,12 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return _EXIT_USAGE if exc.code not in (0,) else 0
-    if args.cutoff is not None and args.cutoff < 8:
+    if getattr(args, "cutoff", None) is not None and args.cutoff < 8:
         print("error: cutoff must be at least 8", file=sys.stderr)
-        return _EXIT_USAGE
-    if args.format == "csv" and args.command != "sweep":
-        print("error: CSV output is for sweep tables only", file=sys.stderr)
         return _EXIT_USAGE
     start = time.perf_counter()
     try:
-        csv_text = None
-        ok = True
-        if args.command == "state-ng":
-            config, results = cmd_state_ng(args)
-        elif args.command == "map-ng":
-            config, results = cmd_map_ng(args)
-        elif args.command == "sweep":
-            config, results, csv_text = cmd_sweep(args)
-        else:
-            config, results, ok = cmd_verify(args)
+        config, results, csv_text, ok = args.run(args)
     except (InvalidStateError, UnsupportedMapError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE

@@ -143,14 +143,15 @@ def gaussian_dilatable(sym, env, cutoff=DEFAULT_CUTOFF):
 
 def loss(tau, cutoff=30):
     """Pure-loss channel of transmissivity τ (beamsplitter + vacuum)."""
-    if not 0.0 < tau <= 1.0:
-        raise ValueError("transmissivity must lie in (0, 1]")
     return _beamsplitter_channel("loss", tau, "vacuum", cutoff)
 
 
 def _beamsplitter_channel(name, tau, env_spec, cutoff):
-    # gaussian_dilatable of a beamsplitter of transmissivity τ on the
-    # environment env_spec, with the Gaussian form when that state is Gaussian
+    # gaussian_dilatable of a beamsplitter of transmissivity τ in (0, 1] on
+    # the environment env_spec, with the Gaussian form when that state is
+    # Gaussian; at τ = 0, a swap, every input would leave as the environment
+    if not 0.0 < tau <= 1.0:
+        raise ValueError("transmissivity must lie in (0, 1]")
     env, g_env = _gaussian_environment(env_spec, cutoff)
     sym = gaussian_unitary("beamsplitter", tau, n_modes=2)
     desc = gaussian_dilatable(sym, env, cutoff)
@@ -255,8 +256,8 @@ def parse_map_spec(spec, cutoff=None):
     """Build a map from a command-line spec string, at cutoff or, when it is
     None, at the constructor's default cutoff (the gd spec's is 25).
 
-    Grammar: pns | pna | bps | kerr[:gamma] | talpha:alpha |
-    gd:bs<tau>,env=<state> | loss:tau | id.  pns, pna, bps and id take no
+    Grammar: pns | pna | bps | kerr[:gamma] | gd:bs<tau>,env=<state> |
+    loss:tau | id, each a single-mode map.  pns, pna, bps and id take no
     argument, and gd each of its two fields once.
 
     :raises ValueError: a malformed spec, naming it.
@@ -271,10 +272,6 @@ def parse_map_spec(spec, cutoff=None):
             return plain[name](**at)
         if name == "kerr":
             return kerr(float(arg) if arg else DEFAULT_KERR_GAMMA, **at)
-        if name in ("talpha", "tα"):
-            if not arg:
-                raise ValueError("talpha needs an amplitude, e.g. talpha:1.0")
-            return coherent_projector(_amplitude(arg), **at)
         if name == "gd":
             return _parse_gd(arg, **at)
         if name == "loss":

@@ -974,6 +974,7 @@ def environment_bound(desc, seed=0, samples=4):
     rng = np.random.default_rng(seed)
     worst, checked, refusals = 0.0, 0, []
     draws = _DRAWS_PER_SAMPLE * samples
+    edge_tol = ENVIRONMENT_SLACK / (EDGE_COST * desc.cutoff**2)
     while checked < samples and checked + len(refusals) < draws:
         p = InputParams(
             complex(rng.uniform(0.0, 0.8)),
@@ -982,19 +983,20 @@ def environment_bound(desc, seed=0, samples=4):
             float(rng.uniform(0.05, 1.0)),
         )
         try:
-            ket = input_family(
-                p, "fock", cutoff=desc.cutoff, moment_tol=ENVIRONMENT_SLACK
-            )
+            ket = input_family(p, "fock", cutoff=desc.cutoff, edge_tol=edge_tol)
         except TruncationError as exc:
             # keep the numbers, not the exception: its traceback would hold
             # the frames alive and fragment the heap under later large arrays
-            refusals.append((exc.deficit, exc.suggested_cutoff))
+            refusals.append((exc.deficit, exc.suggested_cutoff, p))
             continue
         out, _ = apply_map(ket, desc.body, targets=[1], trace_tol=1e-2)
         worst = max(worst, delta_g(out))
         checked += 1
     if samples and not checked:
-        deficit, suggestion = min(refusals, key=lambda refusal: refusal[0])
+        deficit, suggestion, p = min(refusals, key=lambda refusal: refusal[0])
+        if suggestion is None:
+            # an edge refusal: only the one reported needs its cutoff
+            suggestion = gaussian_cutoff(input_family(p), ENVIRONMENT_SLACK, above=desc.cutoff)
         raise TruncationError(
             f"none of {len(refusals)} input-family members fits cutoff "
             f"{desc.cutoff}",

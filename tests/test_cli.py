@@ -5,6 +5,7 @@ import json
 import pytest
 
 import nongauss.cli
+import nongauss.maps
 import nongauss.monotone
 from nongauss.cli import main
 from nongauss.fock import build_state
@@ -87,6 +88,50 @@ def test_trace_tol_belongs_to_state_ng_only(argv, capsys):
     code, _, err = run_cli(argv + ["--trace-tol", "1e-5"], capsys)
     assert code == 2
     assert "--trace-tol" in err
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (["state-ng", "vacuum"], {"spec", "cutoff", "trace_tol", "seed", "out"}),
+        (["map-ng", "id", "--cutoff", "8"], {"spec", "cutoff", "bound", "seed", "out"}),
+        (
+            ["sweep", "id", "--cutoff", "8", "--grid", "0.1,0.2,0.3,0.4"],
+            {"spec", "cutoff", "grid", "format", "seed", "out"},
+        ),
+        (["verify", "relent"], {"suite", "seed", "out"}),
+    ],
+    ids=["state-ng", "map-ng", "sweep", "verify"],
+)
+def test_a_report_echoes_exactly_the_options_its_command_takes(argv, keys, capsys):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert set(load_report(out)["config"]) == keys
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "lemma1", "--cutoff", "30"],
+        ["verify", "relent", "--format", "json"],
+        ["map-ng", "pns", "--format", "json"],
+        ["state-ng", "vacuum", "--format", "json"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_an_option_its_command_does_not_read_is_a_usage_error(argv, capsys, monkeypatch):
+    # once accepted and echoed, though nothing read it
+    def run(*args, **kwargs):
+        raise AssertionError("ran a command with an option it does not take")
+
+    suites = dict.fromkeys(nongauss.cli.verify.SUITES, run)
+    monkeypatch.setattr(nongauss.cli.verify, "SUITES", suites)
+    monkeypatch.setattr(nongauss.cli, "parse_map_spec", run)
+    monkeypatch.setattr(nongauss.cli, "parse_state_spec", run)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {' '.join(argv[2:])}" in err
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1"])
@@ -294,21 +339,30 @@ def test_usage_unknown_map(capsys):
 
 
 def test_usage_unsupported_map_monotone(capsys):
-    # the two-mode projective map has no single-mode monotone route
+    # the two-mode projective map is a library constructor, not a map spec
     code, _, err = run_cli(["map-ng", "talpha:0.5"], capsys)
     assert code == 2
-    assert "single-mode" in err
+    assert "unknown map spec" in err
 
 
 @pytest.mark.parametrize("command", ["map-ng", "sweep"])
 def test_two_mode_map_spec_is_refused_before_it_is_built(command, capsys, monkeypatch):
-    def build(spec, cutoff):
-        raise AssertionError(f"{spec} was built")
+    def build(alpha, cutoff):
+        raise AssertionError(f"talpha:{alpha} was built")
 
-    monkeypatch.setattr(nongauss.cli, "parse_map_spec", build)
+    monkeypatch.setattr(nongauss.maps, "coherent_projector", build)
     code, _, err = run_cli([command, "talpha:0.5"], capsys)
     assert code == 2
-    assert "talpha:0.5 maps 2 modes to 1" in err
+    assert "unknown map spec 'talpha:0.5'" in err
+
+
+def test_map_ng_refuses_a_gd_transmissivity_of_zero(capsys):
+    # gd:bs0,env=vacuum, the channel loss:0 refuses, once built and read 0
+    for spec in ("loss:0", "gd:bs0,env=vacuum"):
+        code, out, err = run_cli(["map-ng", spec], capsys)
+        assert code == 2
+        assert out == ""
+        assert spec in err and "transmissivity must lie in (0, 1]" in err
 
 
 @pytest.mark.parametrize("grid", ["4,2,1,8", "1,2,4,nan", "1,2,4,inf", "-1,1,2,4"])

@@ -323,6 +323,20 @@ def test_loss_rejects_bad_transmissivity():
         loss(1.2)
 
 
+@pytest.mark.parametrize("env", ["vacuum", "fock:1"])
+def test_a_gd_spec_refuses_transmissivity_zero_as_loss_does(env, monkeypatch):
+    # gd:bs0 once built the τ = 0 channel that loss(0) refuses
+    def build(*args, **kwargs):
+        raise AssertionError("a beamsplitter channel was built")
+
+    monkeypatch.setattr(nongauss.maps, "gaussian_dilatable", build)
+    spec = f"gd:bs0,env={env}"
+    with pytest.raises(ValueError, match=re.escape(f"bad map spec {spec!r}: transmissivity")):
+        parse_map_spec(spec)
+    with pytest.raises(ValueError, match="transmissivity"):
+        loss(0.0)
+
+
 def test_dilated_channel_with_single_photon_environment():
     d = 15
     sym = gaussian_unitary("beamsplitter", 0.5, n_modes=2)
@@ -541,7 +555,8 @@ def test_parse_map_spec_kinds():
     assert parse_map_spec("bps", d).name == "bps"
     assert parse_map_spec("kerr", d).metadata["gamma"] == 0.5
     assert parse_map_spec("kerr:0.25", d).metadata["gamma"] == 0.25
-    assert parse_map_spec("talpha:1.0", d).name == "talpha"
+    with pytest.raises(ValueError, match="unknown map spec"):
+        parse_map_spec("talpha:1.0", d)
     assert parse_map_spec("id", d).name == "id"
     assert parse_map_spec("loss:0.9", d).name == "loss"
     gd = parse_map_spec("gd:bs0.5,env=fock:1", d)
@@ -559,7 +574,7 @@ def test_an_amplitude_takes_at_most_two_fields():
     d = 12
     with pytest.raises(ValueError, match=r"re\[,im\]"):
         parse_state_spec("coherent:1,2,3", d)
-    with pytest.raises(ValueError, match=r"re\[,im\]"):
+    with pytest.raises(ValueError, match="unknown map spec"):
         parse_map_spec("talpha:1,2,3", d)
     with pytest.raises(ValueError):
         parse_state_spec("coherent:", d)

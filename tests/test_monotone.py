@@ -959,6 +959,38 @@ def test_environment_bound_raises_when_no_member_fits():
     assert environment_bound(loss(0.5, 4), samples=0).checked == 0
 
 
+@pytest.mark.parametrize(
+    "build, want, calls",
+    [
+        (lambda: loss(0.5, 4), (0.0010088808348280853, 8), 0),
+        (lambda: loss(0.5, 8), (2.3640961837365858e-05, 12), 1),
+        (
+            lambda: gaussian_dilatable(
+                gaussian_unitary("beamsplitter", 0.5, 2), build_state("fock", 1, 25), 25
+            ),
+            (4, 1),
+            0,
+        ),
+    ],
+    ids=["amplitude-refusals", "edge-refusals", "gd-fock-environment"],
+)
+def test_environment_bound_derives_only_the_cutoff_it_reports(build, want, calls, monkeypatch):
+    # a refused member's suggested cutoff is read only when no member fits,
+    # and then only for the mildest refusal; an amplitude refusal carries one
+    made = []
+    real = monotone.gaussian_cutoff
+    monkeypatch.setattr(
+        monotone, "gaussian_cutoff", lambda *a, **k: made.append(a) or real(*a, **k)
+    )
+    try:
+        res = environment_bound(build(), seed=0)
+        got = (res.checked, res.excluded)
+    except TruncationError as exc:
+        got = (exc.deficit, exc.suggested_cutoff)
+    assert got == want
+    assert len(made) == calls
+
+
 def test_environment_bound_raises_when_a_sample_exceeds_it():
     # a Kerr body mislabelled with a vacuum environment: the bound reads 0,
     # while Kerr makes its sampled inputs non-Gaussian
