@@ -43,6 +43,22 @@ _EXIT_NUMERIC = 3
 # energy grid; state-ng and map-ng build at their library defaults
 _SWEEP_CUTOFF = 60
 
+
+def _seed(text):
+    # a generator seed, which numpy takes only as an integer >= 0
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
+def _grid(text):
+    # comma-separated energies; divergence_profile checks the points
+    try:
+        return tuple(float(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be comma-separated numbers, got {text!r}")
+
+
 def _utc_now():
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
@@ -158,8 +174,7 @@ def cmd_map_ng(args):
 
 def cmd_sweep(args):
     desc = parse_map_spec(args.spec, args.cutoff)
-    grid = tuple(float(x) for x in args.grid.split(",")) if args.grid else None
-    prof = divergence_profile(desc, grid=grid, seed=args.seed)
+    prof = divergence_profile(desc, grid=args.grid, seed=args.seed)
     points = [
         {"energy": float(e), "delta": _measured(v, tolerance=prof.tolerance)}
         for e, v in zip(prof.grid, prof.deltas)
@@ -175,7 +190,7 @@ def cmd_sweep(args):
     buf.write("energy,delta,slope_fit,classification\n")
     for e, v in zip(prof.grid, prof.deltas):
         buf.write(f"{e:g},{v:.6f},{prof.slope:.6f},{prof.classification}\n")
-    config = _config(args, cutoff=desc.cutoff, grid=list(grid) if grid else None)
+    config = _config(args, cutoff=desc.cutoff)
     return config, results, buf.getvalue() if args.format == "csv" else None, True
 
 
@@ -198,7 +213,7 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="generator seed")
+    common.add_argument("--seed", type=_seed, default=0, help="generator seed (>= 0)")
     common.add_argument("--out", default=None, help="write the report here")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -220,7 +235,7 @@ def build_parser():
     p.set_defaults(run=cmd_sweep)
     p.add_argument("spec", help=map_spec)
     p.add_argument("--cutoff", type=int, default=_SWEEP_CUTOFF, help="Fock truncation")
-    p.add_argument("--grid", default=None, help="comma-separated energies")
+    p.add_argument("--grid", type=_grid, default=None, help="comma-separated energies")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("verify", parents=[common], help="named assertion suite")

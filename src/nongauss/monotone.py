@@ -12,7 +12,10 @@ Gaussians (_kerr_outputs), for δ̃ and for d_g_bound's inputs alike.
 A Gaussian channel (a descriptor carrying a Gaussian form: id, loss, gd
 with a Gaussian environment) sends Gaussian inputs through in phase
 space, where their outputs are Gaussian and δ_G is exactly 0.  Everything
-else runs on the truncated Fock backend.
+else runs on the truncated Fock backend, through one evaluator
+(_FockValues) for the δ̃ search, d_g_bound and environment_bound alike: an
+input the cutoff refuses, on its lift or its output, is valued −∞ and
+counted in `excluded` (environment_bound draws another).
 
 The closed forms take one member or a stack of them and evaluate a stack
 in one vectorised pass, moments, covariances, physicality checks and
@@ -76,6 +79,8 @@ ALPHA_ZERO_SPREAD_TOL = 1e-3
 FOCK_MOMENT_TOL = 1e-2
 SIMPLEX_XATOL = 1e-4
 SIMPLEX_FATOL = 1e-7
+# the trace a Fock-route output may lose beyond its input's deficit
+_OUTPUT_TRACE_TOL = 1e-2
 # the tolerance a value earns on its backend, each result's `tolerance`:
 # exact in phase space, the input certificate's on the Fock route, the
 # simplex's on a closed form (a conservative bound on a closed-form
@@ -492,7 +497,12 @@ def _clamp(x, n_s_cap):
 
 
 def alpha_zero_spread(which, seed=0, count=10):
-    """Spread of the analytic objective along random rays at α = 0."""
+    """Spread of the analytic objective along random rays at α = 0.
+
+    :raises ValueError: a count below 1.
+    """
+    if not count >= 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     rng = np.random.default_rng(seed)
     vals = []
     for _ in range(count):
@@ -585,6 +595,38 @@ def _nelder_mead(x0, maxfev):
         sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
 
 
+class _FockValues:
+    """Fock-route values δ_G(desc.body(lift(x))) by key, and their record.
+
+    The body acts on `targets` at _OUTPUT_TRACE_TOL, and its output's edge
+    is certified at edge_tol if given.  A key is valued −∞ if its branch
+    vanishes or on a TruncationError, which `refused` keeps as (deficit,
+    suggested cutoff): its traceback would hold the frames alive and
+    fragment the heap under later large arrays.
+    """
+
+    def __init__(self, desc, lift, targets=None, edge_tol=None):
+        self.desc, self.lift, self.targets, self.edge_tol = desc, lift, targets, edge_tol
+        self.deficits, self.refused = {}, {}
+
+    def value(self, key, x):
+        try:
+            state = self.lift(x)
+            self.deficits[key] = state.trace_deficit
+            out, _ = apply_map(state, self.desc.body, self.targets, _OUTPUT_TRACE_TOL)
+            return delta_g(out if self.edge_tol is None else certify_edge(out, self.edge_tol))
+        except ZeroProbabilityError:
+            return -np.inf
+        except TruncationError as exc:
+            self.refused[key] = (exc.deficit, exc.suggested_cutoff)
+            return -np.inf
+
+    def diagnostics(self, trace):
+        """The largest lift deficit over a trace's keys, and its refused entries."""
+        deficit = max([0.0] + [self.deficits.get(k, 0.0) for k, _ in trace])
+        return {"max_deficit": float(deficit), "excluded": sum(k in self.refused for k, _ in trace)}
+
+
 def delta_tilde(desc, seed=0, max_n_s=_CAP_NS):
     """Maximize joint-output non-Gaussianity over the input family.
 
@@ -600,7 +642,12 @@ def delta_tilde(desc, seed=0, max_n_s=_CAP_NS):
     through in phase space and the value is 0 (backend 'phase-space', one
     evaluation); every other map searches on the truncated Fock backend at
     desc.cutoff, excluding the points it cannot represent faithfully.
+
+    :raises ValueError: before any search, a max_n_s that is not finite
+        and >= 0.
     """
+    if not 0.0 <= max_n_s < np.inf:
+        raise ValueError(f"max_n_s must be finite and >= 0, got {max_n_s}")
     if not desc.body.conditional_unitary:
         raise UnsupportedMapError(
             "delta_tilde needs a conditional unitary map; use d_g_bound or "
@@ -640,24 +687,13 @@ def _delta_tilde_search(desc, seed, caps):
         suggested_cutoff=2 * desc.cutoff,
     )
     table = {}
-    deficits = {}
-    refused = set()
-
-    def fock_point(p):
-        try:
-            ket = input_family(p, "fock", cutoff=desc.cutoff, edge_tol=_EDGE_TOL)
-            deficits[p] = ket.trace_deficit
-            out, _ = apply_map(ket, desc.body, targets=[1], trace_tol=1e-2)
-            return delta_g(certify_edge(out, _EDGE_TOL))
-        except ZeroProbabilityError:
-            return -np.inf
-        except TruncationError:
-            refused.add(p)
-            return -np.inf
+    fock = _FockValues(
+        desc, lambda p: input_family(p, "fock", desc.cutoff, edge_tol=_EDGE_TOL), [1], _EDGE_TOL
+    )
 
     def objective(points):
         if backend == "fock":
-            return [fock_point(p) for p in points]
+            return [fock.value(p, p) for p in points]
         weight, m = route(_members(points))
         values = gaussian_entropies(*mean_and_covariance(m))
         return np.where(weight > 0.0, values, -np.inf).tolist()
@@ -673,12 +709,6 @@ def _delta_tilde_search(desc, seed, caps):
 
     def coords(p):
         return np.array([abs(p.alpha), p.theta, p.r, p.n_s])
-
-    def result(trace):
-        deficit = max([0.0] + [deficits.get(p, 0.0) for p, _ in trace])
-        excluded = sum(p in refused for p, _ in trace)
-        diagnostics = {"backend": backend, "max_deficit": float(deficit), "excluded": excluded}
-        return _result("delta_tilde", trace, diagnostics, refusal)
 
     lattices = [
         [
@@ -712,7 +742,10 @@ def _delta_tilde_search(desc, seed, caps):
                 del asked[i]
     for k, _, run_trace in runs:
         traces[k] += run_trace
-    return [result(trace) for trace in traces]
+    return [
+        _result("delta_tilde", trace, {"backend": backend, **fock.diagnostics(trace)}, refusal)
+        for trace in traces
+    ]
 
 
 def _coherent_input(alpha):
@@ -805,9 +838,12 @@ def d_g_bound(desc, inputs=None, energy=None, seed=0, count=4):
     cutoff cannot hold are skipped, keeping the value a faithful lower
     bound.
 
-    :raises ValueError: before any route runs, no inputs, or one that is
-        not a single-mode GaussianState.
+    :raises ValueError: before any route runs, an energy that is not
+        finite and >= 0, no inputs, or one that is not a single-mode
+        GaussianState.
     """
+    if energy is not None and not 0.0 <= energy < np.inf:
+        raise ValueError(f"energy must be finite and >= 0, got {energy}")
     body = desc.body
     if body.n_in != 1:
         raise UnsupportedMapError("d_g_bound expects a single-mode map")
@@ -826,41 +862,23 @@ def d_g_bound(desc, inputs=None, energy=None, seed=0, count=4):
     if backend == "analytic" and body.renormalize:
         # S(out) = S(in) needs a unitary
         backend, route = "fock", None
-    trace = []
-    deficits = [0.0]
-    excluded = 0
-    if backend == "analytic":
+    fock = _FockValues(desc, lambda g: gaussian_to_fock(g, desc.cutoff, trace_tol=1e-5))
+    if backend == "phase-space":
+        for _, g in supplied:
+            gaussian_channel(g, *route)  # a Gaussian output: δ_G is 0
+        trace = [(label, 0.0) for label, _ in supplied]
+    elif backend == "analytic":
         # every input's member in one call; the joint outputs are checked as
         # states, and the consumed mode's marginals give S(out)
         _, m = route(_members([_family_member(g) for _, g in supplied]))
         mean, cov = mean_and_covariance(m)
         williamson_spectrum(mean, cov)
         s_out = gaussian_entropies(mean[:, 2:], cov[:, 2:, 2:]).tolist()
-    for i, (label, g) in enumerate(supplied):
-        if backend == "phase-space":
-            gaussian_channel(g, *route)
-            val = 0.0
-        elif backend == "analytic":
-            val = s_out[i] - gaussian_entropy(g)
-        else:
-            try:
-                rho = gaussian_to_fock(g, desc.cutoff, trace_tol=1e-5)
-                deficits.append(rho.trace_deficit)
-                out, _ = apply_map(rho, body, trace_tol=1e-2)
-                val = delta_g(out)
-            except ZeroProbabilityError:
-                val = -np.inf
-            except TruncationError:
-                excluded += 1
-                val = -np.inf
-        trace.append((label, val))
-    diagnostics = {
-        "backend": backend,
-        "max_deficit": float(max(deficits)),
-        "excluded": excluded,
-        "energy": energy,
-    }
-    refusal = TruncationError("no Gaussian input fits the cutoff", deficit=max(deficits))
+        trace = [(label, s - gaussian_entropy(g)) for s, (label, g) in zip(s_out, supplied)]
+    else:
+        trace = [(label, fock.value(label, g)) for label, g in supplied]
+    diagnostics = {"backend": backend, **fock.diagnostics(trace), "energy": energy}
+    refusal = TruncationError("no Gaussian input fits the cutoff", diagnostics["max_deficit"])
     return _result("d_g_lower_bound", trace, diagnostics, refusal)
 
 
@@ -957,12 +975,15 @@ def environment_bound(desc, seed=0, samples=4):
     (within ENVIRONMENT_SLACK).  Members are certified at moment tolerance
     ENVIRONMENT_SLACK; at cutoff 25 the δ_G of a member so certified was
     measured within 0.01·ENVIRONMENT_SLACK of its value at cutoff 40.  A
-    member the cutoff refuses is counted in `excluded` and replaced by the
-    next draw, up to _DRAWS_PER_SAMPLE·samples draws in all.
+    member the cutoff refuses, input or output, is counted in `excluded`
+    and replaced by the next draw, up to _DRAWS_PER_SAMPLE·samples in all.
 
+    :raises ValueError: before any draw, a negative sample count.
     :raises TruncationError: no drawn member fits the cutoff; the error
-        carries the mildest refusal's edge weight and suggested cutoff.
+        carries the mildest refusal's deficit and suggested cutoff.
     """
+    if not samples >= 0:
+        raise ValueError(f"samples must be a count >= 0, got {samples}")
     env = desc.metadata.get("environment")
     if env is None:
         raise UnsupportedMapError(
@@ -972,43 +993,36 @@ def environment_bound(desc, seed=0, samples=4):
     # δ_G = 0 exactly; only another environment is read on its Fock ket
     bound = 0.0 if "gaussian_form" in desc.metadata else delta_g(env)
     rng = np.random.default_rng(seed)
-    worst, checked, refusals = 0.0, 0, []
-    draws = _DRAWS_PER_SAMPLE * samples
     edge_tol = ENVIRONMENT_SLACK / (EDGE_COST * desc.cutoff**2)
-    while checked < samples and checked + len(refusals) < draws:
+    fock = _FockValues(desc, lambda p: input_family(p, "fock", desc.cutoff, edge_tol=edge_tol), [1])
+    values = []
+    # draw until `samples` members are checked or the draws run out
+    while len(values) < min(samples + len(fock.refused), _DRAWS_PER_SAMPLE * samples):
         p = InputParams(
             complex(rng.uniform(0.0, 0.8)),
             float(rng.uniform(0.0, np.pi)),
             float(rng.uniform(0.0, 0.4)),
             float(rng.uniform(0.05, 1.0)),
         )
-        try:
-            ket = input_family(p, "fock", cutoff=desc.cutoff, edge_tol=edge_tol)
-        except TruncationError as exc:
-            # keep the numbers, not the exception: its traceback would hold
-            # the frames alive and fragment the heap under later large arrays
-            refusals.append((exc.deficit, exc.suggested_cutoff, p))
-            continue
-        out, _ = apply_map(ket, desc.body, targets=[1], trace_tol=1e-2)
-        worst = max(worst, delta_g(out))
-        checked += 1
+        values.append(fock.value(p, p))
+    checked = len(values) - len(fock.refused)
     if samples and not checked:
-        deficit, suggestion, p = min(refusals, key=lambda refusal: refusal[0])
+        p, (deficit, suggestion) = min(fock.refused.items(), key=lambda item: item[1][0])
         if suggestion is None:
             # an edge refusal: only the one reported needs its cutoff
             suggestion = gaussian_cutoff(input_family(p), ENVIRONMENT_SLACK, above=desc.cutoff)
         raise TruncationError(
-            f"none of {len(refusals)} input-family members fits cutoff "
-            f"{desc.cutoff}",
+            f"none of {len(values)} input-family members fits cutoff {desc.cutoff}",
             deficit=deficit,
             suggested_cutoff=suggestion,
         )
+    worst = max([0.0, *values])
     if worst > bound + ENVIRONMENT_SLACK:
         raise RuntimeError(
             f"sampled output non-Gaussianity {worst:.6f} exceeds the "
             f"environment bound {bound:.6f}"
         )
-    return EnvironmentBound(float(bound), float(worst), checked, len(refusals))
+    return EnvironmentBound(float(bound), float(worst), checked, len(fock.refused))
 
 
 def energy_ceiling(energy, n_modes=1):

@@ -377,6 +377,37 @@ def test_sweep_refuses_a_bad_grid_before_searching(grid, capsys, monkeypatch):
     assert "grid" in err
 
 
+def test_sweep_refuses_a_grid_with_an_empty_field_by_name(capsys, monkeypatch):
+    monkeypatch.setattr(nongauss.cli, "divergence_profile", None)
+    code, out, err = run_cli(["sweep", "pns", "--grid=1,,2,4,8"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--grid" in err and "'1,,2,4,8'" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["state-ng", "vacuum"],
+        ["map-ng", "id"],
+        ["map-ng", "pns"],
+        ["map-ng", "bps"],
+        ["sweep", "id"],
+        ["verify", "counterexamples"],
+        ["verify", "state-props"],
+    ],
+    ids=lambda argv: "-".join(argv),
+)
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_every_command_refuses_a_bad_seed_by_name_before_any_work(argv, seed, capsys, monkeypatch):
+    for name in ("cmd_state_ng", "cmd_map_ng", "cmd_sweep", "cmd_verify"):
+        monkeypatch.setattr(nongauss.cli, name, None)
+    code, out, err = run_cli([*argv, "--seed", seed], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--seed" in err
+
+
 @pytest.mark.parametrize("gamma", ["nan", "inf"])
 def test_map_ng_refuses_a_kerr_gamma_that_is_not_finite(gamma, capsys, monkeypatch):
     def search(*args, **kwargs):

@@ -901,6 +901,42 @@ def test_divergence_profile_refuses_a_bad_grid_before_searching(monkeypatch, mak
         divergence_profile(make(), grid=grid)
 
 
+def _refuse(monkeypatch, *names):
+    def work(*args, **kwargs):
+        raise AssertionError("worked on a refused argument")
+
+    for name in names:
+        monkeypatch.setattr(monotone, name, work)
+
+
+@pytest.mark.parametrize("cap", [np.nan, np.inf, -1.0])
+def test_delta_tilde_refuses_an_n_s_cap_that_is_not_finite_and_nonnegative(cap, monkeypatch):
+    # min(abs(x), nan) is abs(x): a NaN cap would drop the cap silently
+    _refuse(monkeypatch, "_delta_tilde_search", "alpha_zero_spread")
+    with pytest.raises(ValueError, match="max_n_s"):
+        delta_tilde(pns(), max_n_s=cap)
+
+
+@pytest.mark.parametrize("energy", [-1.0, np.nan, np.inf])
+def test_d_g_bound_refuses_an_energy_that_is_not_finite_and_nonnegative(energy, monkeypatch):
+    _refuse(monkeypatch, "_default_gaussian_inputs", "gaussian_to_fock")
+    with pytest.raises(ValueError, match="energy"):
+        d_g_bound(bps(20), energy=energy)
+
+
+def test_environment_bound_refuses_a_negative_sample_count(monkeypatch):
+    _refuse(monkeypatch, "input_family", "delta_g")
+    with pytest.raises(ValueError, match="samples"):
+        environment_bound(loss(0.5, 25), samples=-1)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_alpha_zero_spread_refuses_a_count_below_one(count, monkeypatch):
+    _refuse(monkeypatch, "analytic_output_covariance")
+    with pytest.raises(ValueError, match="count"):
+        alpha_zero_spread("pns", count=count)
+
+
 def test_mixed_unitary_bounds_oracle():
     lo, hi = mixed_unitary_bounds((0.5, 0.5), 4.0)
     assert_allclose((lo, hi), (3.0, 4.0), atol=1e-12)
@@ -989,6 +1025,40 @@ def test_environment_bound_derives_only_the_cutoff_it_reports(build, want, calls
         got = (exc.deficit, exc.suggested_cutoff)
     assert got == want
     assert len(made) == calls
+
+
+@pytest.mark.parametrize(
+    "d, samples", [(16, 4), (40, 1)], ids=["input-and-output-refusals", "output-refusals"]
+)
+def test_environment_bound_excludes_a_member_whose_output_loses_trace(d, samples, monkeypatch):
+    # a body that keeps a quarter of the trace: every member's output is
+    # refused, so every draw is excluded; the error carries the mildest
+    # refusal, input or output, seen where each is raised
+    body = ConditionalMap(1, 1, (0.5 * np.eye(d),), renormalize=False)
+    desc = MapDescriptor("half", body, d, {"environment": build_state("fock", 1, d)})
+    seen = []
+
+    def spy(real):
+        def wrapped(*args, **kwargs):
+            try:
+                return real(*args, **kwargs)
+            except TruncationError as exc:
+                seen.append((exc.deficit, exc.suggested_cutoff))
+                raise
+
+        return wrapped
+
+    monkeypatch.setattr(monotone, "input_family", spy(monotone.input_family))
+    monkeypatch.setattr(monotone, "apply_map", spy(monotone.apply_map))
+    with pytest.raises(TruncationError, match=f"none of {4 * samples} input-family") as info:
+        environment_bound(desc, seed=0, samples=samples)
+    assert len(seen) == 4 * samples
+    deficit, suggestion = min(seen, key=lambda refusal: refusal[0])
+    assert info.value.deficit == deficit
+    if suggestion is None:
+        assert info.value.suggested_cutoff > d
+    else:
+        assert info.value.suggested_cutoff == suggestion == 2 * d
 
 
 def test_environment_bound_raises_when_a_sample_exceeds_it():
