@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import linalg
 
 from .errors import InvalidStateError
 
@@ -397,6 +396,8 @@ def williamson(cov):
 
     :returns: (mu, S) with mu the symplectic eigenvalues in block order.
     """
+    from scipy import linalg
+
     cov = np.asarray(cov, dtype=float)
     n = cov.shape[0] // 2
     w, v = np.linalg.eigh(cov)

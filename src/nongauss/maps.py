@@ -3,8 +3,11 @@
 Each constructor returns a MapDescriptor whose body is a ConditionalMap on
 Fock tensors truncated at the given cutoff, given by its Kraus family: a
 unitary is (U,), a unitary mixture (√p_j U_j), and composition multiplies
-Kraus operators pairwise.  A Gaussian channel (id, loss, and gd with a
-Gaussian environment) also carries its Gaussian form, which acts on
+Kraus operators pairwise.  Each constructor checks its arguments and the
+family's dimensions at once and hands the body a builder, so the family is
+built on its first read (ConditionalMap.kraus), which a closed-form or
+phase-space route never makes.  A Gaussian channel (id, loss, and gd with
+a Gaussian environment) also carries its Gaussian form, which acts on
 Gaussian inputs in phase space.  Descriptors are immutable and safe to
 share between threads.
 """
@@ -20,6 +23,7 @@ from .fock import (
     ConditionalMap,
     FockArray,
     _check_cutoff,
+    _check_lift,
     build_state,
     build_unitary,
     ladder,
@@ -53,7 +57,7 @@ def pns(cutoff=DEFAULT_CUTOFF):
     """Photon-number subtraction: single Kraus operator a, renormalized."""
     if cutoff < 3:
         raise ValueError("cutoff must be at least 3")
-    body = ConditionalMap(1, 1, (ladder(cutoff),), renormalize=True)
+    body = _single_mode(lambda: (ladder(cutoff),), 1, cutoff, renormalize=True)
     return MapDescriptor("pns", body, cutoff, {"ladder": "pns"})
 
 
@@ -61,8 +65,7 @@ def pna(cutoff=DEFAULT_CUTOFF):
     """Photon-number addition: single Kraus operator a†, renormalized."""
     if cutoff < 3:
         raise ValueError("cutoff must be at least 3")
-    adag = ladder(cutoff).conj().T
-    body = ConditionalMap(1, 1, (adag,), renormalize=True)
+    body = _single_mode(lambda: (ladder(cutoff).conj().T,), 1, cutoff, renormalize=True)
     return MapDescriptor("pna", body, cutoff, {"ladder": "pna"})
 
 
@@ -76,27 +79,33 @@ def arm_photon_number(alpha, r, n_s):
 
 def bps(cutoff=60):
     """Binary phase shift: a π rotation applied with probability 1/2."""
-    eye = np.eye(cutoff, dtype=complex)
-    parity = build_unitary("rotation", np.pi, cutoff)
-    kraus = (np.sqrt(0.5) * eye, np.sqrt(0.5) * parity)
-    return MapDescriptor("bps", ConditionalMap(1, 1, kraus, renormalize=False), cutoff)
+
+    def family():
+        eye = np.eye(cutoff, dtype=complex)
+        return (np.sqrt(0.5) * eye, np.sqrt(0.5) * build_unitary("rotation", np.pi, cutoff))
+
+    return MapDescriptor("bps", _single_mode(family, 2, cutoff), cutoff)
 
 
 def kerr(gamma=DEFAULT_KERR_GAMMA, cutoff=32):
     """Self-Kerr unitary exp(-iγ(a†a)²), for a finite γ."""
     if not np.isfinite(gamma):
         raise ValueError(f"Kerr γ must be finite, got {gamma}")
-    u = build_unitary("kerr", float(gamma), cutoff)
-    body = ConditionalMap(1, 1, (u,), renormalize=False)
+    body = _single_mode(lambda: (build_unitary("kerr", float(gamma), cutoff),), 1, cutoff)
     return MapDescriptor("kerr", body, cutoff, {"gamma": float(gamma)})
 
 
 def identity_map(cutoff=32):
     """The single-mode identity channel."""
-    _check_cutoff(cutoff)
-    body = ConditionalMap(1, 1, (np.eye(cutoff, dtype=complex),), renormalize=False)
+    body = _single_mode(lambda: (np.eye(cutoff, dtype=complex),), 1, cutoff)
     form = (SymplecticOp(1, np.eye(2), np.zeros(2)), None)
     return MapDescriptor("id", body, cutoff, {"gaussian_form": form})
+
+
+def _single_mode(family, k, cutoff, renormalize=False):
+    # the body of a single-mode map: k operators d × d from the builder
+    _check_cutoff(cutoff)
+    return ConditionalMap(1, 1, family, renormalize, shape=(k, cutoff, cutoff))
 
 
 def coherent_projector(alpha, cutoff=DEFAULT_CUTOFF):
@@ -106,8 +115,10 @@ def coherent_projector(alpha, cutoff=DEFAULT_CUTOFF):
     conditional map: T(ρ) ∝ ⟨α|ρ|α⟩ on the surviving mode.
     """
     bra = build_state("coherent", alpha, cutoff).data.conj()
-    k = np.kron(np.eye(cutoff), bra.reshape(1, -1))
-    body = ConditionalMap(2, 1, (k,), renormalize=True)
+    body = ConditionalMap(
+        2, 1, lambda: (np.kron(np.eye(cutoff), bra.reshape(1, -1)),), renormalize=True,
+        shape=(1, cutoff, cutoff**2),
+    )
     return MapDescriptor("talpha", body, cutoff)
 
 
@@ -117,8 +128,9 @@ def gaussian_dilatable(sym, env, cutoff=DEFAULT_CUTOFF):
     sym acts on the system modes followed by the environment modes; env
     supplies ψ_E as a ket at the same cutoff.  The body is the Kraus family
     K_j = (I ⊗ ⟨j|) U (I ⊗ |ψ_E⟩) = Σ_e ψ_E[e] (I ⊗ ⟨j|) U |·, e⟩, so only
-    the columns |n, e⟩ of U with ψ_E[e] ≠ 0 are built: d^n_sys of them for
-    a Fock-state environment, every column for one of full support.
+    the columns |n, e⟩ of U with ψ_E[e] ≠ 0 are built, on the family's
+    first read: d^n_sys of them for a Fock-state environment, every column
+    for one of full support.  The lift's dimensions are checked at once.
     """
     if env.kind != "ket":
         raise UnsupportedMapError("environment must be a pure state")
@@ -128,16 +140,21 @@ def gaussian_dilatable(sym, env, cutoff=DEFAULT_CUTOFF):
     n_sys = sym.n_modes - n_env
     if n_sys < 1:
         raise ValueError("symplectic must cover at least one system mode")
+    _check_lift(sym.n_modes, cutoff)
     dim_s = cutoff**n_sys
     dim_e = cutoff**n_env
-    amps = env.data.reshape(-1)
-    support = np.flatnonzero(amps)
-    # column (n, e) of U: input system n, input environment e
-    cols = (np.arange(dim_s)[:, None] * dim_e + support).reshape(-1)
-    u_cols = symplectic_to_unitary(sym, cutoff, cols)
-    # axes: output system, output environment, input system
-    k_tensor = u_cols.reshape(dim_s, dim_e, dim_s, support.size) @ amps[support]
-    body = ConditionalMap(n_sys, n_sys, tuple(k_tensor.transpose(1, 0, 2)), renormalize=False)
+
+    def family():
+        amps = env.data.reshape(-1)
+        support = np.flatnonzero(amps)
+        # column (n, e) of U: input system n, input environment e
+        cols = (np.arange(dim_s)[:, None] * dim_e + support).reshape(-1)
+        u_cols = symplectic_to_unitary(sym, cutoff, cols)
+        # axes: output system, output environment, input system
+        k_tensor = u_cols.reshape(dim_s, dim_e, dim_s, support.size) @ amps[support]
+        return k_tensor.transpose(1, 0, 2)
+
+    body = ConditionalMap(n_sys, n_sys, family, False, shape=(dim_e, dim_s, dim_s))
     return MapDescriptor("gd", body, cutoff, {"environment": env})
 
 
@@ -162,19 +179,25 @@ def _beamsplitter_channel(name, tau, env_spec, cutoff):
 def compose(outer, inner):
     """The map ρ → outer(inner(ρ)) as a single ConditionalMap.
 
-    Kraus families multiply pairwise; the result renormalizes when either
-    factor does.
+    Kraus families multiply pairwise, on the first read of the result's;
+    the result renormalizes when either factor does.
     """
     if inner.n_out != outer.n_in:
         raise UnsupportedMapError(
             f"cannot compose: inner yields {inner.n_out} modes, "
             f"outer expects {outer.n_in}"
         )
+    if inner.shape[1] != outer.shape[2]:
+        raise ValueError(
+            f"cannot compose: inner yields dimension {inner.shape[1]}, "
+            f"outer expects {outer.shape[2]}"
+        )
     return ConditionalMap(
         inner.n_in,
         outer.n_out,
-        tuple(b @ a for b in outer.kraus for a in inner.kraus),
+        lambda: tuple(b @ a for b in outer.kraus for a in inner.kraus),
         renormalize=inner.renormalize or outer.renormalize,
+        shape=(outer.shape[0] * inner.shape[0], outer.shape[1], inner.shape[2]),
     )
 
 

@@ -1,10 +1,14 @@
 """Exit codes, report schema, and output formats of the command line."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 import nongauss.cli
+import nongauss.fock
 import nongauss.maps
 import nongauss.monotone
 from nongauss.cli import main
@@ -611,3 +615,48 @@ def test_a_state_parameter_that_is_not_finite_is_a_usage_error(command, capsys):
     assert code == 2
     assert out == ""
     assert "must be finite" in err
+
+
+@pytest.mark.parametrize("spec", ["loss:0.7", "gd:bs0.5,env=fock:1"])
+def test_a_channel_too_large_to_lift_is_refused_when_its_spec_is_built(spec, capsys):
+    # cutoff 100 puts the beamsplitter lift at 100² > fock._MAX_DENSE_DIM
+    # dimensions, refused before anything is allocated
+    code, out, err = run_cli(["map-ng", spec, "--cutoff", "100"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad map spec {spec!r}: dimension 10000 too large for a dense unitary\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["map-ng", "loss:0.7"],
+        ["sweep", "loss:0.7"],
+        ["map-ng", "gd:bs0.5,env=vacuum"],
+        ["map-ng", "gd:bs0.5,env=coherent:0.5"],
+        ["map-ng", "pns"],
+        ["map-ng", "kerr:0.5"],
+    ],
+)
+def test_a_phase_space_or_closed_form_route_never_builds_the_kraus_family(argv, capsys, monkeypatch):
+    def unread(body):
+        raise AssertionError("the Kraus family was built")
+
+    monkeypatch.setattr(nongauss.fock.ConditionalMap, "kraus", property(unread))
+    code, _, err = run_cli(argv, capsys)
+    assert code == 0, err
+
+
+def test_importing_the_cli_loads_no_scipy_module():
+    probe = "import sys, nongauss.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"

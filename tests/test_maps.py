@@ -1,5 +1,8 @@
 import math
 import re
+import sys
+import threading
+import time
 import tracemalloc
 from functools import reduce
 
@@ -511,7 +514,86 @@ def _traced_peak_mb(run):
 
 def test_loss_dilation_builds_only_the_columns_it_reads():
     # the full cutoff-60 beamsplitter alone would take 3600² · 16 B = 198 MiB
-    assert _traced_peak_mb(lambda: loss(0.7, 60)) < 32.0
+    assert _traced_peak_mb(lambda: loss(0.7, 60).body.kraus) < 32.0
+
+
+@pytest.mark.parametrize("make", [pns, pna])
+def test_a_ladder_map_allocates_no_operator_until_it_is_read(make):
+    # the d × d operator would take 61 MiB at d = 2000 and 5.96 GiB at
+    # d = 20000; the small cutoff goes first, so an eager build fails there
+    for d in (2000, 20000):
+        assert _traced_peak_mb(lambda: parse_map_spec(make.__name__, d)) < 1.0, d
+
+
+def test_a_family_is_built_once_on_its_first_read():
+    d = 6
+    calls = []
+
+    def family():
+        calls.append(d)
+        return (np.eye(d),)
+
+    body = ConditionalMap(1, 1, family, False, shape=(1, d, d))
+    assert body.conditional_unitary and body.shape == (1, d, d)
+    assert not calls
+    first = body.kraus
+    assert body.kraus is first and calls == [d]
+    assert first.dtype == complex and not first.flags.writeable
+    assert_allclose(first[0], np.eye(d))
+
+
+def test_compose_refuses_factors_at_different_cutoffs_before_any_build():
+    with pytest.raises(ValueError, match="cannot compose: inner yields dimension 9"):
+        compose(pns(8).body, pns(9).body)
+
+
+def test_a_builder_that_breaks_its_shape_is_refused_on_read():
+    body = ConditionalMap(1, 1, lambda: (np.eye(4),), False, shape=(1, 5, 5))
+    with pytest.raises(ValueError, match="shape"):
+        body.kraus
+
+
+def _read_in_threads(body, count=4):
+    # `count` threads released together, each reading body.kraus once
+    barrier = threading.Barrier(count)
+    stacks = [None] * count
+
+    def read(i):
+        barrier.wait(timeout=30)
+        stacks[i] = body.kraus
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(count)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    return stacks
+
+
+def test_concurrent_first_reads_build_one_read_only_family():
+    stacks = _read_in_threads(loss(0.7, 30).body)
+    assert all(s is stacks[0] for s in stacks)
+    assert not stacks[0].flags.writeable
+    assert_allclose(stacks[0], loss(0.7, 30).body.kraus, rtol=0, atol=0)
+
+
+def test_a_slow_family_read_by_threads_at_once_is_built_once():
+    calls = []
+
+    def family():
+        calls.append(None)
+        time.sleep(0.05)
+        return (np.eye(3),)
+
+    stacks = _read_in_threads(ConditionalMap(1, 1, family, False, shape=(1, 3, 3)))
+    assert len(calls) == 1
+    assert all(s is stacks[0] for s in stacks)
 
 
 def test_mixed_lift_through_loss_keeps_the_kraus_loop():
