@@ -545,14 +545,14 @@ def partial_trace(state, keep):
 
 def von_neumann_entropy(state):
     """S(ρ) = −Σ λ log₂ λ over the density's stored eigenvalues; exactly 0
-    for kets."""
+    for kets, and +0.0, never −0.0, for a pure density."""
     if state.kind == "ket":
         return 0.0
     w = state.eigenvalues
     if w.min() < -1e-9:
         raise InvalidStateError(f"density eigenvalue {w.min():.3e} < 0")
     w = w[w > ENTROPY_CLAMP]
-    return float(-(w @ np.log2(w)))
+    return float(0.0 - w @ np.log2(w))
 
 
 def relative_entropy(rho, sigma):

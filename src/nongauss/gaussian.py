@@ -1,7 +1,7 @@
 """Exact phase-space engine: symplectic algebra, Gaussian states, unitaries
-and channels, Williamson spectra (solved once per state, on construction,
-as its physicality check, and read by its entropy), entropies and
-conditioning.
+and partial traces, Williamson spectra (solved once per state, on
+construction, as its physicality check, and read by its entropy),
+entropies and conditioning.
 
 Conventions: hbar = 2, so the vacuum covariance matrix is the identity, and
 quadratures are ordered (q1, p1, ..., qn, pn) with a = (q + ip)/2 per mode.
@@ -281,36 +281,6 @@ def apply_symplectic(state, op):
     cov = op.S @ state.cov @ op.S.T
     cov = 0.5 * (cov + cov.T)
     return GaussianState(state.n_modes, op.S @ state.mean + op.delta_x, cov)
-
-
-def direct_sum(a, b):
-    """The product state a ⊗ b: means stacked, covariance block-diagonal."""
-    k = 2 * a.n_modes
-    cov = np.zeros((k + 2 * b.n_modes,) * 2)
-    cov[:k, :k] = a.cov
-    cov[k:, k:] = b.cov
-    return GaussianState(a.n_modes + b.n_modes, np.concatenate([a.mean, b.mean]), cov)
-
-
-def gaussian_channel(state, sym, env=None, mode=0):
-    """The state after the Gaussian channel Tr_E[U (ρ ⊗ env) U†] acts on one mode.
-
-    U is the Gaussian unitary of sym, which acts on `mode` followed by
-    env's modes; with env None the channel is that unitary alone.  The
-    output is partial_trace_gaussian(apply_symplectic(state ⊕ env, S)) on
-    the modes of state.
-    """
-    n = state.n_modes
-    n_env = 0 if env is None else env.n_modes
-    if sym.n_modes != 1 + n_env:
-        raise ValueError(f"channel acts on {sym.n_modes} modes, needs {1 + n_env}")
-    if not 0 <= mode < n:
-        raise ValueError(f"mode {mode} out of range for {n} modes")
-    joint = state if env is None else direct_sum(state, env)
-    if n > 1:  # on one mode, sym already acts on every mode of joint, in order
-        sym = _embedded(sym.S, sym.delta_x, n + n_env, (mode, *range(n, n + n_env)))
-    out = apply_symplectic(joint, sym)
-    return out if env is None else partial_trace_gaussian(out, range(n))
 
 
 def partial_trace_gaussian(state, keep):

@@ -6,10 +6,11 @@ unitary is (U,), a unitary mixture (√p_j U_j), and composition multiplies
 Kraus operators pairwise.  Each constructor checks its arguments and the
 family's dimensions at once and hands the body a builder, so the family is
 built on its first read (ConditionalMap.kraus), which a closed-form or
-phase-space route never makes.  A Gaussian channel (id, loss, and gd with
-a Gaussian environment) also carries its Gaussian form, which acts on
-Gaussian inputs in phase space.  Descriptors are immutable and safe to
-share between threads.
+phase-space route never makes.  A Gaussian channel (id, loss, gd with a
+Gaussian environment, and gd at τ = 1, the identity) carries a marker
+instead: it sends Gaussian inputs to Gaussian outputs, so the monotones
+read 0 on it without acting on anything.  Descriptors are immutable and
+safe to share between threads.
 """
 
 import dataclasses
@@ -29,7 +30,7 @@ from .fock import (
     ladder,
     symplectic_to_unitary,
 )
-from .gaussian import GaussianState, SymplecticOp, gaussian_unitary, vacuum_state
+from .gaussian import gaussian_unitary
 
 DEFAULT_KERR_GAMMA = 0.5
 
@@ -38,13 +39,13 @@ DEFAULT_KERR_GAMMA = 0.5
 class MapDescriptor:
     """A named conditional map with analytic metadata.
 
-    metadata["gaussian_form"], present on Gaussian channels only, is the
-    pair (sym, env) of gaussian.gaussian_channel: the dilation's
-    SymplecticOp and the environment as a GaussianState (None for a
-    unitary).  The body is built from the same sym.  metadata["ladder"]
-    ("pns" or "pna", on those two only) sends the monotones to the
-    Isserlis closed form, metadata["gamma"] (kerr only) to the Kerr one.
-    They route on these keys, never the name: without them, on Fock.
+    metadata["gaussian"] is True on Gaussian channels only (id, and a
+    beamsplitter dilation whose environment is Gaussian or whose τ is 1):
+    a Gaussian input leaves them Gaussian, so the monotones read 0 in
+    phase space and never act on the input.  metadata["ladder"] ("pns" or
+    "pna", on those two only) sends the monotones to the Isserlis closed
+    form, metadata["gamma"] (kerr only) to the Kerr one.  They route on
+    these keys, never the name: without them, on Fock.
     """
 
     name: str
@@ -98,8 +99,7 @@ def kerr(gamma=DEFAULT_KERR_GAMMA, cutoff=32):
 def identity_map(cutoff=32):
     """The single-mode identity channel."""
     body = _single_mode(lambda: (np.eye(cutoff, dtype=complex),), 1, cutoff)
-    form = (SymplecticOp(1, np.eye(2), np.zeros(2)), None)
-    return MapDescriptor("id", body, cutoff, {"gaussian_form": form})
+    return MapDescriptor("id", body, cutoff, {"gaussian": True})
 
 
 def _single_mode(family, k, cutoff, renormalize=False):
@@ -165,14 +165,14 @@ def loss(tau, cutoff=30):
 
 def _beamsplitter_channel(name, tau, env_spec, cutoff):
     # gaussian_dilatable of a beamsplitter of transmissivity τ in (0, 1] on
-    # the environment env_spec, with the Gaussian form when that state is
-    # Gaussian; at τ = 0, a swap, every input would leave as the environment
+    # the environment env_spec, marked Gaussian when that state is Gaussian
+    # or τ is 1, where the Kraus operators are ψ_E[j]·I; at τ = 0, a swap,
+    # every input would leave as the environment
     if not 0.0 < tau <= 1.0:
         raise ValueError("transmissivity must lie in (0, 1]")
-    env, g_env = _gaussian_environment(env_spec, cutoff)
-    sym = gaussian_unitary("beamsplitter", tau, n_modes=2)
-    desc = gaussian_dilatable(sym, env, cutoff)
-    meta = desc.metadata if g_env is None else dict(desc.metadata, gaussian_form=(sym, g_env))
+    env, gaussian = _gaussian_environment(env_spec, cutoff)
+    desc = gaussian_dilatable(gaussian_unitary("beamsplitter", tau, n_modes=2), env, cutoff)
+    meta = dict(desc.metadata, gaussian=True) if gaussian or tau == 1.0 else desc.metadata
     return dataclasses.replace(desc, name=name, metadata=meta)
 
 
@@ -245,14 +245,10 @@ def _no_argument(arg):
 
 
 def _gaussian_environment(spec, cutoff):
-    # a beamsplitter's environment spec, parsed once: its ket, and the ket as
-    # a GaussianState when it is one (vacuum, fock:0, coherent), else None
+    # a beamsplitter's environment spec, parsed once: its ket, and whether
+    # that ket is Gaussian (vacuum, fock:0, coherent)
     env, kind, params = _state_spec(spec, cutoff, pure=True)
-    if kind == "vacuum" or (kind == "fock" and params == 0):
-        return env, vacuum_state(1)
-    if kind == "coherent":
-        return env, GaussianState(1, np.array([2.0 * params.real, 2.0 * params.imag]), np.eye(2))
-    return env, None
+    return env, kind in ("vacuum", "coherent") or (kind == "fock" and params == 0)
 
 
 def _parse_gd(arg, cutoff=25):

@@ -9,13 +9,14 @@ input follow from its means and pair contractions alone.  The self-Kerr
 map gets one too: its output moments are Gaussian expectations of a phase
 rotation times a ladder monomial, transition integrals between two pure
 Gaussians (_kerr_outputs), for δ̃ and for d_g_bound's inputs alike.
-A Gaussian channel (a descriptor carrying a Gaussian form: id, loss, gd
-with a Gaussian environment) sends Gaussian inputs through in phase
-space, where their outputs are Gaussian and δ_G is exactly 0.  Everything
-else runs on the truncated Fock backend, through one evaluator
-(_FockValues) for the δ̃ search, d_g_bound and environment_bound alike: an
-input the cutoff refuses, on its lift or its output, is valued −∞ and
-counted in `excluded` (environment_bound draws another).
+A Gaussian channel (a descriptor marked "gaussian": id, loss, gd with a
+Gaussian environment or at τ = 1) is free: it keeps a Gaussian input
+Gaussian, so its values are exactly 0 and no input is built or sent
+through it (backend 'phase-space').  Everything else runs on the
+truncated Fock backend, through one evaluator (_FockValues) for the δ̃
+search, d_g_bound and environment_bound alike: an input the cutoff
+refuses, on its lift or its output, is valued −∞ and counted in
+`excluded` (environment_bound draws another).
 
 The closed forms take one member or a stack of them and evaluate a stack
 in one vectorised pass, moments, covariances, physicality checks and
@@ -52,7 +53,6 @@ from .fock import (
 from .gaussian import (
     GaussianState,
     apply_symplectic,
-    gaussian_channel,
     gaussian_entropies,
     gaussian_entropy,
     gaussian_unitary,
@@ -472,12 +472,11 @@ def analytic_output_covariance(p, which):
 
 def _route(desc):
     """The backend of every monotone on desc, read from its metadata, never
-    its name: ('phase-space', (sym, env)) by "gaussian_form"; ('analytic',
-    members ↦ their branch weights and output moments) by "ladder" (pns,
-    pna) or "gamma" (kerr); else ('fock', None)."""
-    form = desc.metadata.get("gaussian_form")
-    if form is not None:
-        return "phase-space", form
+    its name: ('phase-space', None) by "gaussian", whose values are 0;
+    ('analytic', members ↦ their branch weights and output moments) by
+    "ladder" (pns, pna) or "gamma" (kerr); else ('fock', None)."""
+    if desc.metadata.get("gaussian"):
+        return "phase-space", None
     ladder = desc.metadata.get("ladder")
     if ladder is not None:
         return "analytic", lambda p: _ladder_outputs(p, ladder)
@@ -638,8 +637,8 @@ def delta_tilde(desc, seed=0, max_n_s=_CAP_NS):
     Routes (_route): pns, pna and kerr run on the closed-form (analytic)
     backend, which needs no cutoff and excludes nothing, and a pns or pna
     result carries alpha_zero_spread at this seed; a Gaussian unitary
-    (today only id) keeps every member Gaussian, so one member is pushed
-    through in phase space and the value is 0 (backend 'phase-space', one
+    (today only id) keeps every member Gaussian, so the value is 0 at the
+    first lattice point, which is not built (backend 'phase-space', one
     evaluation); every other map searches on the truncated Fock backend at
     desc.cutoff, excluding the points it cannot represent faithfully.
 
@@ -655,10 +654,8 @@ def delta_tilde(desc, seed=0, max_n_s=_CAP_NS):
         )
     if desc.body.n_in != 1:
         raise UnsupportedMapError("the input family covers single-mode maps only")
-    backend, route = _route(desc)
-    if backend == "phase-space":
+    if _route(desc)[0] == "phase-space":
         p = _clamp(np.array([0.0, 0.0, 0.0, _LATTICE_NS[0]]), max_n_s)
-        gaussian_channel(input_family(p), *route, mode=1)
         diagnostics = {"backend": "phase-space", "max_deficit": 0.0, "excluded": 0}
         return _result("delta_tilde", [(p, 0.0)], diagnostics, refusal=None)  # finite
     (res,) = _delta_tilde_search(desc, seed, (max_n_s,))
@@ -826,13 +823,13 @@ def d_g_bound(desc, inputs=None, energy=None, seed=0, count=4):
     energy budget when one is given.  inputs is a list of GaussianState,
     the i-th labelled ("input", i) in the trace.
 
-    Routes (_route): on a Gaussian channel each input goes through in
-    phase space, gaussian.gaussian_channel, and its output is Gaussian, so
-    its value is exactly 0 (backend 'phase-space').  On a closed form that
-    does not renormalize (kerr) each input is the consumed-mode marginal
-    of an input-family member (_family_member), all members go through
-    the closed form in one call, and since the map is unitary
-    S(out) = S(in), so δ_G = S_G(out) − S_G(in) (backend 'analytic').
+    Routes (_route): a Gaussian channel keeps each input Gaussian, so every
+    value is exactly 0 and no input goes through it (backend
+    'phase-space').  On a closed form that does not renormalize (kerr)
+    each input is the consumed-mode marginal of an input-family member
+    (_family_member), all members go through the closed form in one
+    call, and since the map is unitary S(out) = S(in), so
+    δ_G = S_G(out) − S_G(in) (backend 'analytic').
     Otherwise, pns and pna included, each input is lifted to desc.cutoff
     and pushed through the Kraus family (backend 'fock'); inputs the
     cutoff cannot hold are skipped, keeping the value a faithful lower
@@ -864,8 +861,6 @@ def d_g_bound(desc, inputs=None, energy=None, seed=0, count=4):
         backend, route = "fock", None
     fock = _FockValues(desc, lambda g: gaussian_to_fock(g, desc.cutoff, trace_tol=1e-5))
     if backend == "phase-space":
-        for _, g in supplied:
-            gaussian_channel(g, *route)  # a Gaussian output: δ_G is 0
         trace = [(label, 0.0) for label, _ in supplied]
     elif backend == "analytic":
         # every input's member in one call; the joint outputs are checked as
@@ -968,7 +963,8 @@ ENVIRONMENT_SLACK = 1e-3
 
 
 def environment_bound(desc, seed=0, samples=4):
-    """Bound δ̃ of a Gaussian-dilatable channel by δ_G of its environment.
+    """Bound δ̃ of a Gaussian-dilatable channel by δ_G of its environment,
+    or by 0 when the channel is marked Gaussian.
 
     Also pushes `samples` seeded input-family members through the channel
     and checks the sampled joint-output δ_G never exceeds the bound
@@ -989,9 +985,9 @@ def environment_bound(desc, seed=0, samples=4):
         raise UnsupportedMapError(
             f"{desc.name} carries no environment state: it is not Gaussian-dilatable (gd, loss)"
         )
-    # a Gaussian environment (the descriptor carries a Gaussian form) has
-    # δ_G = 0 exactly; only another environment is read on its Fock ket
-    bound = 0.0 if "gaussian_form" in desc.metadata else delta_g(env)
+    # a Gaussian channel (the descriptor is marked "gaussian") has δ̃ = 0
+    # exactly; only another environment is read on its Fock ket
+    bound = 0.0 if desc.metadata.get("gaussian") else delta_g(env)
     rng = np.random.default_rng(seed)
     edge_tol = ENVIRONMENT_SLACK / (EDGE_COST * desc.cutoff**2)
     fock = _FockValues(desc, lambda p: input_family(p, "fock", desc.cutoff, edge_tol=edge_tol), [1])

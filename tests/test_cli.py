@@ -514,7 +514,8 @@ def test_map_ng_identity_reads_zero_in_phase_space(capsys):
     assert {k for k, v in results["argmax"].items() if v is not None} == {"tolerance"}
 
 
-@pytest.mark.parametrize("spec", ["loss:0.7", "gd:bs0.5,env=vacuum"])
+# gd:bs1 is the identity channel, so even a Fock-state environment leaves it Gaussian
+@pytest.mark.parametrize("spec", ["loss:0.7", "gd:bs0.5,env=vacuum", "gd:bs1,env=fock:1"])
 def test_map_ng_gaussian_channel_reads_zero_within_its_bound(spec, capsys):
     code, out, _ = run_cli(["map-ng", spec], capsys)
     assert code == 0
@@ -524,6 +525,13 @@ def test_map_ng_gaussian_channel_reads_zero_within_its_bound(spec, capsys):
     code, out, _ = run_cli(["map-ng", spec, "--bound"], capsys)
     assert code == 0
     assert load_report(out)["results"]["upper_bound"]["value"] == 0.0
+
+
+def test_a_pure_density_reports_no_negative_zero(capsys):
+    code, out, _ = run_cli(["state-ng", "thermal:0"], capsys)
+    assert code == 0
+    assert "-0.0" not in out
+    assert load_report(out)["results"]["entropy"]["value"] == 0.0
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from functools import reduce
 
@@ -457,6 +458,13 @@ def test_von_neumann_entropy_values():
     half = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
     st = FockArray(1, 4, "density", half)
     assert von_neumann_entropy(st) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_a_pure_density_has_positive_zero_entropy():
+    # −(1·log₂1) is −0.0, which a report would print as "-0.0"
+    pure = build_state("thermal", 0.0, 8)
+    assert pure.kind == "density"
+    assert math.copysign(1.0, von_neumann_entropy(pure)) == 1.0
 
 
 def test_gram_entropy_matches_the_density_spectrum():

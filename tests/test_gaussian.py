@@ -11,8 +11,6 @@ from nongauss.gaussian import (
     apply_symplectic,
     WilliamsonSpectrum,
     condition_on_projection,
-    direct_sum,
-    gaussian_channel,
     gaussian_entropies,
     gaussian_entropy,
     gaussian_unitary,
@@ -374,45 +372,3 @@ def test_stacked_spectrum_refuses_exactly_what_a_state_refuses():
                 williamson_spectrum(*stack)
             with pytest.raises(InvalidStateError, match=message):
                 gaussian_entropies(*stack)
-
-
-def test_direct_sum_stacks_blocks():
-    rng = np.random.default_rng(4)
-    a, b = random_gaussian_state(1, rng), random_gaussian_state(2, rng)
-    joint = direct_sum(a, b)
-    assert joint.n_modes == 3
-    assert_allclose(joint.mean, np.concatenate([a.mean, b.mean]))
-    assert_allclose(partial_trace_gaussian(joint, [1, 2]).cov, b.cov)
-    assert_array_equal(joint.cov[:2, 2:], 0.0)
-
-
-def test_gaussian_channel_pure_loss_on_coherent_state():
-    tau = 0.7
-    bs = gaussian_unitary("beamsplitter", tau, n_modes=2)
-    coh = GaussianState(1, np.array([1.2, -0.6]), np.eye(2))
-    out = gaussian_channel(coh, bs, vacuum_state(1))
-    assert_allclose(out.mean, np.sqrt(tau) * coh.mean, atol=1e-14)
-    assert_allclose(out.cov, np.eye(2), atol=1e-14)
-
-
-def test_gaussian_channel_acts_on_the_named_mode():
-    rng = np.random.default_rng(5)
-    state = random_gaussian_state(2, rng)
-    sq = gaussian_unitary("squeeze", 0.4, n_modes=1)
-    out = gaussian_channel(state, sq, mode=1)
-    want = apply_symplectic(state, gaussian_unitary("squeeze", 0.4, 2, targets=[1]))
-    assert_allclose(out.cov, want.cov, atol=1e-12)
-    assert_allclose(out.mean, want.mean, atol=1e-12)
-    # with an environment the output keeps the input's modes only
-    bs = gaussian_unitary("beamsplitter", 0.5, n_modes=2)
-    thermal_env = gaussian_channel(state, bs, thermal_state(0.5), mode=0)
-    assert thermal_env.n_modes == 2
-    assert_allclose(thermal_env.cov[2:, 2:], state.cov[2:, 2:], atol=1e-12)
-
-
-def test_gaussian_channel_refuses_mismatched_arity():
-    bs = gaussian_unitary("beamsplitter", 0.5, n_modes=2)
-    with pytest.raises(ValueError):
-        gaussian_channel(vacuum_state(1), bs)
-    with pytest.raises(ValueError):
-        gaussian_channel(vacuum_state(1), bs, vacuum_state(1), mode=1)

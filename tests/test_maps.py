@@ -45,7 +45,6 @@ from nongauss.gaussian import (
     GaussianState,
     apply_symplectic,
     condition_on_projection,
-    gaussian_channel,
     gaussian_unitary,
     thermal_state,
 )
@@ -661,8 +660,8 @@ def test_an_amplitude_takes_at_most_two_fields():
     with pytest.raises(ValueError):
         parse_state_spec("coherent:", d)
     # the field after an environment's coherent:re is its im
-    _, env = parse_map_spec("gd:bs0.5,env=coherent:0.3,-0.2", d).metadata["gaussian_form"]
-    assert_allclose(env.mean, [0.6, -0.4], rtol=0, atol=1e-15)
+    env = parse_map_spec("gd:bs0.5,env=coherent:0.3,-0.2", d).metadata["environment"]
+    assert_allclose(env.data, build_state("coherent", 0.3 - 0.2j, d).data, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("gamma", ["nan", "inf", "-inf"])
@@ -690,34 +689,35 @@ def test_pure_inputs_stay_pure_under_pns_and_pna():
             assert abs(np.linalg.norm(out.data) - 1.0) < 1e-9
 
 
+_MARKED_GAUSSIAN = (
+    "id", "loss:0.4", "loss:1",
+    *(f"gd:bs0.4,env={env}" for env in ("vacuum", "fock:0", "coherent:0.5", "coherent:0.3,-0.2")),
+    # at τ = 1 the Kraus operators are ψ_E[j]·I: the identity, whatever ψ_E
+    *(f"gd:bs1,env={env}" for env in ("vacuum", "fock:1", "fock:3", "cat:1.0", "coherent:0.5")),
+)
+
+
 def test_gaussian_channels_carry_their_gaussian_form():
     d = 12
-    sym, env = identity_map(d).metadata["gaussian_form"]
-    assert env is None
-    assert_allclose(sym.S, np.eye(2))
-    assert_allclose(sym.delta_x, np.zeros(2))
-    beamsplitter = gaussian_unitary("beamsplitter", 0.4, 2).S
-    cases = (
-        (loss(0.4, d), [0.0, 0.0]),
-        (parse_map_spec("gd:bs0.4,env=vacuum", d), [0.0, 0.0]),
-        (parse_map_spec("gd:bs0.4,env=fock:0", d), [0.0, 0.0]),
-        (parse_map_spec("gd:bs0.4,env=coherent:0.5", d), [1.0, 0.0]),
-    )
-    for desc, mean in cases:
-        sym, env = desc.metadata["gaussian_form"]
-        assert_allclose(sym.S, beamsplitter)
-        assert_allclose(env.mean, mean)
-        assert_allclose(env.cov, np.eye(2))
-    for spec in ("gd:bs0.4,env=fock:1", "gd:bs0.4,env=cat:1.0", "pns", "bps", "kerr"):
-        assert "gaussian_form" not in parse_map_spec(spec, d).metadata, spec
+    for spec in _MARKED_GAUSSIAN:
+        assert parse_map_spec(spec, d).metadata.get("gaussian") is True, spec
+    assert identity_map(d).metadata == {"gaussian": True}
+    assert loss(0.4, d).metadata["gaussian"] is True
+    unmarked = ("gd:bs0.4,env=fock:1", "gd:bs0.4,env=cat:1.0", "pns", "pna", "bps", "kerr")
+    for spec in unmarked:
+        assert "gaussian" not in parse_map_spec(spec, d).metadata, spec
 
 
 @pytest.mark.parametrize("spec", ["vacuum", "fock:0", "coherent:0.5", "coherent:0.3,-0.2"])
 def test_gaussian_environment_matches_its_ket(spec):
-    want = gaussify(parse_state_spec(spec, 20))
-    got = _gaussian_environment(spec, 20)[1]
-    assert_allclose(got.mean, want.mean, rtol=0, atol=1e-12)
-    assert_allclose(got.cov, want.cov, rtol=0, atol=1e-12)
+    # an environment the beamsplitter channel marks Gaussian is one: its
+    # ket equals its Gaussification
+    env, gaussian = _gaussian_environment(spec, 20)
+    assert gaussian
+    assert abs(delta_g(env)) <= 1e-12
+    desc = parse_map_spec(f"gd:bs0.4,env={spec}", 20)
+    assert desc.metadata["gaussian"] is True
+    assert abs(delta_g(desc.metadata["environment"])) <= 1e-12
 
 
 def _squeezed_thermal(n_th, r, theta):
@@ -726,7 +726,9 @@ def _squeezed_thermal(n_th, r, theta):
 
 
 @pytest.mark.parametrize(
-    "spec, d", [("loss:0.7", 30), ("gd:bs0.4,env=coherent:0.3", 25)], ids=["loss", "gd"]
+    "spec, d, tau, env_mean",
+    [("loss:0.7", 30, 0.7, [0.0, 0.0]), ("gd:bs0.4,env=coherent:0.3", 25, 0.4, [0.6, 0.0])],
+    ids=["loss", "gd"],
 )
 @pytest.mark.parametrize(
     "state",
@@ -736,15 +738,17 @@ def _squeezed_thermal(n_th, r, theta):
     ],
     ids=["coherent", "squeezed-thermal"],
 )
-def test_gaussian_form_agrees_with_its_kraus_family(spec, d, state):
-    # the phase-space route and the Fock route of one descriptor: a sign
-    # or transmissivity convention that differs between them shows here
+def test_gaussian_form_agrees_with_its_kraus_family(spec, d, tau, env_mean, state):
+    # a marked channel's Kraus family against the beamsplitter in phase
+    # space, [[√τ, −√(1−τ)], [√(1−τ), √τ]] on (system, environment): a sign
+    # or transmissivity convention of the Fock lift that differs shows here
     desc = parse_map_spec(spec, d)
-    want = gaussian_channel(state, *desc.metadata["gaussian_form"])
+    assert desc.metadata["gaussian"] is True
     out, _ = apply_map(gaussian_to_fock(state, d, trace_tol=1e-5), desc.body)
     got = gaussify(out)
-    assert_allclose(got.mean, want.mean, rtol=0, atol=1e-6)
-    assert_allclose(got.cov, want.cov, rtol=0, atol=1e-6)
+    want_mean = np.sqrt(tau) * state.mean - np.sqrt(1.0 - tau) * np.asarray(env_mean)
+    assert_allclose(got.mean, want_mean, rtol=0, atol=1e-6)
+    assert_allclose(got.cov, tau * state.cov + (1.0 - tau) * np.eye(2), rtol=0, atol=1e-6)
 
 
 @pytest.mark.parametrize(

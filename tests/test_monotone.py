@@ -781,7 +781,7 @@ def test_d_g_bound_refuses_an_input_that_is_not_single_mode_gaussian(monkeypatch
     def refuse(*args, **kwargs):
         raise AssertionError("a route ran before the inputs were checked")
 
-    for name in ("_kerr_outputs", "gaussian_channel", "gaussian_to_fock"):
+    for name in ("_kerr_outputs", "gaussian_to_fock"):
         monkeypatch.setattr(monotone, name, refuse)
     good = vacuum_state(1)
     with pytest.raises(ValueError, match=r"input \('input', 1\) is a 2-mode GaussianState"):
@@ -1129,8 +1129,6 @@ def test_gaussian_channel_profile_is_finite_at_zero(monkeypatch):
 
 def test_gd_spec_takes_a_complex_coherent_environment(monkeypatch):
     desc = parse_map_spec("gd:bs0.4,env=coherent:0.3,-0.2", 25)
-    _, env = desc.metadata["gaussian_form"]
-    assert_allclose(env.mean, [0.6, -0.4], rtol=0, atol=1e-15)
     want = build_state("coherent", 0.3 - 0.2j, 25)
     assert_allclose(desc.metadata["environment"].data, want.data, rtol=0, atol=1e-15)
     _refuse_fock_work(monkeypatch)
@@ -1149,6 +1147,36 @@ def test_identity_delta_tilde_is_one_phase_space_member(monkeypatch):
     # the conditional-unitary refusal still comes first
     with pytest.raises(UnsupportedMapError):
         delta_tilde(loss(0.7, 12))
+
+
+def test_identity_delta_tilde_builds_no_input(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an input-family member was built for a Gaussian channel")
+
+    monkeypatch.setattr(monotone, "input_family", refuse)
+    res = delta_tilde(identity_map())
+    assert res.value == 0.0
+    assert res.evaluations == 1
+
+
+def test_a_unit_transmissivity_beamsplitter_is_the_identity_channel(monkeypatch):
+    # at τ = 1 the Kraus operators are ψ_E[j]·I, whatever the environment:
+    # the channel is marked Gaussian, and the environment bound's sampled
+    # check, which pushes members through that family, agrees with its 0
+    d = 25
+    desc = parse_map_spec("gd:bs1,env=fock:1", d)
+    assert desc.metadata["gaussian"] is True
+    env = desc.metadata["environment"].data
+    assert_allclose(desc.body.kraus, np.multiply.outer(env, np.eye(d)), rtol=0, atol=1e-12)
+    bound = environment_bound(desc)
+    assert bound.bound == 0.0
+    assert bound.checked == 4
+    assert bound.sampled_max <= monotone.ENVIRONMENT_SLACK
+    _refuse_fock_work(monkeypatch)
+    res = d_g_bound(desc, seed=0)
+    assert res.value == 0.0
+    assert res.evaluations == 10
+    assert res.diagnostics["backend"] == "phase-space"
 
 
 def test_gaussian_environment_bound_is_read_without_a_lift(monkeypatch):
