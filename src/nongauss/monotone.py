@@ -20,17 +20,22 @@ refuses, on its lift or its output, is valued −∞ and counted in
 
 The closed forms take one member or a stack of them and evaluate a stack
 in one vectorised pass, moments, covariances, physicality checks and
-spectra alike.  The δ̃ search, at one N_S cap or a sweep's several,
+spectra alike; Kerr's three transition integrals are one pass over a
+stacked phase axis.  The δ̃ search, at one N_S cap or a sweep's several,
 evaluates its lattices as one batch, then advances every cap's five
 simplex restarts in lock-step, one batch of new points per round; each
 restart keeps its own trace, joined in restart order, so a result is
 deterministic for a seed and equals that of the restarts run in turn.
+Its table is keyed by the clamped fields as plain numbers, so a distinct
+point builds one InputParams and one rank, and the simplex steps on
+Python floats, with numpy's argsort ordering its vertices.
 """
 
 import cmath
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -134,8 +139,8 @@ class MonotoneResult:
     diagnostics: dict
 
     def __post_init__(self):
-        finite = [v for _, v in self.trace if np.isfinite(v)]
-        if finite and self.value < max(finite) - 1e-12:
+        top = max((v for _, v in self.trace if math.isfinite(v)), default=-math.inf)
+        if self.value < top - 1e-12:
             raise ValueError("result value below its own evaluation trace")
 
     @property
@@ -147,9 +152,9 @@ class MonotoneResult:
 def _result(quantity, trace, diagnostics, refusal):
     # the result of a trace of (argument, value) pairs at its first maximum
     # (np.argmax); refusal, the caller's TruncationError, if that is not finite
-    values = np.array([v for _, v in trace])
+    values = [v for _, v in trace]
     best = int(np.argmax(values))
-    if not np.isfinite(values[best]):
+    if not math.isfinite(values[best]):
         raise refusal
     return MonotoneResult(
         quantity, float(values[best]), trace[best][0], len(trace), tuple(trace), diagnostics
@@ -442,10 +447,12 @@ def _kerr_outputs(p, gamma):
     a = ((m00 * q11 - m01 * q01) / det_q, a01, (m11 * q00 - m10 * q10) / det_q)
     alpha = np.asarray(p.alpha, dtype=complex)
     beta = (-a01 * alpha.conjugate(), alpha - a[2] * alpha.conjugate())
-    log_norm = _rotated_moments(a, beta, 1.0)[0]
     turn = cmath.exp(-1j * gamma)
-    log_2, b, ab, _, adag_b = _rotated_moments(a, beta, turn**2)
-    log_4, _, _, bb, _ = _rotated_moments(a, beta, turn**4)
+    # the three integrals, at z = 1 (the norm), e^{−2iγ} and e^{−4iγ}, in
+    # one pass over a leading phase axis
+    z = np.array([1.0, turn**2, turn**4]).reshape((3,) + (1,) * alpha.ndim)
+    (log_norm, log_2, log_4), b, ab, bb, adag_b = _rotated_moments(a, beta, z)
+    b, ab, bb, adag_b = b[1], ab[1], bb[2], adag_b[1]
     scale_2 = turn * np.exp(log_2 - log_norm)
     ab, adag_b = scale_2 * ab, scale_2 * adag_b
     bb = bb * (turn**4 * np.exp(log_4 - log_norm))
@@ -486,13 +493,20 @@ def _route(desc):
     return "fock", None
 
 
-def _clamp(x, n_s_cap):
-    return InputParams(
-        complex(min(abs(float(x[0])), _CAP_ALPHA)),
-        min(max(float(x[1]), -_CAP_THETA), _CAP_THETA),
-        min(max(float(x[2]), -_CAP_R), _CAP_R),
-        float(min(abs(float(x[3])), n_s_cap)),
+def _clamp_key(x, n_s_cap):
+    # the fields of the member at search coordinates x = (|α|, θ, r, n_s),
+    # clamped into the caps: (complex α, θ, r, n_s), as plain numbers
+    alpha, theta, r, n_s = map(float, x)
+    return (
+        complex(min(abs(alpha), _CAP_ALPHA)),
+        min(max(theta, -_CAP_THETA), _CAP_THETA),
+        min(max(r, -_CAP_R), _CAP_R),
+        float(min(abs(n_s), n_s_cap)),
     )
+
+
+def _clamp(x, n_s_cap):
+    return InputParams(*_clamp_key(x, n_s_cap))
 
 
 def alpha_zero_spread(which, seed=0, count=10):
@@ -534,42 +548,55 @@ def _nelder_mead(x0, maxfev):
     ordering of the vertices; it stops once the vertices lie within
     SIMPLEX_XATOL and their values within SIMPLEX_FATOL of the best (scipy's
     xatol and fatol), or once maxfev (≥ 1) values are spent, mid-step if
-    need be, as scipy's call counter stops it.
+    need be, as scipy's call counter stops it.  The vertices and values are
+    Python floats, each step taken in numpy's order of operations (the
+    centroid a sum from 0.0, row after row), so every point is scipy's bit
+    for bit; only the ordering stays np.argsort, whose choice among tied
+    values is numpy's own.
     """
-    x0 = np.asarray(x0, dtype=float)
+    x0 = [float(v) for v in x0]
     n = len(x0)
-    sim = np.array([x0] * (n + 1))
+    sim = [list(x0) for _ in range(n + 1)]
     for k in range(n):
-        sim[k + 1, k] = (1 + _NM_NONZDELT) * x0[k] if x0[k] != 0 else _NM_ZDELT
-    fsim = np.full(n + 1, np.inf)
+        sim[k + 1][k] = (1 + _NM_NONZDELT) * x0[k] if x0[k] != 0 else _NM_ZDELT
+    fsim = [math.inf] * (n + 1)
     left = maxfev
 
     def ask(points):
         nonlocal left
         points = points[:left]
         left -= len(points)
-        return np.asarray((yield points), dtype=float)
+        return [float(v) for v in (yield np.array(points))]
+
+    def ordered():
+        ind = np.array(fsim).argsort().tolist()
+        return [sim[i] for i in ind], [fsim[i] for i in ind]
+
+    def along(a, b):
+        # a·x̄ − b·x_worst, the line through the centroid and the worst vertex
+        return [a * c - b * w for c, w in zip(xbar, worst)]
 
     f = yield from ask(sim)
     fsim[: len(f)] = f
     # scipy sorts twice here, and argsort need not be stable on ties
     for _ in range(2):
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        sim, fsim = ordered()
     while left:
-        if (
-            np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= SIMPLEX_XATOL
-            and np.max(np.abs(fsim[0] - fsim[1:])) <= SIMPLEX_FATOL
-        ):
+        best, worst = sim[0], sim[-1]
+        near = all(abs(v - b) <= SIMPLEX_XATOL for x in sim[1:] for v, b in zip(x, best))
+        if near and all(abs(fsim[0] - f) <= SIMPLEX_FATOL for f in fsim[1:]):
             return
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = (1 + _NM_RHO) * xbar - _NM_RHO * sim[-1]
-        (fxr,) = yield from ask(xr[None])
+        xbar = [0.0] * n
+        for x in sim[:-1]:
+            xbar = [s + v for s, v in zip(xbar, x)]
+        xbar = [s / n for s in xbar]
+        xr = along(1 + _NM_RHO, _NM_RHO)
+        (fxr,) = yield from ask([xr])
         if fxr < fsim[0]:
             if not left:
                 return
-            xe = (1 + _NM_RHO * _NM_CHI) * xbar - _NM_RHO * _NM_CHI * sim[-1]
-            (fxe,) = yield from ask(xe[None])
+            xe = along(1 + _NM_RHO * _NM_CHI, _NM_RHO * _NM_CHI)
+            (fxe,) = yield from ask([xe])
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
@@ -577,21 +604,21 @@ def _nelder_mead(x0, maxfev):
             if not left:
                 return
             if fxr < fsim[-1]:
-                xc = (1 + _NM_PSI * _NM_RHO) * xbar - _NM_PSI * _NM_RHO * sim[-1]
-                (fxc,) = yield from ask(xc[None])
+                xc = along(1 + _NM_PSI * _NM_RHO, _NM_PSI * _NM_RHO)
+                (fxc,) = yield from ask([xc])
                 keep = fxc <= fxr
             else:
-                xc = (1 - _NM_PSI) * xbar + _NM_PSI * sim[-1]
-                (fxc,) = yield from ask(xc[None])
+                # scipy's (1 − ψ)x̄ + ψx_worst, exactly
+                xc = along(1 - _NM_PSI, -_NM_PSI)
+                (fxc,) = yield from ask([xc])
                 keep = fxc < fsim[-1]
             if keep:
                 sim[-1], fsim[-1] = xc, fxc
             elif left:
-                shrunk = sim[0] + _NM_SIGMA * (sim[1:] - sim[0])
+                shrunk = [[b + _NM_SIGMA * (v - b) for v, b in zip(x, best)] for x in sim[1:]]
                 f = yield from ask(shrunk)
                 sim[1 : 1 + len(f)], fsim[1 : 1 + len(f)] = shrunk[: len(f)], f
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        sim, fsim = ordered()
 
 
 class _FockValues:
@@ -621,7 +648,10 @@ class _FockValues:
             return -np.inf
 
     def diagnostics(self, trace):
-        """The largest lift deficit over a trace's keys, and its refused entries."""
+        """The largest lift deficit over a trace's keys, and its refused
+        entries; an empty record (no key valued) reads no entry."""
+        if not (self.deficits or self.refused):
+            return {"max_deficit": 0.0, "excluded": 0}
         deficit = max([0.0] + [self.deficits.get(k, 0.0) for k, _ in trace])
         return {"max_deficit": float(deficit), "excluded": sum(k in self.refused for k, _ in trace)}
 
@@ -677,39 +707,45 @@ def _delta_tilde_search(desc, seed, caps):
     A cap's trace is its lattice's, then its runs' in restart order, so
     its result is that of the cap searched alone.  `excluded` counts the
     trace entries on points the cutoff refused (valued −∞).
+
+    The table's key is a point's clamped fields (_clamp_key), a plain
+    tuple, and its entry (member, value, rank): a distinct point builds
+    its InputParams, with its checks, and its rank once, and a round
+    reads every other point from the table.  The runs step on Python
+    floats (_nelder_mead), each sent the ranks of its points.
     """
     backend, route = _route(desc)
     refusal = TruncationError(
         "every probe point spills over the cutoff; raise it",
         suggested_cutoff=2 * desc.cutoff,
     )
-    table = {}
+    table = {}  # clamped key (_clamp_key) -> (member, value, rank)
     fock = _FockValues(
         desc, lambda p: input_family(p, "fock", desc.cutoff, edge_tol=_EDGE_TOL), [1], _EDGE_TOL
     )
 
-    def objective(points):
+    def evaluate(keys):
+        # one objective call for the distinct keys not yet in the table;
+        # each builds its member, with its checks, before any arithmetic
+        new = [k for k in dict.fromkeys(keys) if k not in table]
+        if not new:
+            return
+        members = [InputParams(*k) for k in new]
         if backend == "fock":
-            return [fock.value(p, p) for p in points]
-        weight, m = route(_members(points))
-        values = gaussian_entropies(*mean_and_covariance(m))
-        return np.where(weight > 0.0, values, -np.inf).tolist()
+            values = [fock.value(p, p) for p in members]
+        else:
+            weight, m = route(_Members(*map(np.array, zip(*new))))
+            values = gaussian_entropies(*mean_and_covariance(m))
+            values = np.where(weight > 0.0, values, -np.inf).tolist()
+        for k, p, v in zip(new, members, values):
+            table[k] = (p, v, round(v, _RANK_DECIMALS) if math.isfinite(v) else _PENALTY)
 
-    def evaluate(points):
-        # one objective call for the distinct points not yet in the table
-        new = [p for p in dict.fromkeys(points) if p not in table]
-        if new:
-            table.update(zip(new, objective(new)))
-
-    def rank(value):
-        return round(value, _RANK_DECIMALS) if np.isfinite(value) else _PENALTY
-
-    def coords(p):
-        return np.array([abs(p.alpha), p.theta, p.r, p.n_s])
+    def coords(key):
+        return [abs(key[0]), *key[1:]]
 
     lattices = [
         [
-            _clamp(np.array([a, t, r, n]), cap)
+            _clamp_key((a, t, r, n), cap)
             for a in _LATTICE_ALPHA
             for t in _LATTICE_THETA
             for r in _LATTICE_R
@@ -717,28 +753,32 @@ def _delta_tilde_search(desc, seed, caps):
         ]
         for cap in caps
     ]
-    evaluate([p for lattice in lattices for p in lattice])
-    traces = [[(p, table[p]) for p in lattice] for lattice in lattices]
+    evaluate([k for lattice in lattices for k in lattice])
+    traces = [[table[k][:2] for k in lattice] for lattice in lattices]
     runs = []  # (cap index, run, its trace), by cap, then in restart order
-    for k, (cap, lattice) in enumerate(zip(caps, lattices)):
+    for i, (cap, lattice) in enumerate(zip(caps, lattices)):
         # sorted is stable: tied values keep their lattice order
-        starts = sorted(lattice, key=lambda p: -rank(table[p]))[:3]
-        jitters = np.random.default_rng(seed).normal(scale=0.05, size=(2, 4))
-        starts += [_clamp(coords(starts[0]) + jitter, cap) for jitter in jitters]
-        runs += [(k, _nelder_mead(coords(p), _SIMPLEX_MAXFEV), []) for p in starts]
+        starts = sorted(lattice, key=lambda k: -table[k][2])[:3]
+        jitters = np.random.default_rng(seed).normal(scale=0.05, size=(2, 4)).tolist()
+        top = coords(starts[0])
+        starts += [_clamp_key([c + j for c, j in zip(top, jitter)], cap) for jitter in jitters]
+        runs += [(i, _nelder_mead(coords(k), _SIMPLEX_MAXFEV), []) for k in starts]
     asked = {i: next(run) for i, (_, run, _) in enumerate(runs)}
     while asked:
-        clamped = {i: [_clamp(x, caps[runs[i][0]]) for x in xs] for i, xs in asked.items()}
-        evaluate([p for points in clamped.values() for p in points])
-        for i, points in clamped.items():
+        keys = {
+            i: [_clamp_key(x, caps[runs[i][0]]) for x in xs.tolist()] for i, xs in asked.items()
+        }
+        evaluate([k for ks in keys.values() for k in ks])
+        for i, ks in keys.items():
             _, run, run_trace = runs[i]
-            run_trace += [(p, table[p]) for p in points]
+            entries = [table[k] for k in ks]
+            run_trace += [(p, v) for p, v, _ in entries]
             try:
-                asked[i] = run.send([-rank(table[p]) for p in points])
+                asked[i] = run.send([-rank for _, _, rank in entries])
             except StopIteration:
                 del asked[i]
-    for k, _, run_trace in runs:
-        traces[k] += run_trace
+    for i, _, run_trace in runs:
+        traces[i] += run_trace
     return [
         _result("delta_tilde", trace, {"backend": backend, **fock.diagnostics(trace)}, refusal)
         for trace in traces
@@ -797,7 +837,9 @@ def gaussian_mean_photons(state):
 
 
 def _default_gaussian_inputs(energy, rng, count):
-    inputs = []
+    # d_g_bound's default inputs as (label, build) pairs; build() makes the
+    # GaussianState, the squeezed-thermal ones drawing from rng, so they are
+    # built in order or not at all
     if energy is None:
         alphas = (0.5, 1.0, 1.5, 2.0)
         ds_energies = (1.0, 2.0)
@@ -806,13 +848,12 @@ def _default_gaussian_inputs(energy, rng, count):
         alphas = tuple(np.sqrt(energy * f) for f in (0.25, 0.5, 1.0))
         ds_energies = (float(energy),)
         cap = float(energy)
-    for a in alphas:
-        inputs.append((("coherent", round(float(a), 6)), _coherent_input(a)))
-    for e in ds_energies:
-        inputs.append((("displaced_squeezed", e), _displaced_squeezed_input(e)))
-    for i in range(count):
-        inputs.append((("squeezed_thermal", i), _squeezed_thermal_input(cap, rng)))
-    return inputs
+    drawn = partial(_squeezed_thermal_input, cap, rng)
+    return (
+        [(("coherent", round(float(a), 6)), partial(_coherent_input, a)) for a in alphas]
+        + [(("displaced_squeezed", e), partial(_displaced_squeezed_input, e)) for e in ds_energies]
+        + [(("squeezed_thermal", i), drawn) for i in range(count)]
+    )
 
 
 def d_g_bound(desc, inputs=None, energy=None, seed=0, count=4):
@@ -820,7 +861,8 @@ def d_g_bound(desc, inputs=None, energy=None, seed=0, count=4):
 
     With no explicit inputs, evaluates a coherent grid, a displaced
     squeezed state, and seeded squeezed-thermal samples, all within the
-    energy budget when one is given.  inputs is a list of GaussianState,
+    energy budget when one is given; a Gaussian channel reads only their
+    labels, so none of them is built.  inputs is a list of GaussianState,
     the i-th labelled ("input", i) in the trace.
 
     Routes (_route): a Gaussian channel keeps each input Gaussian, so every
@@ -844,18 +886,21 @@ def d_g_bound(desc, inputs=None, energy=None, seed=0, count=4):
     body = desc.body
     if body.n_in != 1:
         raise UnsupportedMapError("d_g_bound expects a single-mode map")
+    backend, route = _route(desc)
     if inputs is None:
         rng = np.random.default_rng(seed)
         supplied = _default_gaussian_inputs(energy, rng, count)
+        # the phase-space route reads only the labels
+        if backend != "phase-space":
+            supplied = [(label, build()) for label, build in supplied]
     else:
         supplied = [(("input", i), g) for i, g in enumerate(inputs)]
-    if not supplied:
-        raise ValueError("no Gaussian inputs supplied")
-    for label, g in supplied:
-        if not isinstance(g, GaussianState) or g.n_modes != 1:
-            kind = f"{getattr(g, 'n_modes', '?')}-mode {type(g).__name__}"
-            raise ValueError(f"d_g_bound takes single-mode inputs; input {label} is a {kind}")
-    backend, route = _route(desc)
+        if not supplied:
+            raise ValueError("no Gaussian inputs supplied")
+        for label, g in supplied:
+            if not isinstance(g, GaussianState) or g.n_modes != 1:
+                kind = f"{getattr(g, 'n_modes', '?')}-mode {type(g).__name__}"
+                raise ValueError(f"d_g_bound takes single-mode inputs; input {label} is a {kind}")
     if backend == "analytic" and body.renormalize:
         # S(out) = S(in) needs a unitary
         backend, route = "fock", None

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 
 import numpy as np
@@ -771,6 +772,76 @@ def test_kerr_search_evaluates_each_distinct_point_once(monkeypatch):
     assert batches[0] == 144 and len(batches) < 744 - 144
 
 
+def test_kerr_search_builds_one_member_per_distinct_point(monkeypatch):
+    # the search's table is keyed by the clamped fields; only a point not
+    # yet in it builds its InputParams, and with it the member's checks
+    built = []
+    check = InputParams.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(InputParams, "__post_init__", counted)
+    res = delta_tilde(kerr(0.5, 32), seed=937)
+    assert res.evaluations == 744
+    assert len(built) == len(set(built)) == 561
+    assert set(built) == {p for p, _ in res.trace}
+
+
+# bit-for-bit pins on the closed-form searches: the value's hex, the
+# argmax's fields (θ, r, n_s as hex) and the evaluation count
+@pytest.mark.parametrize(
+    "make, value, argmax, evaluations",
+    [
+        (pns, "0x1.0000000000013p+1",
+         (0j, "0x1.921fb54442d18p-1", "0x1.3333333333333p-1", "0x1.0000000000000p+1"), 509),
+        (pna, "0x1.0000000000007p+1",
+         (0j, "0x1.921fb54442d18p-1", "0x1.3333333333333p-1", "0x1.0000000000000p+0"), 500),
+        (lambda: kerr(0.5, 32), "0x1.5a16bb216332fp+3",
+         (3 + 0j, "-0x1.9198febd19eb3p+0", "0x1.8000000000000p+0", "0x1.0000000000000p+2"), 744),
+    ],
+    ids=["pns", "pna", "kerr"],
+)
+def test_closed_form_search_pins(make, value, argmax, evaluations):
+    res = delta_tilde(make(), seed=937)
+    p = res.argmax
+    assert res.value.hex() == value
+    assert (p.alpha, p.theta.hex(), p.r.hex(), p.n_s.hex()) == argmax
+    assert res.evaluations == evaluations
+
+
+def test_sweep_search_pins():
+    results = monotone._delta_tilde_search(pns(), 618, monotone.DEFAULT_NS_GRID)
+    assert [res.value.hex() for res in results] == [
+        "0x1.0000000000003p+1",
+        "0x1.0000000000005p+1",
+        "0x1.0000000000013p+1",
+        "0x1.0000000000013p+1",
+    ]
+    assert [res.evaluations for res in results] == [421, 459, 495, 495]
+
+
+@pytest.mark.parametrize("size", [1, 2, 5, 144])
+def test_kerr_phases_in_one_pass_equal_three_calls(size):
+    # _kerr_outputs stacks its three phases z on a leading axis of one
+    # _rotated_moments pass; each lane must equal the one-phase call, bit
+    # for bit, which the loop of three calls gives as the reference
+    rng = np.random.default_rng(size)
+
+    def draw(scale):
+        return scale * (rng.normal(size=size) + 1j * rng.normal(size=size))
+
+    a, beta = (draw(0.3), draw(0.3), draw(0.3)), (draw(1.0), draw(1.0))
+    turn = cmath.exp(-0.5j)
+    phases = (1.0, turn**2, turn**4)
+    loop = [monotone._rotated_moments(a, beta, z) for z in phases]
+    stacked = monotone._rotated_moments(a, beta, np.array(phases)[:, None])
+    for k, want in enumerate(loop):
+        for got, one in zip(stacked, want):
+            assert got[k].shape == one.shape and got[k].tobytes() == one.tobytes()
+
+
 @pytest.mark.parametrize(
     "make", [lambda: kerr(0.5, 8), lambda: bps(8), lambda: loss(0.7, 8)],
     ids=["analytic", "fock", "phase-space"],
@@ -1117,6 +1188,22 @@ def test_gaussian_channel_bound_is_exact_in_phase_space(make, monkeypatch):
     assert res.diagnostics["backend"] == "phase-space"
     assert res.diagnostics["excluded"] == 0
     assert res.diagnostics["max_deficit"] == 0.0
+
+
+def test_gaussian_channel_bound_builds_no_default_input(monkeypatch):
+    # the phase-space route reads only the default inputs' labels
+    _refuse_fock_work(monkeypatch)
+    _refuse(
+        monkeypatch, "_coherent_input", "_displaced_squeezed_input", "_squeezed_thermal_input"
+    )
+    res = d_g_bound(loss(0.7, 30), energy=2.0, seed=0)
+    assert [label for label, _ in res.trace] == [
+        ("coherent", 0.707107), ("coherent", 1.0), ("coherent", 1.414214),
+        ("displaced_squeezed", 2.0),
+        ("squeezed_thermal", 0), ("squeezed_thermal", 1),
+        ("squeezed_thermal", 2), ("squeezed_thermal", 3),
+    ]
+    assert res.value == 0.0
 
 
 def test_gaussian_channel_profile_is_finite_at_zero(monkeypatch):
