@@ -2,7 +2,7 @@
 
 delta_tilde maximizes the joint-output non-Gaussianity over the four
 parameter entangled input family D_α R_θ S_r |ζ⟩; d_g_bound evaluates the
-unentangled lower bound on Gaussian inputs.  Photon subtraction and
+unentangled lower bound on its members' marginals.  Photon subtraction and
 addition get an exact closed-form Gaussian-moment (Isserlis) backend: the
 output moments are ordered ladder words whose expectations on the Gaussian
 input follow from its means and pair contractions alone.  The self-Kerr
@@ -35,7 +35,6 @@ import cmath
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -52,7 +51,6 @@ from .fock import (
     covariance_from_moments,
     delta_g,
     gaussian_cutoff,
-    gaussian_to_fock,
     mean_and_covariance,
 )
 from .gaussian import (
@@ -63,7 +61,6 @@ from .gaussian import (
     gaussian_unitary,
     thermal_entropy,
     thermal_occupation,
-    thermal_state,
     tmsv_state,
     williamson_spectrum,
 )
@@ -211,11 +208,9 @@ def input_family(
 
     The displacement, rotation and squeeze act on the second mode (the one
     the map will consume).  backend 'gaussian' returns the exact
-    GaussianState; 'fock' a truncated ket carrying its build deficit.  The
-    TMSV is Σ_i c_i |i, i⟩, c and its refusal those of build_state('tmsv')
-    (fock._amplitudes), so with the in-box U = D_α R_θ S_r of
-    fock.build_unitary the ket is ψ[i, j] = c_i U[j, i], one product.  It is
-    certified by fock.certify_edge at edge_tol, by default
+    GaussianState; 'fock' a truncated ket carrying its build deficit, the
+    rows of _family_rows as ψ[i, j].  It is certified by fock.certify_edge
+    at edge_tol, by default
     moment_tol/(EDGE_COST·cutoff²): the truncation error of its second
     moments, and of those of its image under one ladder operator, is
     estimated to be within moment_tol.
@@ -234,12 +229,8 @@ def input_family(
             )
         return state
     if backend == "fock":
-        c = _amplitudes("tmsv", p.n_s, cutoff, trace_tol)
-        u = build_unitary("displacement", p.alpha, cutoff) @ (
-            build_unitary("rotation", p.theta, cutoff).diagonal()[:, None]
-            * build_unitary("squeeze", p.r, cutoff)
-        )
-        ket = FockArray(2, cutoff, "ket", (u * c).T, trace_tol=trace_tol)
+        _, rows = _family_rows(p, cutoff, trace_tol)
+        ket = FockArray(2, cutoff, "ket", rows, trace_tol=trace_tol)
         if edge_tol is not None:
             return certify_edge(ket, edge_tol)
         try:
@@ -250,6 +241,20 @@ def input_family(
             )
             raise
     raise ValueError(f"unknown backend {backend!r}")
+
+
+def _family_rows(p, cutoff, trace_tol):
+    """The TMSV amplitudes c of member p, build_state('tmsv')'s refused at
+    trace_tol (fock._amplitudes), and the rows φ_i = c_i (U e_i)ᵀ for the
+    in-box U = D_α R_θ S_r of fock.build_unitary: at once the two-mode ket
+    ψ[i, j] of input_family and the branches Σ_i c_i² U|i⟩⟨i|U† of its
+    consumed-mode marginal, d_g_bound's Fock image of an input."""
+    c = _amplitudes("tmsv", p.n_s, cutoff, trace_tol)
+    u = build_unitary("displacement", p.alpha, cutoff) @ (
+        build_unitary("rotation", p.theta, cutoff).diagonal()[:, None]
+        * build_unitary("squeeze", p.r, cutoff)
+    )
+    return c, (u * c).T
 
 
 # The Fock search admits edge weight up to 1e-6 on its input and its output
@@ -304,18 +309,6 @@ def _ladder_moments(p):
     return mu, bogoliubov @ g_tmsv @ np.swapaxes(bogoliubov, -1, -2)
 
 
-def _ordered_moments(mu, g, words):
-    """Ordered four-symbol moments of a Gaussian state, one per word.
-
-    mu and g are ladder means and ordered fluctuations as _ladder_moments
-    returns them; words is an integer array of shape (k, 4) indexing them,
-    where index len(mu) is the unit (mean 1, no fluctuation) that pads a
-    shorter word.  By the Isserlis (Wick) theorem, with raw second moments
-    S = g + μμᵀ, ⟨ξ₁ξ₂ξ₃ξ₄⟩ = S₁₂S₃₄ + S₁₃S₂₄ + S₁₄S₂₃ − 2μ₁μ₂μ₃μ₄.
-    """
-    return _isserlis(mu, g, _contractions(words, len(mu) + 1))
-
-
 def _contractions(words, size):
     """Gather indices of the Isserlis sum for words of shape (k, 4).
 
@@ -329,8 +322,11 @@ def _contractions(words, size):
 
 
 def _isserlis(mu, g, contractions):
-    # _ordered_moments on the gather indices of _contractions, over the
-    # stack axes that lead mu and g
+    """Ordered four-symbol moments of a Gaussian state, one per word of
+    _contractions (over len(mu) + 1 symbols), on the ladder means and
+    ordered fluctuations of _ladder_moments, over the stack axes that lead
+    mu and g.  By the Isserlis (Wick) theorem, with raw second moments
+    S = g + μμᵀ, ⟨ξ₁ξ₂ξ₃ξ₄⟩ = S₁₂S₃₄ + S₁₃S₂₄ + S₁₄S₂₃ − 2μ₁μ₂μ₃μ₄."""
     pairs, symbols = contractions
     lead, n = mu.shape[:-1], mu.shape[-1]
     unit_mu = np.ones(lead + (n + 1,), dtype=complex)
@@ -503,10 +499,6 @@ def _clamp_key(x, n_s_cap):
         min(max(r, -_CAP_R), _CAP_R),
         float(min(abs(n_s), n_s_cap)),
     )
-
-
-def _clamp(x, n_s_cap):
-    return InputParams(*_clamp_key(x, n_s_cap))
 
 
 def alpha_zero_spread(which, seed=0, count=10):
@@ -685,7 +677,7 @@ def delta_tilde(desc, seed=0, max_n_s=_CAP_NS):
     if desc.body.n_in != 1:
         raise UnsupportedMapError("the input family covers single-mode maps only")
     if _route(desc)[0] == "phase-space":
-        p = _clamp(np.array([0.0, 0.0, 0.0, _LATTICE_NS[0]]), max_n_s)
+        p = InputParams(*_clamp_key((0.0, 0.0, 0.0, _LATTICE_NS[0]), max_n_s))
         diagnostics = {"backend": "phase-space", "max_deficit": 0.0, "excluded": 0}
         return _result("delta_tilde", [(p, 0.0)], diagnostics, refusal=None)  # finite
     (res,) = _delta_tilde_search(desc, seed, (max_n_s,))
@@ -786,27 +778,24 @@ def _delta_tilde_search(desc, seed, caps):
 
 
 def _coherent_input(alpha):
-    return GaussianState(1, np.array([2.0 * alpha, 0.0]), np.eye(2))
+    return InputParams(complex(alpha), 0.0, 0.0, 0.0)
 
 
 def _displaced_squeezed_input(energy):
-    # at fixed mean photon number, anti-squeeze q and displace along p;
-    # variance split u = 2E+1 maximizes the spread a dephasing map can
-    # convert into Gaussian entropy
+    # at fixed mean photon number, anti-squeeze q (variance u) and displace
+    # along p; variance split u = 2E+1 maximizes the spread a dephasing map
+    # can convert into Gaussian entropy
     u = 2.0 * energy + 1.0
     p_sq = max(4.0 * energy + 2.0 - u - 1.0 / u, 0.0)
-    cov = np.diag([u, 1.0 / u])
-    return GaussianState(1, np.array([0.0, np.sqrt(p_sq)]), cov)
+    return InputParams(0.5j * math.sqrt(p_sq), -0.5 * math.pi, 0.5 * math.log(u), 0.0)
 
 
 def _squeezed_thermal_input(energy_cap, rng):
+    # n_th, r and θ drawn from rng in that order
     n_th = float(rng.uniform(0.0, 0.4)) * energy_cap
     cosh_cap = (2.0 * energy_cap + 1.0) / (2.0 * n_th + 1.0)
-    r = 0.5 * np.arccosh(float(rng.uniform(1.0, cosh_cap)))
-    state = thermal_state(n_th)
-    state = apply_symplectic(state, gaussian_unitary("squeeze", r, 1))
-    theta = float(rng.uniform(0.0, np.pi))
-    return apply_symplectic(state, gaussian_unitary("rotation", theta, 1))
+    r = 0.5 * float(np.arccosh(float(rng.uniform(1.0, cosh_cap))))
+    return InputParams(0j, float(rng.uniform(0.0, np.pi)), r, n_th)
 
 
 def _family_member(state):
@@ -837,9 +826,8 @@ def gaussian_mean_photons(state):
 
 
 def _default_gaussian_inputs(energy, rng, count):
-    # d_g_bound's default inputs as (label, build) pairs; build() makes the
-    # GaussianState, the squeezed-thermal ones drawing from rng, so they are
-    # built in order or not at all
+    # d_g_bound's default inputs as (label, member) pairs, the
+    # squeezed-thermal ones drawn from rng in order
     if energy is None:
         alphas = (0.5, 1.0, 1.5, 2.0)
         ds_energies = (1.0, 2.0)
@@ -848,75 +836,84 @@ def _default_gaussian_inputs(energy, rng, count):
         alphas = tuple(np.sqrt(energy * f) for f in (0.25, 0.5, 1.0))
         ds_energies = (float(energy),)
         cap = float(energy)
-    drawn = partial(_squeezed_thermal_input, cap, rng)
     return (
-        [(("coherent", round(float(a), 6)), partial(_coherent_input, a)) for a in alphas]
-        + [(("displaced_squeezed", e), partial(_displaced_squeezed_input, e)) for e in ds_energies]
-        + [(("squeezed_thermal", i), drawn) for i in range(count)]
+        [(("coherent", round(float(a), 6)), _coherent_input(a)) for a in alphas]
+        + [(("displaced_squeezed", e), _displaced_squeezed_input(e)) for e in ds_energies]
+        + [(("squeezed_thermal", i), _squeezed_thermal_input(cap, rng)) for i in range(count)]
     )
 
 
 def d_g_bound(desc, inputs=None, energy=None, seed=0, count=4):
     """Lower bound on δ̃ from unentangled Gaussian inputs.
 
-    With no explicit inputs, evaluates a coherent grid, a displaced
-    squeezed state, and seeded squeezed-thermal samples, all within the
-    energy budget when one is given; a Gaussian channel reads only their
-    labels, so none of them is built.  inputs is a list of GaussianState,
-    the i-th labelled ("input", i) in the trace.
+    Each input is the consumed-mode marginal of an input-family member.
+    With no explicit inputs, the members are a coherent grid, a displaced
+    squeezed state and seeded squeezed-thermal samples, all within the
+    energy budget when one is given.  inputs is a list of single-mode
+    GaussianState, the i-th labelled ("input", i) in the trace, each read
+    as its member (_family_member) and refused above the energy budget.
 
     Routes (_route): a Gaussian channel keeps each input Gaussian, so every
-    value is exactly 0 and no input goes through it (backend
-    'phase-space').  On a closed form that does not renormalize (kerr)
-    each input is the consumed-mode marginal of an input-family member
-    (_family_member), all members go through the closed form in one
-    call, and since the map is unitary S(out) = S(in), so
-    δ_G = S_G(out) − S_G(in) (backend 'analytic').
-    Otherwise, pns and pna included, each input is lifted to desc.cutoff
-    and pushed through the Kraus family (backend 'fock'); inputs the
-    cutoff cannot hold are skipped, keeping the value a faithful lower
-    bound.
+    value is exactly 0 (backend 'phase-space').  On a closed form that
+    does not renormalize (kerr) all members go through it in one call, and
+    the map is unitary, so S(out) = S(in) = g(n_s) and δ_G = S_G(out) −
+    g(n_s) (backend 'analytic').  Otherwise, pns and pna included, each
+    marginal is lifted to desc.cutoff as the rows of _family_rows of
+    weight c_i² > 0 and pushed through the Kraus family (backend 'fock');
+    an input the cutoff cannot hold, at trace deficit 1e-5 on its lift, is
+    excluded.  The lift's edge is not certified (unlike δ̃'s inputs), so a
+    value near the cutoff can hold more truncation error than its tolerance.
 
     :raises ValueError: before any route runs, an energy that is not
-        finite and >= 0, no inputs, or one that is not a single-mode
-        GaussianState.
+        finite and >= 0, no inputs, one that is not a single-mode
+        GaussianState, or one above the energy budget, naming the input.
     """
     if energy is not None and not 0.0 <= energy < np.inf:
         raise ValueError(f"energy must be finite and >= 0, got {energy}")
     body = desc.body
     if body.n_in != 1:
         raise UnsupportedMapError("d_g_bound expects a single-mode map")
-    backend, route = _route(desc)
     if inputs is None:
-        rng = np.random.default_rng(seed)
-        supplied = _default_gaussian_inputs(energy, rng, count)
-        # the phase-space route reads only the labels
-        if backend != "phase-space":
-            supplied = [(label, build()) for label, build in supplied]
+        supplied = _default_gaussian_inputs(energy, np.random.default_rng(seed), count)
     else:
-        supplied = [(("input", i), g) for i, g in enumerate(inputs)]
-        if not supplied:
-            raise ValueError("no Gaussian inputs supplied")
-        for label, g in supplied:
+        supplied = []
+        for i, g in enumerate(inputs):
+            label = ("input", i)
             if not isinstance(g, GaussianState) or g.n_modes != 1:
                 kind = f"{getattr(g, 'n_modes', '?')}-mode {type(g).__name__}"
                 raise ValueError(f"d_g_bound takes single-mode inputs; input {label} is a {kind}")
+            p = _family_member(g)
+            photons = float(arm_photon_number(abs(p.alpha), p.r, p.n_s))
+            # beyond rounding in the member's photon number
+            if energy is not None and photons > energy + 1e-12 * (1.0 + energy):
+                raise ValueError(f"input {label} holds {photons:.6g} mean photons > energy {energy}")
+            supplied.append((label, p))
+        if not supplied:
+            raise ValueError("no Gaussian inputs supplied")
+    backend, route = _route(desc)
     if backend == "analytic" and body.renormalize:
         # S(out) = S(in) needs a unitary
         backend, route = "fock", None
-    fock = _FockValues(desc, lambda g: gaussian_to_fock(g, desc.cutoff, trace_tol=1e-5))
+
+    def lift(p):
+        c, rows = _family_rows(p, desc.cutoff, 1e-5)
+        return FockArray.from_branches(1, desc.cutoff, rows[c * c > 0.0], trace_tol=1e-5)
+
+    fock = _FockValues(desc, lift)
     if backend == "phase-space":
         trace = [(label, 0.0) for label, _ in supplied]
     elif backend == "analytic":
-        # every input's member in one call; the joint outputs are checked as
-        # states, and the consumed mode's marginals give S(out)
-        _, m = route(_members([_family_member(g) for _, g in supplied]))
+        # every member in one call; the joint outputs are checked as states,
+        # and the consumed mode's marginals give S_G(out)
+        members = _members([p for _, p in supplied])
+        _, m = route(members)
         mean, cov = mean_and_covariance(m)
         williamson_spectrum(mean, cov)
-        s_out = gaussian_entropies(mean[:, 2:], cov[:, 2:, 2:]).tolist()
-        trace = [(label, s - gaussian_entropy(g)) for s, (label, g) in zip(s_out, supplied)]
+        s_out = gaussian_entropies(mean[:, 2:], cov[:, 2:, 2:])
+        values = (s_out - thermal_entropy(members.n_s)).tolist()
+        trace = [(label, v) for (label, _), v in zip(supplied, values)]
     else:
-        trace = [(label, fock.value(label, g)) for label, g in supplied]
+        trace = [(label, fock.value(label, p)) for label, p in supplied]
     diagnostics = {"backend": backend, **fock.diagnostics(trace), "energy": energy}
     refusal = TruncationError("no Gaussian input fits the cutoff", diagnostics["max_deficit"])
     return _result("d_g_lower_bound", trace, diagnostics, refusal)

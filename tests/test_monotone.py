@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from scipy import optimize
 
 import nongauss.fock
+import nongauss.gaussian
 import nongauss.monotone as monotone
 from nongauss.errors import TruncationError, UnsupportedMapError
 from nongauss.fock import (
@@ -58,9 +59,11 @@ from nongauss.monotone import (
     DivergenceProfile,
     InputParams,
     MonotoneResult,
+    _clamp_key,
+    _contractions,
     _family_member,
+    _isserlis,
     _ladder_moments,
-    _ordered_moments,
     alpha_zero_spread,
     analytic_output_covariance,
     d_g_bound,
@@ -203,7 +206,7 @@ def test_ordered_moments_two_symbol_tmsv_values():
     mu, g = _ladder_moments(InputParams(0.0, 0.0, 0.0, 1.0))
     assert_allclose(mu, np.zeros(4), atol=1e-12)
     words = [(A, B), (ADAG, BDAG), (B, BDAG), (BDAG, B), (A, A), (A, BDAG)]
-    got = _ordered_moments(mu, g, [w + (ONE, ONE) for w in words])
+    got = _isserlis(mu, g, _contractions([w + (ONE, ONE) for w in words], len(mu) + 1))
     c_p = np.sqrt(2.0)
     assert_allclose(got, [c_p, c_p, 2.0, 1.0, 0.0, 0.0], atol=1e-12)
 
@@ -211,7 +214,8 @@ def test_ordered_moments_two_symbol_tmsv_values():
 def test_ordered_moments_number_correlator():
     # ⟨n_A n_B⟩ on the TMSV: Σ n² λ^{2n} (1-λ²) with λ² = 1/2 sums to 3
     mu, g = _ladder_moments(InputParams(0.0, 0.0, 0.0, 1.0))
-    assert_allclose(_ordered_moments(mu, g, [(ADAG, A, BDAG, B)]), [3.0], atol=1e-12)
+    got = _isserlis(mu, g, _contractions([(ADAG, A, BDAG, B)], len(mu) + 1))
+    assert_allclose(got, [3.0], atol=1e-12)
 
 
 def test_ladder_moments_match_the_phase_space_state():
@@ -249,7 +253,7 @@ def test_ordered_moments_match_fock_numerics():
     mu, g = _ladder_moments(p)
     rng = np.random.default_rng(11)
     words = rng.integers(0, 5, size=(12, 4))
-    for word, got in zip(words, _ordered_moments(mu, g, words)):
+    for word, got in zip(words, _isserlis(mu, g, _contractions(words, len(mu) + 1))):
         out = psi
         for s in word[::-1]:
             out = ops[s](out)
@@ -452,11 +456,13 @@ def test_lockstep_search_matches_sequential_scipy_restarts(make, view, atol):
     top = starts[0]
     for _ in range(2):
         x = np.array([abs(top.alpha), top.theta, top.r, top.n_s])
-        starts.append(monotone._clamp(x + rng.normal(scale=0.05, size=4), monotone._CAP_NS))
+        starts.append(
+            InputParams(*_clamp_key(x + rng.normal(scale=0.05, size=4), monotone._CAP_NS))
+        )
     for p0 in starts:
 
         def f(x):
-            p = monotone._clamp(x, monotone._CAP_NS)
+            p = InputParams(*_clamp_key(x, monotone._CAP_NS))
             want.append((p, value[p]))
             return -rank(value[p])
 
@@ -536,6 +542,102 @@ def test_gaussian_input_bound_validation():
         d_g_bound(pns(30), inputs=[])
     with pytest.raises(UnsupportedMapError):
         d_g_bound(coherent_projector(1.0, 12))
+
+
+@pytest.mark.parametrize("energy", [0.0, 0.5, 2.0, 8.0])
+def test_default_inputs_are_the_marginals_of_their_members(energy):
+    # each default input is a member whose consumed-mode marginal is the
+    # state the input names, built here as a phase-space chain
+    def same(p, want):
+        got = partial_trace_gaussian(input_family(p), [1])
+        assert_allclose(got.mean, want.mean, rtol=0, atol=1e-12)
+        assert_allclose(got.cov, want.cov, rtol=0, atol=1e-12)
+
+    for alpha in np.sqrt(energy * np.array([0.25, 0.5, 1.0])):
+        want = GaussianState(1, np.array([2.0 * alpha, 0.0]), np.eye(2))
+        same(monotone._coherent_input(alpha), want)
+    u = 2.0 * energy + 1.0
+    p_sq = max(4.0 * energy + 2.0 - u - 1.0 / u, 0.0)
+    want = GaussianState(1, np.array([0.0, np.sqrt(p_sq)]), np.diag([u, 1.0 / u]))
+    same(monotone._displaced_squeezed_input(energy), want)
+    assert abs(gaussian_mean_photons(want) - energy) <= 1e-12 * max(energy, 1.0)
+    drawn, replay = np.random.default_rng(7), np.random.default_rng(7)
+    for _ in range(5):
+        p = monotone._squeezed_thermal_input(energy, drawn)
+        n_th = float(replay.uniform(0.0, 0.4)) * energy
+        cosh_cap = (2.0 * energy + 1.0) / (2.0 * n_th + 1.0)
+        r = 0.5 * np.arccosh(float(replay.uniform(1.0, cosh_cap)))
+        want = apply_symplectic(thermal_state(n_th), gaussian_unitary("squeeze", r, 1))
+        theta = float(replay.uniform(0.0, np.pi))
+        want = apply_symplectic(want, gaussian_unitary("rotation", theta, 1))
+        same(p, want)
+        assert gaussian_mean_photons(want) <= energy + 1e-12 * max(energy, 1.0)
+
+
+@pytest.mark.parametrize("d", [40, 60])
+def test_d_g_bound_lifts_each_input_as_gaussian_to_fock_does(monkeypatch, d):
+    # the Fock route's image of an input, the rows of its member, is the
+    # Williamson lift of the state, with as many rows
+    lifted = []
+
+    def record(state, *args):
+        lifted.append(state)
+        return apply_map(state, *args)
+
+    monkeypatch.setattr(monotone, "apply_map", record)
+    rng = np.random.default_rng(d)
+    states = [vacuum_state(1)]
+    for k in range(8):
+        n_th = float(rng.uniform(0.0, 1.0)) if k % 2 else 0.0
+        state = apply_symplectic(
+            thermal_state(n_th), gaussian_unitary("squeeze", rng.uniform(-0.5, 0.5), 1)
+        )
+        state = apply_symplectic(
+            state, gaussian_unitary("rotation", rng.uniform(-np.pi, np.pi), 1)
+        )
+        alpha = complex(*rng.uniform(-1.0, 1.0, size=2))
+        states.append(apply_symplectic(state, gaussian_unitary("displacement", alpha, 1)))
+    res = d_g_bound(bps(d), inputs=states)
+    assert res.diagnostics["excluded"] == 0
+    assert len(lifted) == len(states)
+    for state, image in zip(states, lifted):
+        want = gaussian_to_fock(state, d, trace_tol=1e-5)
+        assert image.branches.shape == want.branches.shape
+        assert_allclose(image.data, want.data, rtol=0, atol=1e-12)
+        assert abs(image.trace_deficit - want.trace_deficit) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: bps(40), lambda: kerr(0.5, 8), lambda: loss(0.7, 8)],
+    ids=["fock", "analytic", "phase-space"],
+)
+def test_d_g_bound_refuses_an_input_above_its_energy_before_any_route(monkeypatch, make):
+    # a coherent state of 25 photons under a budget of 1 is refused by
+    # name, not valued and reported under that budget
+    desc = make()
+    _refuse(monkeypatch, "_family_rows", "_kerr_outputs", "apply_map")
+    coherent = GaussianState(1, np.array([10.0, 0.0]), np.eye(2))
+    with pytest.raises(ValueError, match=r"input \('input', 1\) holds 25 mean photons"):
+        d_g_bound(desc, inputs=[vacuum_state(1), coherent], energy=1.0)
+
+
+@pytest.mark.parametrize("make", [lambda: bps(40), lambda: kerr(0.45, 8)], ids=["fock", "analytic"])
+def test_d_g_bound_takes_inputs_within_its_energy(make):
+    # an input holding exactly the budget is within it: its member's photon
+    # number differs from the state's by rounding alone
+    desc = make()
+    states = [
+        GaussianState(1, np.array([2.0, 0.0]), np.eye(2)),
+        _single_mode_input(0.1, 0.4, 0.7),
+    ]
+    free = d_g_bound(desc, inputs=states)
+    for state, (_, value) in zip(states, free.trace):
+        energy = gaussian_mean_photons(state)
+        res = d_g_bound(desc, inputs=[state], energy=energy)
+        assert res.diagnostics["energy"] == energy
+        assert abs(res.value - value) <= 1e-12
+    energy = max(gaussian_mean_photons(state) for state in states)
+    assert d_g_bound(desc, inputs=states, energy=energy).trace == free.trace
 
 
 def test_composition_with_gaussian_unitaries_preserves_value():
@@ -709,7 +811,7 @@ def test_kerr_runs_without_building_a_fock_state(monkeypatch):
     for module, name in (
         (monotone, "apply_map"),
         (monotone, "build_unitary"),
-        (monotone, "gaussian_to_fock"),
+        (monotone, "_family_rows"),
         (monotone, "FockArray"),
         (nongauss.fock, "build_unitary"),
     ):
@@ -852,7 +954,7 @@ def test_d_g_bound_refuses_an_input_that_is_not_single_mode_gaussian(monkeypatch
     def refuse(*args, **kwargs):
         raise AssertionError("a route ran before the inputs were checked")
 
-    for name in ("_kerr_outputs", "gaussian_to_fock"):
+    for name in ("_kerr_outputs", "_family_rows"):
         monkeypatch.setattr(monotone, name, refuse)
     good = vacuum_state(1)
     with pytest.raises(ValueError, match=r"input \('input', 1\) is a 2-mode GaussianState"):
@@ -990,7 +1092,7 @@ def test_delta_tilde_refuses_an_n_s_cap_that_is_not_finite_and_nonnegative(cap, 
 
 @pytest.mark.parametrize("energy", [-1.0, np.nan, np.inf])
 def test_d_g_bound_refuses_an_energy_that_is_not_finite_and_nonnegative(energy, monkeypatch):
-    _refuse(monkeypatch, "_default_gaussian_inputs", "gaussian_to_fock")
+    _refuse(monkeypatch, "_default_gaussian_inputs", "_family_rows")
     with pytest.raises(ValueError, match="energy"):
         d_g_bound(bps(20), energy=energy)
 
@@ -1171,7 +1273,7 @@ def _refuse_fock_work(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a Gaussian channel's Gaussian input went to Fock space")
 
-    monkeypatch.setattr(monotone, "gaussian_to_fock", refuse)
+    monkeypatch.setattr(monotone, "_family_rows", refuse)
     monkeypatch.setattr(monotone, "apply_map", refuse)
 
 
@@ -1191,12 +1293,16 @@ def test_gaussian_channel_bound_is_exact_in_phase_space(make, monkeypatch):
 
 
 def test_gaussian_channel_bound_builds_no_default_input(monkeypatch):
-    # the phase-space route reads only the default inputs' labels
+    # the phase-space route reads only the default inputs' labels: their
+    # members are parameters, and no GaussianState is built for them
+    desc = loss(0.7, 30)
     _refuse_fock_work(monkeypatch)
-    _refuse(
-        monkeypatch, "_coherent_input", "_displaced_squeezed_input", "_squeezed_thermal_input"
-    )
-    res = d_g_bound(loss(0.7, 30), energy=2.0, seed=0)
+
+    def built(*args, **kwargs):
+        raise AssertionError("a default input was built as a GaussianState")
+
+    monkeypatch.setattr(nongauss.gaussian, "williamson_spectrum", built)
+    res = d_g_bound(desc, energy=2.0, seed=0)
     assert [label for label, _ in res.trace] == [
         ("coherent", 0.707107), ("coherent", 1.0), ("coherent", 1.414214),
         ("displaced_squeezed", 2.0),
